@@ -1,50 +1,46 @@
 #include "harness/chaos_driver.h"
 
-#include <algorithm>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/slice.h"
-#include "harness/instance_driver.h"
 #include "sim/executor.h"
 
 namespace polarcxl::harness {
 
 namespace {
-constexpr NodeId kInstanceNode = 1;  // tenant / crash-target identity
 
 /// Lane bookkeeping referenced by the executor lambdas; heap-stable because
 /// a cached world outlives every run that forks it.
-/// The sysbench workload driver POLAR_CHECKs on write failures (correct for
-/// fault-free figures), so chaos lanes run their own error-tolerant loop
-/// over the Status-returning table surface.
 struct ChaosLaneState {
-  engine::Database* db;
-  Rng rng{0};
-  uint32_t tables;
-  uint32_t rows;
-  double write_fraction;
-  Nanos error_backoff;
-  ChaosResult* result;
+  ChaosLaneState(engine::Database* db, uint32_t rows, uint64_t seed)
+      : op(db, rows, seed) {}
+  PointOpLane op;
+  double write_fraction = 0;
+  Nanos error_backoff = 0;
+  ChaosResult* result = nullptr;
   // Sentinel start (max Nanos): before the window opens nothing reaches
   // the sentinel, so the lane lambda needs no "window set?" branch.
   Nanos window_start = std::numeric_limits<Nanos>::max();
   Nanos window_end = -1;
-  std::string scratch;
 };
 
-/// A chaos world parked in a WorldCache: the simulated host (fault injector
-/// wired but disarmed), lanes, and the post-warmup lane RNG states.
+/// A chaos world: the simulated host (fault injector wired but disarmed)
+/// and its lanes.
 struct ChaosWorld : CachedWorld {
-  explicit ChaosWorld(const SimWorld::Spec& spec) : world(spec) {}
-  SimWorld world;
+  using CachedWorld::CachedWorld;
+  void CaptureLanes() override {
+    for (auto& state : lane_states) state->op.Capture();
+  }
+  void RestoreLanes() override {
+    for (auto& state : lane_states) state->op.Restore();
+  }
+
   std::vector<std::unique_ptr<ChaosLaneState>> lane_states;
   ChaosResult result;  // lane lambdas point here; re-initialized per run
-  std::vector<uint64_t> rng_states;  // post-warmup
 };
 
 SimWorld::Spec SpecFor(const ChaosConfig& config) {
@@ -58,39 +54,27 @@ SimWorld::Spec SpecFor(const ChaosConfig& config) {
   return spec;
 }
 
-/// Setup key: everything that shapes the world before the plan is armed.
-/// The plan, measure window and timeline bucket are per-run.
-std::string ChaosKey(const ChaosConfig& c, bool epoch) {
+/// The lane settings that shape the world before the plan is armed (the
+/// spec and warmup are keyed by WorldRun). The plan, measure window and
+/// timeline bucket are per-run.
+std::string ChaosKey(const ChaosConfig& c) {
   std::ostringstream os;
-  // Epoch discipline keys the world; the thread count does not (see
-  // PoolingKey) — cached worlds are re-sharded with SetThreads() on hit.
-  os << "chaos:e" << (epoch ? 1 : 0) << ':'
-     << static_cast<int>(c.kind) << ':' << c.lanes << ':'
-     << c.sysbench.tables << ':' << c.sysbench.rows_per_table << ':'
-     << c.sysbench.range_size << ':' << c.sysbench.row_size << ':'
-     << static_cast<int>(c.sysbench.distribution) << ':'
-     << c.sysbench.zipf_theta << ':' << c.sysbench.num_nodes << ':'
-     << c.sysbench.shared_fraction << ':' << c.write_fraction << ':'
-     << c.lbp_fraction << ':' << c.cpu_cache_bytes << ':' << c.warmup << ':'
+  os << "chaos:" << c.lanes << ':' << c.write_fraction << ':'
      << c.error_backoff << ':' << c.checkpoint_interval << ':' << c.seed;
   return os.str();
 }
 
-std::unique_ptr<ChaosWorld> BuildChaosWorld(const ChaosConfig& config,
-                                            uint32_t world_threads) {
-  auto cw = std::make_unique<ChaosWorld>(SpecFor(config));
+std::unique_ptr<CachedWorld> BuildChaosWorld(const ChaosConfig& config,
+                                             const SimWorld::Spec& spec) {
+  auto cw = std::make_unique<ChaosWorld>(spec);
   SimWorld& world = cw->world;
   sim::Executor& executor = world.executor();
   executor.ReserveLanes(config.lanes);
-  const Nanos setup_end = world.setup_end();
   engine::Database* db = world.db(0);
 
   for (uint32_t l = 0; l < config.lanes; l++) {
-    auto state = std::make_unique<ChaosLaneState>();
-    state->db = db;
-    state->rng = Rng(config.seed + l);
-    state->tables = static_cast<uint32_t>(db->num_tables());
-    state->rows = config.sysbench.rows_per_table;
+    auto state = std::make_unique<ChaosLaneState>(
+        db, config.sysbench.rows_per_table, config.seed + l);
     state->write_fraction = config.write_fraction;
     state->error_backoff = config.error_backoff;
     state->result = &cw->result;
@@ -99,19 +83,7 @@ std::unique_ptr<ChaosWorld> BuildChaosWorld(const ChaosConfig& config,
     executor.AddLane(
         [raw](sim::ExecContext& ctx) {
           const Nanos start = ctx.now;
-          engine::Table* t = raw->db->table(raw->rng.Uniform(raw->tables));
-          const uint64_t id = 1 + raw->rng.Uniform(raw->rows);
-          Status s;
-          if (raw->rng.Chance(raw->write_fraction)) {
-            const uint32_t k = static_cast<uint32_t>(raw->rng.Next());
-            s = t->UpdateColumn(
-                ctx, id, 4,
-                Slice(reinterpret_cast<const char*>(&k), sizeof(k)));
-            if (s.ok()) raw->db->CommitTransaction(ctx);
-          } else {
-            s = t->GetTo(ctx, id, &raw->scratch);
-            raw->db->FinishReadOnly(ctx);
-          }
+          const Status s = raw->op.Run(ctx, raw->write_fraction);
           if (start >= raw->window_start && ctx.now <= raw->window_end) {
             if (s.ok()) {
               raw->result->ok.Add(ctx.now - raw->window_start);
@@ -124,27 +96,12 @@ std::unique_ptr<ChaosWorld> BuildChaosWorld(const ChaosConfig& config,
           if (!s.ok()) ctx.Advance(raw->error_backoff);
           return true;
         },
-        kInstanceNode, db->cache(), setup_end);
+        SimWorld::InstanceNode(0), db->cache(), world.setup_end());
   }
-
-  // Dedicated checkpoint lane: periodically flushes dirty pages so the
-  // degraded read path has clean pages to serve from storage (a database
-  // that never checkpoints has nothing to fall back on). Lanes release
-  // every page fix before yielding, so the flush never sees a fixed page.
-  if (config.checkpoint_interval > 0) {
-    const Nanos interval = config.checkpoint_interval;
-    executor.AddLane(
-        [db, interval](sim::ExecContext& ctx) {
-          db->Checkpoint(ctx);
-          ctx.Advance(interval);
-          return true;
-        },
-        kInstanceNode, db->cache(), setup_end + interval);
-  }
-
-  // Warm up fault-free (the injector is wired but disarmed).
-  if (world_threads >= 1) world.EnableInWorldParallelism(world_threads);
-  executor.RunUntil(setup_end + config.warmup);
+  AddCheckpointLane(world, 0, config.checkpoint_interval);
+  // A node crash takes the whole instance down: every lane freezes.
+  cw->lane_span.emplace_back(
+      0, static_cast<uint32_t>(executor.num_lanes()) - 1);
   return cw;
 }
 }  // namespace
@@ -206,107 +163,24 @@ faults::FaultPlan CanonicalChaosPlan(Nanos measure) {
 }
 
 ChaosResult RunChaos(const ChaosConfig& config, WorldCache* cache) {
-  const double wall_start = ThreadCpuSeconds();
-  const uint32_t world_threads = ResolveWorldThreads(config.world_threads);
-  const bool epoch = world_threads >= 1;
-
-  // ---- acquire a warmed world: fork a snapshot or build cold ----
-  WorldCache::Lease lease;
-  std::unique_ptr<ChaosWorld> local;
-  ChaosWorld* cw = nullptr;
-  bool hit = false;
-  if (cache != nullptr) {
-    lease = cache->Acquire(ChaosKey(config, epoch));
-    cw = static_cast<ChaosWorld*>(lease.get());
-    hit = cw != nullptr;
-  }
-  if (cw == nullptr) {
-    auto fresh = BuildChaosWorld(config, world_threads);
-    if (cache != nullptr) {
-      fresh->world.CaptureSnapshot();
-      fresh->rng_states.reserve(fresh->lane_states.size());
-      for (const auto& state : fresh->lane_states) {
-        fresh->rng_states.push_back(state->rng.raw_state());
-      }
-      cw = fresh.get();
-      lease.put(std::move(fresh));
-    } else {
-      local = std::move(fresh);
-      cw = local.get();
-    }
-  } else {
-    if (epoch) cw->world.executor().SetThreads(world_threads);
-    cw->world.RestoreSnapshot();
-    for (size_t i = 0; i < cw->lane_states.size(); i++) {
-      cw->lane_states[i]->rng.set_raw_state(cw->rng_states[i]);
-    }
-  }
-
+  // Warm-up runs fault-free: the injector is wired but disarmed.
+  WorldRun run(cache, SpecFor(config), ChaosKey(config), config.world_threads,
+               config.warmup, config.measure,
+               [&config](const SimWorld::Spec& spec, bool /*epoch*/) {
+                 return BuildChaosWorld(config, spec);
+               });
+  ChaosWorld& cw = run.get<ChaosWorld>();
   // The world-owned result the lane lambdas point at. Warmup never records
   // (sentinel windows), so initializing it here covers both paths.
-  cw->result = ChaosResult();
-  cw->result.ok = TimeSeries(config.bucket);
-  cw->result.failed = TimeSeries(config.bucket);
-  cw->result.window = config.measure;
-
-  // ---- arm and measure (identical for cold and forked worlds) ----
-  SimWorld& world = cw->world;
-  sim::Executor& executor = world.executor();
-  faults::FaultInjector& injector = world.injector();
-  engine::Database* db = world.db(0);
-  const Nanos setup_end = world.setup_end();
-  const Nanos t0 = executor.MinClock(setup_end + config.warmup);
-  const Nanos t1 = t0 + config.measure;
-  for (auto& state : cw->lane_states) {
-    state->window_start = t0;
-    state->window_end = t1;
+  cw.result = ChaosResult();
+  cw.result.ok = TimeSeries(config.bucket);
+  cw.result.failed = TimeSeries(config.bucket);
+  for (auto& state : cw.lane_states) {
+    state->window_start = run.t0();
+    state->window_end = run.t1();
   }
-
-  faults::FaultPlan armed = config.plan;
-  armed.ShiftBy(t0);
-  POLAR_CHECK(injector.Arm(std::move(armed)).ok());
-
-  // Cumulative executor counters; report this run's deltas (see RunPooling).
-  const uint64_t epochs_before = executor.epochs_run();
-  const uint64_t divergence_before = executor.drain_divergence();
-  const double setup_done = ThreadCpuSeconds();
-
-  // Node-crash windows freeze every lane (the whole instance is gone);
-  // lanes thaw at the window end, modelling a fast process failover.
-  std::vector<faults::FaultEvent> crashes =
-      injector.EventsOfKind(faults::FaultKind::kNodeCrash);
-  crashes.erase(std::remove_if(crashes.begin(), crashes.end(),
-                               [](const faults::FaultEvent& e) {
-                                 return !e.Matches(kInstanceNode);
-                               }),
-                crashes.end());
-  for (const faults::FaultEvent& crash : crashes) {
-    if (crash.at >= t1) break;  // plan is normalized (sorted by `at`)
-    executor.RunUntil(crash.at);
-    for (uint32_t l = 0; l < static_cast<uint32_t>(executor.num_lanes());
-         l++) {
-      executor.ParkLane(l);
-      const Nanos now = executor.context(l).now;
-      executor.ResumeLane(l, std::max(now, crash.until));
-    }
-  }
-  executor.RunUntil(t1);
-  injector.Disarm();
-
-  const double measure_done = ThreadCpuSeconds();
-
-  cw->result.degraded_fetches = db->pool()->stats().degraded_fetches;
-  cw->result.fault_rejections = db->pool()->stats().fault_rejections;
-  cw->result.fault_retries = db->pool()->stats().fault_retries;
-  cw->result.injected = injector.stats();
-  cw->result.lane_steps = executor.total_steps();
-  cw->result.virtual_end = executor.MaxClock();
-  cw->result.setup_wall_sec = setup_done - wall_start;
-  cw->result.measure_wall_sec = measure_done - setup_done;
-  cw->result.snapshot_hit = hit;
-  cw->result.epochs = executor.epochs_run() - epochs_before;
-  cw->result.drain_divergence = executor.drain_divergence() - divergence_before;
-  return cw->result;
+  run.Measure(&config.plan, &cw.result);
+  return cw.result;
 }
 
 }  // namespace polarcxl::harness

@@ -54,32 +54,13 @@ struct ChaosConfig {
   int world_threads = -1;
 };
 
-struct ChaosResult {
+struct ChaosResult : RunStats {
   /// Operations completed / failed per bucket, origin at the measurement
   /// window start.
   TimeSeries ok{Millis(10)};
   TimeSeries failed{Millis(10)};
   uint64_t ok_ops = 0;
   uint64_t failed_ops = 0;
-  /// Buffer-pool degradation counters over the whole run (see
-  /// BufferPoolStats).
-  uint64_t degraded_fetches = 0;
-  uint64_t fault_rejections = 0;
-  uint64_t fault_retries = 0;
-  faults::FaultInjector::Stats injected;
-  uint64_t lane_steps = 0;   // executor steps, setup excluded
-  Nanos virtual_end = 0;     // largest clock reached
-  Nanos window = 0;          // measurement window length
-  /// Wall-clock (thread CPU time) split and snapshot provenance — see
-  /// PoolingResult.
-  double setup_wall_sec = 0;
-  double measure_wall_sec = 0;
-  bool snapshot_hit = false;
-  /// Epoch-parallel diagnostics (0 on the serial path). A chaos world is
-  /// single-group, so drain_divergence must be 0 at every thread count —
-  /// parallel_world_test pins that.
-  uint64_t epochs = 0;
-  uint64_t drain_divergence = 0;
 };
 
 /// Runs one fault-resilience experiment end to end. With a `cache`, the

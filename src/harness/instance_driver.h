@@ -44,7 +44,7 @@ struct PoolingConfig {
   FabricWorldSpec fabric;
 };
 
-struct PoolingResult {
+struct PoolingResult : RunStats {
   RunMetrics metrics;
   /// Delivered interconnect bandwidth during the window: the host NIC wire
   /// for RDMA configurations, the host CXL switch port for CXL ones.
@@ -59,39 +59,7 @@ struct PoolingResult {
   uint64_t line_hits = 0;
   uint64_t line_misses = 0;
   uint64_t pages_read_io = 0;
-  /// Executor lane-steps taken over the whole run (setup excluded) and the
-  /// largest virtual clock reached — the numerator/denominator pair for
-  /// sim-core throughput tracking (see bench_sim_throughput).
-  uint64_t lane_steps = 0;
-  /// Lane-steps taken inside the measurement window alone — the numerator
-  /// of the in_world_scaling lane-steps/sec metric (measure_wall_sec is the
-  /// denominator).
-  uint64_t measure_steps = 0;
-  Nanos virtual_end = 0;
   TimeBreakdown breakdown;
-  /// Wall-clock (thread CPU time) split: everything before the measurement
-  /// window vs the window itself, and whether setup was served by forking a
-  /// cached world snapshot instead of a cold build+load+warmup.
-  double setup_wall_sec = 0;
-  double measure_wall_sec = 0;
-  /// Real (monotonic) wall time of the measurement window. Thread CPU time
-  /// only meters the calling thread, so it under-counts epoch-parallel runs
-  /// where workers do most of the stepping; scaling metrics must divide by
-  /// this instead.
-  double measure_real_sec = 0;
-  bool snapshot_hit = false;
-  /// Epoch-parallel diagnostics (0 when world_threads resolves to serial):
-  /// epochs executed, and how many deferred shared-channel charges replayed
-  /// to a different completion time than the in-epoch observation.
-  uint64_t epochs = 0;
-  uint64_t drain_divergence = 0;
-  /// Scale-cost counters over the measurement window (deltas of the
-  /// monotone executor/channel diagnostics): scheduler operations charged
-  /// by the executor and window-ledger maintenance work across every
-  /// channel in the world. Divide by measure_steps for the per-lane-step
-  /// costs tracked in BENCH_sim_throughput.json's scale_cost section.
-  uint64_t sched_ops = 0;
-  uint64_t window_advances = 0;
 };
 
 /// Runs one pooling experiment end to end (build, load, warm up, measure).

@@ -9,6 +9,10 @@
 #include "common/histogram.h"
 #include "common/types.h"
 
+namespace polarcxl::sim {
+class Executor;
+}  // namespace polarcxl::sim
+
 namespace polarcxl::harness {
 
 /// Aggregate result of one measured run.
@@ -43,6 +47,10 @@ struct TimeBreakdown {
   Nanos net = 0;
   Nanos lock = 0;
   Nanos Cpu() const { return total - mem - io - net - lock; }
+
+  /// Sums every lane of `executor`, counting `total` from `origin` to each
+  /// lane's clock.
+  static TimeBreakdown OfLanes(sim::Executor& executor, Nanos origin);
 
   double Pct(Nanos part) const {
     return total == 0 ? 0.0

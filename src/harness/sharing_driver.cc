@@ -160,17 +160,7 @@ SharingResult RunSharing(const SharingConfig& config) {
       load_ctx.now = setup_end;
       load_ctx.cache = node.db->cache();
       WorkloadSpec spec;
-      switch (config.bench) {
-        case SharingBench::kSysbench:
-          spec.bench = WorkloadSpec::Bench::kSysbench;
-          break;
-        case SharingBench::kTpcc:
-          spec.bench = WorkloadSpec::Bench::kTpcc;
-          break;
-        case SharingBench::kTatp:
-          spec.bench = WorkloadSpec::Bench::kTatp;
-          break;
-      }
+      spec.bench = config.bench;
       spec.sysbench = config.sysbench;
       spec.tpcc = config.tpcc;
       spec.tatp = config.tatp;
@@ -277,14 +267,7 @@ SharingResult RunSharing(const SharingConfig& config) {
   result.lock_waits = table.contended_acquisitions();
   result.total_lock_wait = table.total_wait();
   result.top_contended = table.TopContended(8);
-  for (size_t l = 0; l < executor.num_lanes(); l++) {
-    const sim::ExecContext& lane = executor.context(static_cast<uint32_t>(l));
-    result.breakdown.total += lane.now - setup_end;
-    result.breakdown.mem += lane.t_mem;
-    result.breakdown.io += lane.t_io;
-    result.breakdown.net += lane.t_net;
-    result.breakdown.lock += lane.t_lock;
-  }
+  result.breakdown = TimeBreakdown::OfLanes(executor, setup_end);
   if (config.mode == SharingMode::kCxl) {
     for (auto& node : nodes) {
       auto* pool = static_cast<sharing::CxlSharedBufferPool*>(node.pool);

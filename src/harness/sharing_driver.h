@@ -10,6 +10,7 @@
 
 #include "engine/database.h"
 #include "harness/metrics.h"
+#include "harness/world_builder.h"
 #include "sharing/buffer_fusion.h"
 #include "sharing/mp_node.h"
 #include "sharing/rdma_sharing.h"
@@ -21,7 +22,7 @@
 namespace polarcxl::harness {
 
 enum class SharingMode { kCxl, kRdma };
-enum class SharingBench { kSysbench, kTpcc, kTatp };
+using SharingBench = WorkloadSpec::Bench;
 
 struct SharingConfig {
   SharingMode mode = SharingMode::kCxl;

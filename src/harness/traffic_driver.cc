@@ -8,8 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/slice.h"
 #include "sim/executor.h"
 
 namespace polarcxl::harness {
@@ -62,49 +60,29 @@ struct ClientLaneState {
 /// Server-lane bookkeeping: closed-loop warmup before `open_after`, then
 /// pop-admit-serve with deadline shedding and bounded retries.
 struct ServerLaneState {
-  engine::Database* db = nullptr;
+  ServerLaneState(engine::Database* db, uint32_t rows, uint64_t seed)
+      : op(db, rows, seed) {}
+  PointOpLane op;
   InstanceRun* inst = nullptr;
   OpenLoopShared* shared = nullptr;
-  Rng rng{0};
-  uint32_t tables = 0;
-  uint32_t rows = 0;
   double warmup_write_fraction = 0.25;
   Nanos open_after = 0;  // warmup/open-loop boundary (fixed at build)
-  std::string scratch;
 };
 
 struct OpenLoopWorld : CachedWorld {
-  explicit OpenLoopWorld(const SimWorld::Spec& spec) : world(spec) {}
-  SimWorld world;
+  using CachedWorld::CachedWorld;
+  void CaptureLanes() override {
+    for (auto& state : server_states) state->op.Capture();
+  }
+  void RestoreLanes() override {
+    for (auto& state : server_states) state->op.Restore();
+  }
+
   OpenLoopShared shared;
   std::vector<std::unique_ptr<InstanceRun>> inst_runs;
   std::vector<std::unique_ptr<ClientLaneState>> client_states;
   std::vector<std::unique_ptr<ServerLaneState>> server_states;
-  /// Lane-id span of each instance (client + checkpoint + servers), for
-  /// instance-scoped node-crash freezes.
-  std::vector<std::pair<uint32_t, uint32_t>> lane_span;
-  std::vector<uint64_t> rng_states;  // post-warmup server-lane RNGs
 };
-
-/// One sysbench-style point op (read or single-column update) against a
-/// Status-returning table surface — the chaos driver's error-tolerant loop.
-Status DoOp(sim::ExecContext& ctx, engine::Database* db, Rng& rng,
-            uint32_t tables, uint32_t rows, double write_fraction,
-            std::string* scratch) {
-  engine::Table* t = db->table(rng.Uniform(tables));
-  const uint64_t id = 1 + rng.Uniform(rows);
-  Status s;
-  if (rng.Chance(write_fraction)) {
-    const uint32_t k = static_cast<uint32_t>(rng.Next());
-    s = t->UpdateColumn(ctx, id, 4,
-                        Slice(reinterpret_cast<const char*>(&k), sizeof(k)));
-    if (s.ok()) db->CommitTransaction(ctx);
-  } else {
-    s = t->GetTo(ctx, id, scratch);
-    db->FinishReadOnly(ctx);
-  }
-  return s;
-}
 
 SimWorld::Spec SpecFor(const OpenLoopConfig& config) {
   SimWorld::Spec spec;
@@ -118,27 +96,20 @@ SimWorld::Spec SpecFor(const OpenLoopConfig& config) {
   return spec;
 }
 
-/// Setup key: everything that shapes the world through warmup. Tenants,
-/// rates, plan, deadlines, SLO, retries and the measure window are all
-/// per-run — one warmed world serves an entire rate sweep.
-std::string OpenLoopKey(const OpenLoopConfig& c, bool epoch) {
+/// The lane settings that shape the world through warmup (the spec and
+/// warmup are keyed by WorldRun). Tenants, rates, plan, deadlines, SLO,
+/// retries and the measure window are all per-run — one warmed world serves
+/// an entire rate sweep.
+std::string OpenLoopKey(const OpenLoopConfig& c) {
   std::ostringstream os;
-  os << "openloop:e" << (epoch ? 1 : 0) << ':' << static_cast<int>(c.kind)
-     << ':' << c.instances << ':' << c.lanes_per_instance << ':'
-     << c.sysbench.tables << ':' << c.sysbench.rows_per_table << ':'
-     << c.sysbench.range_size << ':' << c.sysbench.row_size << ':'
-     << static_cast<int>(c.sysbench.distribution) << ':'
-     << c.sysbench.zipf_theta << ':' << c.sysbench.num_nodes << ':'
-     << c.sysbench.shared_fraction << ':' << c.warmup_write_fraction << ':'
-     << c.lbp_fraction << ':' << c.cpu_cache_bytes << ':' << c.warmup << ':'
-     << c.checkpoint_interval << ':' << c.verbs_retry_budget << ':'
-     << c.seed;
+  os << "openloop:" << c.lanes_per_instance << ':' << c.warmup_write_fraction
+     << ':' << c.checkpoint_interval << ':' << c.seed;
   return os.str();
 }
 
-std::unique_ptr<OpenLoopWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
-                                                  uint32_t world_threads) {
-  auto cw = std::make_unique<OpenLoopWorld>(SpecFor(config));
+std::unique_ptr<CachedWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
+                                                const SimWorld::Spec& spec) {
+  auto cw = std::make_unique<OpenLoopWorld>(spec);
   SimWorld& world = cw->world;
   sim::Executor& executor = world.executor();
   executor.ReserveLanes(config.instances * (config.lanes_per_instance + 2));
@@ -147,7 +118,7 @@ std::unique_ptr<OpenLoopWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
 
   for (uint32_t i = 0; i < config.instances; i++) {
     engine::Database* db = world.db(i);
-    const NodeId node = i + 1;  // world_builder tenant identity
+    const NodeId node = SimWorld::InstanceNode(i);
     auto inst = std::make_unique<InstanceRun>();
     InstanceRun* ir = inst.get();
     cw->inst_runs.push_back(std::move(inst));
@@ -183,26 +154,15 @@ std::unique_ptr<OpenLoopWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
         },
         node, db->cache(), open_after);
 
-    if (config.checkpoint_interval > 0) {
-      const Nanos interval = config.checkpoint_interval;
-      executor.AddLane(
-          [db, interval](sim::ExecContext& ctx) {
-            db->Checkpoint(ctx);
-            ctx.Advance(interval);
-            return true;
-          },
-          node, db->cache(), setup_end + interval);
-    }
+    AddCheckpointLane(world, i, config.checkpoint_interval);
 
     uint32_t last_lane = first_lane;
     for (uint32_t l = 0; l < config.lanes_per_instance; l++) {
-      auto state = std::make_unique<ServerLaneState>();
-      state->db = db;
+      auto state = std::make_unique<ServerLaneState>(
+          db, config.sysbench.rows_per_table,
+          config.seed + i * config.lanes_per_instance + l);
       state->inst = ir;
       state->shared = &cw->shared;
-      state->rng = Rng(config.seed + i * config.lanes_per_instance + l);
-      state->tables = static_cast<uint32_t>(db->num_tables());
-      state->rows = config.sysbench.rows_per_table;
       state->warmup_write_fraction = config.warmup_write_fraction;
       state->open_after = open_after;
       ServerLaneState* raw = state.get();
@@ -211,8 +171,7 @@ std::unique_ptr<OpenLoopWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
           [raw](sim::ExecContext& ctx) {
             if (ctx.now < raw->open_after) {
               // Warmup: closed-loop, fault-free, nothing recorded.
-              DoOp(ctx, raw->db, raw->rng, raw->tables, raw->rows,
-                   raw->warmup_write_fraction, &raw->scratch);
+              raw->op.Run(ctx, raw->warmup_write_fraction);
               return true;
             }
             OpenLoopShared& sh = *raw->shared;
@@ -242,8 +201,7 @@ std::unique_ptr<OpenLoopWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
             tr.stats.queue_wait.Add(wait);
             Status s;
             for (int attempt = 0;; attempt++) {
-              s = DoOp(ctx, raw->db, raw->rng, raw->tables, raw->rows,
-                       tr.write_fraction, &raw->scratch);
+              s = raw->op.Run(ctx, tr.write_fraction);
               if (s.ok() || attempt >= sh.op_retries) break;
               tr.stats.retried_ops++;
               ctx.Advance(sh.error_backoff);
@@ -267,9 +225,6 @@ std::unique_ptr<OpenLoopWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
     }
     cw->lane_span.emplace_back(first_lane, last_lane);
   }
-
-  if (world_threads >= 1) world.EnableInWorldParallelism(world_threads);
-  executor.RunUntil(open_after);
   return cw;
 }
 
@@ -290,52 +245,18 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
     POLAR_CHECK_MSG(t.instance < config.instances,
                     "tenant routed to a nonexistent instance");
   }
-  const double wall_start = ThreadCpuSeconds();
-  const uint32_t world_threads = ResolveWorldThreads(config.world_threads);
-  const bool epoch = world_threads >= 1;
-
-  // ---- acquire a warmed world: fork a snapshot or build cold ----
-  WorldCache::Lease lease;
-  std::unique_ptr<OpenLoopWorld> local;
-  OpenLoopWorld* cw = nullptr;
-  bool hit = false;
-  if (cache != nullptr) {
-    lease = cache->Acquire(OpenLoopKey(config, epoch));
-    cw = static_cast<OpenLoopWorld*>(lease.get());
-    hit = cw != nullptr;
-  }
-  if (cw == nullptr) {
-    auto fresh = BuildOpenLoopWorld(config, world_threads);
-    if (cache != nullptr) {
-      fresh->world.CaptureSnapshot();
-      fresh->rng_states.reserve(fresh->server_states.size());
-      for (const auto& state : fresh->server_states) {
-        fresh->rng_states.push_back(state->rng.raw_state());
-      }
-      cw = fresh.get();
-      lease.put(std::move(fresh));
-    } else {
-      local = std::move(fresh);
-      cw = local.get();
-    }
-  } else {
-    if (epoch) cw->world.executor().SetThreads(world_threads);
-    cw->world.RestoreSnapshot();
-    for (size_t i = 0; i < cw->server_states.size(); i++) {
-      cw->server_states[i]->rng.set_raw_state(cw->rng_states[i]);
-    }
-  }
+  WorldRun run(cache, SpecFor(config), OpenLoopKey(config),
+               config.world_threads, config.warmup, config.measure,
+               [&config](const SimWorld::Spec& spec, bool /*epoch*/) {
+                 return BuildOpenLoopWorld(config, spec);
+               });
+  OpenLoopWorld& cw = run.get<OpenLoopWorld>();
+  const Nanos t0 = run.t0();
+  const Nanos t1 = run.t1();
 
   // ---- per-run state: tenants, schedules, queues (identical for cold and
   // forked worlds; nothing below is in the world key) ----
-  SimWorld& world = cw->world;
-  sim::Executor& executor = world.executor();
-  faults::FaultInjector& injector = world.injector();
-  const Nanos setup_end = world.setup_end();
-  const Nanos t0 = executor.MinClock(setup_end + config.warmup);
-  const Nanos t1 = t0 + config.measure;
-
-  OpenLoopShared& sh = cw->shared;
+  OpenLoopShared& sh = cw.shared;
   sh.tenants.clear();
   sh.tenants.resize(config.tenants.size());
   for (size_t t = 0; t < config.tenants.size(); t++) {
@@ -355,7 +276,7 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
   sh.error_backoff = config.error_backoff;
 
   for (uint32_t i = 0; i < config.instances; i++) {
-    InstanceRun& inst = *cw->inst_runs[i];
+    InstanceRun& inst = *cw.inst_runs[i];
     inst.queue = AdmissionQueue(config.admission);
     inst.schedule.clear();
     inst.next = 0;
@@ -368,11 +289,11 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
     const std::vector<Nanos> rel = GenerateArrivals(
         spec.arrivals, config.arrival_seed, static_cast<uint32_t>(t),
         config.measure);
-    std::vector<AdmittedOp>& sched = cw->inst_runs[spec.instance]->schedule;
+    std::vector<AdmittedOp>& sched = cw.inst_runs[spec.instance]->schedule;
     sched.reserve(sched.size() + rel.size());
     for (Nanos r : rel) sched.push_back({t0 + r, static_cast<uint32_t>(t)});
   }
-  for (auto& inst : cw->inst_runs) {
+  for (auto& inst : cw.inst_runs) {
     // Stable tie-break on tenant index: the merge order is part of the
     // determinism contract, not an accident of the sort.
     std::stable_sort(inst->schedule.begin(), inst->schedule.end(),
@@ -382,43 +303,13 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
                      });
   }
 
-  faults::FaultPlan armed = config.plan;
-  armed.ShiftBy(t0);
-  POLAR_CHECK(injector.Arm(std::move(armed)).ok());
-
-  const uint64_t epochs_before = executor.epochs_run();
-  const uint64_t divergence_before = executor.drain_divergence();
-  const double setup_done = ThreadCpuSeconds();
-
-  // Node-crash windows freeze the crashed instance's lanes (client
-  // included — arrivals pile up behind the dead endpoint and age out at
-  // the deadline check on resume).
-  std::vector<faults::FaultEvent> crashes =
-      injector.EventsOfKind(faults::FaultKind::kNodeCrash);
-  for (const faults::FaultEvent& crash : crashes) {
-    if (crash.at >= t1) break;  // plan is normalized (sorted by `at`)
-    executor.RunUntil(crash.at);
-    for (uint32_t i = 0; i < config.instances; i++) {
-      if (!crash.Matches(i + 1)) continue;
-      for (uint32_t l = cw->lane_span[i].first; l <= cw->lane_span[i].second;
-           l++) {
-        executor.ParkLane(l);
-        const Nanos now = executor.context(l).now;
-        executor.ResumeLane(l, std::max(now, crash.until));
-      }
-    }
-  }
-  executor.RunUntil(t1);
-  injector.Disarm();
-
-  const double measure_done = ThreadCpuSeconds();
+  OpenLoopResult result;
+  run.Measure(&config.plan, &result);
 
   // ---- merge per-tenant / per-instance accounting in declaration order ----
-  OpenLoopResult result;
   result.ok = TimeSeries(config.bucket);
   result.failed = TimeSeries(config.bucket);
   result.shed = TimeSeries(config.bucket);
-  result.window = config.measure;
   result.tenants.reserve(sh.tenants.size());
   for (const TenantRun& tr : sh.tenants) {
     result.tenants.push_back(tr.stats);
@@ -433,15 +324,10 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
     result.latency.Merge(tr.stats.latency);
     result.queue_wait.Merge(tr.stats.queue_wait);
   }
-  for (uint32_t i = 0; i < config.instances; i++) {
-    MergeSeries(&result.ok, cw->inst_runs[i]->ok);
-    MergeSeries(&result.failed, cw->inst_runs[i]->failed);
-    MergeSeries(&result.shed, cw->inst_runs[i]->shed);
-    const bufferpool::BufferPoolStats& ps = world.db(i)->pool()->stats();
-    result.degraded_fetches += ps.degraded_fetches;
-    result.fault_rejections += ps.fault_rejections;
-    result.fault_retries += ps.fault_retries;
-    result.retries_exhausted += ps.retries_exhausted;
+  for (const auto& inst : cw.inst_runs) {
+    MergeSeries(&result.ok, inst->ok);
+    MergeSeries(&result.failed, inst->failed);
+    MergeSeries(&result.shed, inst->shed);
   }
   result.p99 = result.latency.Percentile(99.0);
   const double window_sec =
@@ -455,15 +341,6 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
                 static_cast<double>(result.offered);
   result.slo_met = result.p99 <= config.slo_latency &&
                    result.loss_fraction <= config.max_loss_fraction;
-  result.injected = injector.stats();
-  result.lane_steps = executor.total_steps();
-  result.virtual_end = executor.MaxClock();
-  result.setup_wall_sec = setup_done - wall_start;
-  result.measure_wall_sec = measure_done - setup_done;
-  result.snapshot_hit = hit;
-  result.epochs = executor.epochs_run() - epochs_before;
-  result.drain_divergence =
-      executor.drain_divergence() - divergence_before;
   return result;
 }
 

@@ -104,7 +104,7 @@ struct TenantStats {
   Histogram queue_wait;        // arrival -> service start (served ops)
 };
 
-struct OpenLoopResult {
+struct OpenLoopResult : RunStats {
   std::vector<TenantStats> tenants;
   // ---- merged totals (sum over tenants, deterministic order) ----
   uint64_t offered = 0;
@@ -125,21 +125,6 @@ struct OpenLoopResult {
   TimeSeries ok{Millis(10)};
   TimeSeries failed{Millis(10)};
   TimeSeries shed{Millis(10)};
-  // ---- pool degradation + injector accounting over the run ----
-  uint64_t degraded_fetches = 0;
-  uint64_t fault_rejections = 0;
-  uint64_t fault_retries = 0;
-  uint64_t retries_exhausted = 0;
-  faults::FaultInjector::Stats injected;
-  // ---- determinism + provenance (see ChaosResult) ----
-  uint64_t lane_steps = 0;
-  Nanos virtual_end = 0;
-  Nanos window = 0;
-  double setup_wall_sec = 0;
-  double measure_wall_sec = 0;
-  bool snapshot_hit = false;
-  uint64_t epochs = 0;
-  uint64_t drain_divergence = 0;
 };
 
 /// Runs one open-loop experiment end to end. With a `cache`, the

@@ -1,10 +1,13 @@
 #include "harness/world_builder.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <sstream>
 #include <utility>
 
 #include "bufferpool/cxl_buffer_pool.h"
+#include "common/slice.h"
 #include "cxl/cxl_memory_manager.h"
 #include "fabric/fabric_topology.h"
 #include "harness/instance_driver.h"
@@ -35,6 +38,44 @@ cxl::CxlFabric::Options FabricOptionsFor(const SimWorld::Spec& spec) {
   // routing off, costs bit-identical to the pre-topology world.
   return o;
 }
+
+/// Resolves a driver's world_threads knob against POLAR_WORLD_THREADS:
+/// `requested` < 0 reads the env var (unset/0 = serial), otherwise the value
+/// is used as-is. Returns 0 for serial legacy execution, else the
+/// epoch-parallel thread count.
+uint32_t ResolveWorldThreads(int requested) {
+  if (requested >= 0) return static_cast<uint32_t>(requested);
+  const char* env = std::getenv("POLAR_WORLD_THREADS");
+  if (env == nullptr || *env == '\0') return 0;
+  const long v = std::strtol(env, nullptr, 10);
+  return v > 0 ? static_cast<uint32_t>(v) : 0;
+}
+
+/// Cache key of a warmed world: every input that shapes it through warm-up.
+std::string WorldKey(const std::string& lanes_key, const SimWorld::Spec& s,
+                     bool epoch, Nanos warmup) {
+  std::ostringstream os;
+  // Epoch discipline is part of the key (drivers may wire per-instance
+  // state for it); the thread COUNT is not — worlds are identical across
+  // counts, so a cached world is re-sharded with SetThreads() on hit.
+  const workload::SysbenchConfig& sb = s.sysbench;
+  os << lanes_key << ":e" << (epoch ? 1 : 0) << ':' << warmup << ':'
+     << static_cast<int>(s.kind) << ':' << s.instances << ':' << sb.tables
+     << ':' << sb.rows_per_table << ':' << sb.range_size << ':'
+     << sb.row_size << ':' << static_cast<int>(sb.distribution) << ':'
+     << sb.zipf_theta << ':' << sb.num_nodes << ':' << sb.shared_fraction
+     << ':' << s.lbp_fraction << ':' << s.cpu_cache_bytes << ':'
+     << s.group_commit_window << ':' << s.verbs_retry_budget << ':'
+     << (s.wire_faults ? 1 : 0);
+  const FabricWorldSpec& f = s.fabric;
+  os << ":f" << f.switches << ':' << f.devices_per_switch << ':'
+     << (f.ring ? 1 : 0) << ':' << f.uplink_bps << ':' << f.uplink_latency
+     << ':' << static_cast<int>(f.interleave.mode) << ':'
+     << f.interleave.granule << ':' << f.interleave.ways << ':'
+     << static_cast<int>(f.placement) << ':' << (f.topology_mode ? 1 : 0)
+     << ':' << f.port_bps << ':' << f.device_port_bps;
+  return os.str();
+}
 }  // namespace
 
 Status LoadTables(sim::ExecContext& ctx, engine::Database* db,
@@ -48,14 +89,6 @@ Status LoadTables(sim::ExecContext& ctx, engine::Database* db,
       return workload::LoadTatpTables(ctx, db, spec.tatp);
   }
   return Status::InvalidArgument("unknown bench");
-}
-
-uint32_t ResolveWorldThreads(int requested) {
-  if (requested >= 0) return static_cast<uint32_t>(requested);
-  const char* env = std::getenv("POLAR_WORLD_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<uint32_t>(v) : 0;
 }
 
 Result<std::unique_ptr<engine::Database>> CreateAndLoad(
@@ -181,7 +214,7 @@ SimWorld::SimWorld(const Spec& spec)
     env.remote = remote_.get();
 
     engine::DatabaseOptions opt;
-    opt.node = i + 1;  // tenant id (0 is the host NIC identity)
+    opt.node = InstanceNode(i);
     opt.rdma_host_node = kHostNode;
     opt.pool_kind = spec.kind;
     opt.pool_pages = pool_pages;
@@ -364,6 +397,150 @@ WorldCache::Lease WorldCache::Acquire(const std::string& key) {
   lease.lock_ = std::unique_lock<std::mutex>(entry->mu);
   lease.slot_ = &entry->world;
   return lease;
+}
+
+// ---------------------------------------------------------------------------
+// Run lifecycle
+// ---------------------------------------------------------------------------
+
+Status PointOpLane::Run(sim::ExecContext& ctx, double write_fraction) {
+  engine::Table* t = db->table(rng.Uniform(tables));
+  const uint64_t id = 1 + rng.Uniform(rows);
+  Status s;
+  if (rng.Chance(write_fraction)) {
+    const uint32_t k = static_cast<uint32_t>(rng.Next());
+    s = t->UpdateColumn(ctx, id, 4,
+                        Slice(reinterpret_cast<const char*>(&k), sizeof(k)));
+    if (s.ok()) db->CommitTransaction(ctx);
+  } else {
+    s = t->GetTo(ctx, id, &scratch);
+    db->FinishReadOnly(ctx);
+  }
+  return s;
+}
+
+void AddCheckpointLane(SimWorld& world, uint32_t i, Nanos interval) {
+  if (interval <= 0) return;
+  engine::Database* db = world.db(i);
+  world.executor().AddLane(
+      [db, interval](sim::ExecContext& ctx) {
+        db->Checkpoint(ctx);
+        ctx.Advance(interval);
+        return true;
+      },
+      SimWorld::InstanceNode(i), db->cache(), world.setup_end() + interval);
+}
+
+WorldRun::WorldRun(WorldCache* cache, const SimWorld::Spec& spec,
+                   const std::string& lanes_key, int world_threads,
+                   Nanos warmup, Nanos measure, const Build& build)
+    : wall_start_(ThreadCpuSeconds()) {
+  const uint32_t threads = ResolveWorldThreads(world_threads);
+  const bool epoch = threads >= 1;
+  if (cache != nullptr) {
+    lease_ = cache->Acquire(WorldKey(lanes_key, spec, epoch, warmup));
+    world_ = lease_.get();
+    hit_ = world_ != nullptr;
+  }
+  if (hit_) {
+    // The cached world may have been sharded for a different thread count;
+    // re-shard first so Restore pushes lanes into the right shards.
+    if (epoch) world_->world.executor().SetThreads(threads);
+    world_->world.RestoreSnapshot();
+    world_->RestoreLanes();
+  } else {
+    std::unique_ptr<CachedWorld> fresh = build(spec, epoch);
+    SimWorld& w = fresh->world;
+    if (epoch) w.EnableInWorldParallelism(threads);
+    w.executor().RunUntil(w.setup_end() + warmup);
+    world_ = fresh.get();
+    if (cache != nullptr) {
+      // Park the warmed world for every later rep / sweep point sharing the
+      // key. Capture is pure host-side copying, so a cold run that captures
+      // stays bit-identical to one that doesn't.
+      w.CaptureSnapshot();
+      fresh->CaptureLanes();
+      lease_.put(std::move(fresh));
+    } else {
+      local_ = std::move(fresh);
+    }
+  }
+  SimWorld& w = world_->world;
+  t0_ = w.executor().MinClock(w.setup_end() + warmup);
+  t1_ = t0_ + measure;
+}
+
+void WorldRun::Measure(const faults::FaultPlan* plan, RunStats* stats) {
+  SimWorld& world = world_->world;
+  sim::Executor& executor = world.executor();
+  faults::FaultInjector& injector = world.injector();
+  std::vector<faults::FaultEvent> crashes;
+  if (plan != nullptr) {
+    faults::FaultPlan armed = *plan;
+    armed.ShiftBy(t0_);
+    POLAR_CHECK(injector.Arm(std::move(armed)).ok());
+    crashes = injector.EventsOfKind(faults::FaultKind::kNodeCrash);
+  }
+
+  // The executor/channel counters are monotone over the world's life (forks
+  // do not rewind them); report this run's deltas.
+  struct Counters {
+    uint64_t steps, epochs, divergence, sched_ops, window_advances;
+  };
+  const auto read = [&executor, &world] {
+    return Counters{executor.total_steps(), executor.epochs_run(),
+                    executor.drain_divergence(), executor.sched_ops(),
+                    world.WindowAdvances()};
+  };
+  const Counters before = read();
+  const double setup_done = ThreadCpuSeconds();
+  const auto real_start = std::chrono::steady_clock::now();
+
+  // A node crash freezes every lane of the crashed instances — client and
+  // checkpoint lanes included, so arrivals pile up behind the dead endpoint
+  // and age out at the deadline check on resume. Lanes thaw when the crash
+  // window ends.
+  for (const faults::FaultEvent& crash : crashes) {
+    if (crash.at >= t1_) break;  // plan is normalized (sorted by `at`)
+    executor.RunUntil(crash.at);
+    for (uint32_t i = 0; i < world_->lane_span.size(); i++) {
+      if (!crash.Matches(SimWorld::InstanceNode(i))) continue;
+      for (uint32_t l = world_->lane_span[i].first;
+           l <= world_->lane_span[i].second; l++) {
+        executor.ParkLane(l);
+        const Nanos now = executor.context(l).now;
+        executor.ResumeLane(l, std::max(now, crash.until));
+      }
+    }
+  }
+  executor.RunUntil(t1_);
+  const auto real_end = std::chrono::steady_clock::now();
+  const double measure_done = ThreadCpuSeconds();
+  if (plan != nullptr) injector.Disarm();
+
+  const Counters after = read();
+  RunStats& r = *stats;
+  r.lane_steps = after.steps;
+  r.measure_steps = after.steps - before.steps;
+  r.virtual_end = executor.MaxClock();
+  r.window = t1_ - t0_;
+  r.setup_wall_sec = setup_done - wall_start_;
+  r.measure_wall_sec = measure_done - setup_done;
+  r.measure_real_sec =
+      std::chrono::duration<double>(real_end - real_start).count();
+  r.snapshot_hit = hit_;
+  r.epochs = after.epochs - before.epochs;
+  r.drain_divergence = after.divergence - before.divergence;
+  r.sched_ops = after.sched_ops - before.sched_ops;
+  r.window_advances = after.window_advances - before.window_advances;
+  for (uint32_t i = 0; i < world.num_instances(); i++) {
+    const bufferpool::BufferPoolStats& ps = world.db(i)->pool()->stats();
+    r.degraded_fetches += ps.degraded_fetches;
+    r.fault_rejections += ps.fault_rejections;
+    r.fault_retries += ps.fault_retries;
+    r.retries_exhausted += ps.retries_exhausted;
+  }
+  r.injected = injector.stats();
 }
 
 }  // namespace polarcxl::harness

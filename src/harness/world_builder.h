@@ -1,10 +1,14 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
-// World construction and deterministic snapshot/fork for the experiment
-// drivers. Every driver used to rebuild the same simulated world — fabric,
-// NICs, disk, instances, loaded tables, warmed pool — from zero for every
-// sweep point and every rep. This module centralizes the build (one copy of
-// the load call sites) and lets drivers capture the post-warmup world once
-// per (config key) and fork it for every run that shares the key.
+// World construction, deterministic snapshot/fork, and the run lifecycle of
+// the SimWorld drivers (RunPooling, RunChaos, RunOpenLoop). Every driver
+// used to rebuild the same simulated world — fabric, NICs, disk, instances,
+// loaded tables, warmed pool — from zero for every sweep point and every
+// rep. This module centralizes the build (one copy of the load call sites),
+// lets drivers capture the post-warmup world once per (config key) and fork
+// it for every run that shares the key, and owns the one copy of the run
+// machinery around the drivers' lanes: fork-or-build (WorldRun), the
+// measure bracket and crash freeze (WorldRun::Measure), the result schema
+// (RunStats), the fault-tolerant point op and the checkpoint lane.
 //
 // Determinism contract: a forked run is bit-identical to a cold-built run —
 // same lane_steps, metrics, histograms, bandwidth probes. The snapshot is a
@@ -16,12 +20,15 @@
 #pragma once
 
 #include <ctime>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "engine/database.h"
 #include "fabric/hdm_decoder.h"
 #include "fabric/placement_policy.h"
@@ -57,12 +64,6 @@ Status LoadTables(sim::ExecContext& ctx, engine::Database* db,
 Result<std::unique_ptr<engine::Database>> CreateAndLoad(
     sim::ExecContext& ctx, const engine::DatabaseEnv& env,
     const engine::DatabaseOptions& opt, const WorkloadSpec& spec);
-
-/// Resolves a driver's world_threads knob against POLAR_WORLD_THREADS:
-/// `requested` < 0 reads the env var (unset/0 = serial), otherwise the value
-/// is used as-is. Returns 0 for serial legacy execution, else the
-/// epoch-parallel thread count.
-uint32_t ResolveWorldThreads(int requested);
 
 /// CPU time of the calling thread in seconds (wall-split accounting; thread
 /// time keeps parallel sweep workers from polluting each other's numbers).
@@ -130,6 +131,9 @@ class SimWorld {
   explicit SimWorld(const Spec& spec);
   ~SimWorld();
   POLAR_DISALLOW_COPY(SimWorld);
+
+  /// Node (tenant) id of instance `i`; 0 is the host NIC identity.
+  static NodeId InstanceNode(uint32_t i) { return i + 1; }
 
   uint32_t num_instances() const {
     return static_cast<uint32_t>(instances_.size());
@@ -209,9 +213,22 @@ class SimWorld {
 // WorldCache: keyed store of prebuilt worlds
 // ---------------------------------------------------------------------------
 
-/// Base for the driver-specific cached-world wrappers (world + lane state).
+/// A warmed world plus one driver's lanes: what a WorldCache parks between
+/// runs. The world snapshot covers everything inside SimWorld; each driver
+/// saves and rewinds the lane state outside it (workload RNGs and counters)
+/// in CaptureLanes/RestoreLanes.
 struct CachedWorld {
+  explicit CachedWorld(const SimWorld::Spec& spec) : world(spec) {}
   virtual ~CachedWorld() = default;
+  POLAR_DISALLOW_COPY(CachedWorld);  // lane closures point into it
+  virtual void CaptureLanes() = 0;
+  virtual void RestoreLanes() = 0;
+
+  SimWorld world;
+  /// Lane-id span [first, last] of each instance: the lanes a crash of the
+  /// instance's node freezes (see WorldRun::Measure). Empty in fault-free
+  /// worlds.
+  std::vector<std::pair<uint32_t, uint32_t>> lane_span;
 };
 
 /// Maps a config key to a prebuilt world. Acquire() hands out a lease that
@@ -247,6 +264,134 @@ class WorldCache {
   };
   std::mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
+};
+
+// ---------------------------------------------------------------------------
+// The run lifecycle of the SimWorld drivers
+// ---------------------------------------------------------------------------
+
+/// What every SimWorld run reports besides its driver's own counters.
+/// PoolingResult, ChaosResult and OpenLoopResult derive from it, and
+/// WorldRun::Measure fills it.
+struct RunStats {
+  /// Executor lane-steps over the whole run (setup excluded) and inside the
+  /// measurement window alone, the largest virtual clock reached, and the
+  /// window length.
+  uint64_t lane_steps = 0;
+  uint64_t measure_steps = 0;
+  Nanos virtual_end = 0;
+  Nanos window = 0;
+  /// Host time split (thread CPU time): from before the cache lookup to
+  /// just before the window's RunUntil, then the window itself. Thread CPU
+  /// time meters only the calling thread, so it under-counts epoch-parallel
+  /// windows, whose workers do most of the stepping; scaling metrics divide
+  /// by the window's real (monotonic) time instead.
+  double setup_wall_sec = 0;
+  double measure_wall_sec = 0;
+  double measure_real_sec = 0;
+  /// Setup forked a cached world snapshot instead of a cold build + load +
+  /// warm-up.
+  bool snapshot_hit = false;
+  /// Window deltas of the monotone executor/channel diagnostics: epochs
+  /// executed and deferred shared-channel charges that replayed to a
+  /// different completion time than the in-epoch observation (both 0 on the
+  /// serial path), scheduler operations, and window-ledger maintenance
+  /// across every channel in the world. Divide the last two by
+  /// measure_steps for the per-lane-step scale costs.
+  uint64_t epochs = 0;
+  uint64_t drain_divergence = 0;
+  uint64_t sched_ops = 0;
+  uint64_t window_advances = 0;
+  /// Buffer-pool degradation counters summed over the instances (whole
+  /// run, see BufferPoolStats) and the injector's accounting; zero in
+  /// fault-free worlds.
+  uint64_t degraded_fetches = 0;
+  uint64_t fault_rejections = 0;
+  uint64_t fault_retries = 0;
+  uint64_t retries_exhausted = 0;
+  faults::FaultInjector::Stats injected;
+};
+
+/// The sysbench point op of the chaos and open-loop lanes: a uniform table
+/// and row, then a single-column update with probability `write_fraction`,
+/// else a point read. It runs over the Status-returning table surface, so
+/// injected faults surface as errors; the SysbenchWorkload driver
+/// POLAR_CHECKs on write failures instead (right for fault-free figures).
+struct PointOpLane {
+  PointOpLane(engine::Database* db, uint32_t rows, uint64_t seed)
+      : db(db),
+        rng(seed),
+        tables(static_cast<uint32_t>(db->num_tables())),
+        rows(rows) {}
+  Status Run(sim::ExecContext& ctx, double write_fraction);
+  /// Saves / rewinds the RNG across a world snapshot.
+  void Capture() { warm_rng = rng.raw_state(); }
+  void Restore() { rng.set_raw_state(warm_rng); }
+
+  engine::Database* db;
+  Rng rng;
+  uint32_t tables;
+  uint32_t rows;
+  uint64_t warm_rng = 0;
+  std::string scratch;
+};
+
+/// Registers instance `i`'s checkpoint lane (none when `interval` is 0).
+/// From setup_end + interval it flushes dirty pages every `interval`, so a
+/// degraded read path has clean pages to serve from storage (a database
+/// that never checkpoints has nothing to fall back on). Lanes release every
+/// page fix before yielding, so the flush never sees a fixed page.
+void AddCheckpointLane(SimWorld& world, uint32_t i, Nanos interval);
+
+/// One run of a SimWorld driver. The constructor acquires a warmed world.
+/// On a cache hit it re-shards the cached world for this run's thread
+/// count, then restores the world snapshot and the lanes. Otherwise `build`
+/// constructs the world and registers its lanes; the constructor then
+/// switches on epoch execution, warms up to setup_end + warmup and, with a
+/// cache, captures world and lanes and parks them under the key. Capture is
+/// pure host-side copying, so a forked run is bit-identical to a cold one.
+/// The driver then sets its per-run state and calls Measure once.
+class WorldRun {
+ public:
+  /// Constructs a world and registers its lanes. `epoch` says whether the
+  /// run executes epoch-parallel (drivers may wire per-instance state).
+  using Build = std::function<std::unique_ptr<CachedWorld>(
+      const SimWorld::Spec& spec, bool epoch)>;
+
+  /// `lanes_key` names every driver setting outside `spec` and `warmup`
+  /// that shapes the world through warm-up; per-run settings (the measure
+  /// window, fault plans, arrival rates) stay out so one world serves them
+  /// all. `world_threads`: -1 reads POLAR_WORLD_THREADS (unset/0 = serial),
+  /// 0 forces the legacy serial executor, >= 1 runs epoch-parallel on that
+  /// many threads; results are bit-identical for every value.
+  WorldRun(WorldCache* cache, const SimWorld::Spec& spec,
+           const std::string& lanes_key, int world_threads, Nanos warmup,
+           Nanos measure, const Build& build);
+  POLAR_DISALLOW_COPY(WorldRun);
+
+  template <typename W>
+  W& get() const {
+    return static_cast<W&>(*world_);
+  }
+  /// The measurement window [t0, t0 + measure]: t0 is the smallest
+  /// runnable clock once warm-up ends.
+  Nanos t0() const { return t0_; }
+  Nanos t1() const { return t1_; }
+
+  /// Runs the window and fills `stats`, which must be freshly constructed.
+  /// With a `plan` (times relative to t0) the injector is armed for the
+  /// window, and the run stops at every node crash to freeze the crashed
+  /// instances' lanes until the crash ends (a fast process failover).
+  void Measure(const faults::FaultPlan* plan, RunStats* stats);
+
+ private:
+  double wall_start_;
+  WorldCache::Lease lease_;
+  std::unique_ptr<CachedWorld> local_;  // a cold world run without a cache
+  CachedWorld* world_ = nullptr;
+  bool hit_ = false;
+  Nanos t0_ = 0;
+  Nanos t1_ = 0;
 };
 
 }  // namespace polarcxl::harness

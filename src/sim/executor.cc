@@ -79,10 +79,7 @@ struct Executor::WorkerPool {
 // Exit sentinel for the epoch loop (virtual clocks are never negative).
 constexpr Nanos kEpochLoopExit = -1;
 
-Executor::Executor() : shards_(1) {
-  sched_mode_ = LaneScheduler::ModeFromEnv();
-  shards_[0].sched.Init(&hot_, sched_mode_);
-}
+Executor::Executor() : shards_(1) { shards_[0].sched.Init(&hot_); }
 
 Executor::~Executor() { StopWorkers(); }
 
@@ -403,7 +400,7 @@ void Executor::RebuildShardScheds() {
   // for (SetThreads used to silently drop the reservation).
   const size_t sizing = std::max(reserved_lanes_, lanes_.size());
   for (Shard& sh : shards_) {
-    sh.sched.Init(&hot_, sched_mode_);
+    sh.sched.Init(&hot_);
     sh.sched.Reserve(sizing);
   }
   for (uint32_t id = 0; id < lanes_.size(); id++) {

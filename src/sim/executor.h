@@ -5,10 +5,10 @@
 // reproducible.
 //
 // Scheduling uses a hierarchical timing wheel (sim/lane_sched.h) keyed on
-// virtual-time deltas, with a binary-heap fallback selected by
-// POLAR_SCHED=heap. Pop order is a pure function of {clock, lane id} over
-// the live entries — a total order independent of container layout — so
-// both structures provably replay the identical step sequence. Hot
+// virtual-time deltas. Pop order is a pure function of {clock, lane id}
+// over the live entries — a total order independent of container layout —
+// so any exact min-extraction structure replays the identical step
+// sequence (scheduler_test checks the wheel against a heap oracle). Hot
 // per-lane scheduling state (clock mirror, epoch, parked flag) lives in a
 // packed structure-of-arrays sidecar so staleness checks and min/max
 // scans stay cache-local instead of striding over fat lane records.
@@ -241,7 +241,6 @@ class Executor {
   /// only this packed sidecar.
   std::vector<LaneHot> hot_;
   std::vector<Shard> shards_;  // size 1 serial; size num_threads_ parallel
-  LaneScheduler::Mode sched_mode_ = LaneScheduler::Mode::kWheel;
   size_t reserved_lanes_ = 0;      // ReserveLanes hint, re-applied on re-shard
   uint64_t total_steps_base_ = 0;  // restored baseline under shard counters
   uint64_t sched_ops_base_ = 0;    // folded on re-shard/restore

@@ -1,8 +1,6 @@
 #include "sim/lane_sched.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace polarcxl::sim {
 
@@ -14,15 +12,8 @@ int CeilLog2(size_t n) {
 }
 }  // namespace
 
-LaneScheduler::Mode LaneScheduler::ModeFromEnv() {
-  const char* v = std::getenv("POLAR_SCHED");
-  if (v != nullptr && std::strcmp(v, "heap") == 0) return Mode::kHeap;
-  return Mode::kWheel;
-}
-
-void LaneScheduler::Init(const std::vector<LaneHot>* hot, Mode mode) {
+void LaneScheduler::Init(const std::vector<LaneHot>* hot) {
   hot_ = hot;
-  mode_ = mode;
   const size_t n_buckets = size_t{1} << log_buckets_;
   if (buckets_.size() != n_buckets) {
     buckets_.assign(n_buckets, {});
@@ -32,7 +23,6 @@ void LaneScheduler::Init(const std::vector<LaneHot>* hot, Mode mode) {
 }
 
 void LaneScheduler::Clear() {
-  heap_.clear();
   cur_heap_.clear();
   if (bucket_count_ > 0) {
     for (auto& b : buckets_) b.clear();
@@ -64,16 +54,9 @@ void LaneScheduler::Reserve(size_t n_lanes) {
   Rebuild(nullptr);  // re-route existing entries under the new geometry
   cur_heap_.reserve(128);
   overflow_.reserve(64);
-  if (mode_ == Mode::kHeap) heap_.reserve(sized_for_);
 }
 
 void LaneScheduler::Push(SchedEntry e) {
-  if (mode_ == Mode::kHeap) {
-    ops_++;
-    entries_++;
-    HeapPush(heap_, e);
-    return;
-  }
   if (hot_ != nullptr && hot_->size() > sized_for_ * 2) {
     // The lane population outgrew the geometry Reserve sized for; re-pick
     // width/span before the buckets get crowded.
@@ -111,16 +94,6 @@ void LaneScheduler::Route(SchedEntry e, uint64_t win) {
 }
 
 bool LaneScheduler::Settle() {
-  if (mode_ == Mode::kHeap) {
-    while (!heap_.empty()) {
-      if (!StaleEntry(heap_[0])) return true;
-      ops_++;
-      HeapPop(heap_);
-      entries_--;
-      if (stale_ > 0) stale_--;
-    }
-    return false;
-  }
   for (;;) {
     while (!cur_heap_.empty()) {
       if (!StaleEntry(cur_heap_[0])) return true;
@@ -136,7 +109,7 @@ bool LaneScheduler::Settle() {
 void LaneScheduler::PopTop() {
   ops_++;
   entries_--;
-  HeapPop(mode_ == Mode::kHeap ? heap_ : cur_heap_);
+  HeapPop(cur_heap_);
 }
 
 void LaneScheduler::NoteStale() {
@@ -236,7 +209,6 @@ void LaneScheduler::Rebuild(const SchedEntry* extra) {
     }
     v.clear();
   };
-  take(heap_);
   take(cur_heap_);
   if (bucket_count_ > 0) {
     for (auto& b : buckets_) {
@@ -259,12 +231,6 @@ void LaneScheduler::Rebuild(const SchedEntry* extra) {
   entries_ = live.size();
   stale_ = 0;
   cur_win_ = 0;
-  if (mode_ == Mode::kHeap) {
-    ops_ += live.size();
-    heap_ = std::move(live);
-    Heapify(heap_);
-    return;
-  }
   if (live.empty()) return;
   uint64_t min_win = WindowOf(live[0].at);
   for (const SchedEntry& e : live) {

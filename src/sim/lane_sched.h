@@ -1,6 +1,6 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
 // O(active) lane scheduler: a hierarchical timing wheel (calendar queue)
-// keyed on virtual-time deltas, with a binary-heap fallback/oracle mode.
+// keyed on virtual-time deltas.
 //
 // The executor needs exact min-extraction over live scheduling entries
 // ordered by {at, id} (ties break on lane id). That total order is a pure
@@ -12,8 +12,8 @@
 // reaches their window, at which point the bucket is bulk-heapified.
 // Every entry in a later window has `at` strictly greater than every
 // entry in the current window, so deferring their ordering is free.
-// POLAR_SCHED=heap selects the flat binary heap (the pre-wheel scheduler)
-// as a fallback and as the oracle for the equivalence property tests.
+// tests/scheduler_test.cc checks the wheel against a flat binary-heap
+// oracle with the same order and staleness rule.
 //
 // Staleness is lazy-deletion against the executor's cache-local LaneHot
 // sidecar: an entry is dead when its lane is parked, its epoch no longer
@@ -59,17 +59,11 @@ struct SchedEntry {
 
 class LaneScheduler {
  public:
-  enum class Mode { kWheel, kHeap };
-
-  /// POLAR_SCHED=heap selects the binary-heap fallback; anything else
-  /// (including unset) selects the wheel.
-  static Mode ModeFromEnv();
-
   LaneScheduler() = default;
 
   /// Points the scheduler at the executor's LaneHot sidecar (staleness
   /// source of truth) and empties it. Call before any Push.
-  void Init(const std::vector<LaneHot>* hot, Mode mode);
+  void Init(const std::vector<LaneHot>* hot);
 
   /// Sizing hint: the scheduler picks its bucket width/count targeting
   /// about one live entry per bucket for `n_lanes` lanes. Also reserves
@@ -87,9 +81,7 @@ class LaneScheduler {
 
   /// Minimum live entry; only valid immediately after Settle() returned
   /// true (no Push/Note in between).
-  const SchedEntry& Top() const {
-    return mode_ == Mode::kHeap ? heap_[0] : cur_heap_[0];
-  }
+  const SchedEntry& Top() const { return cur_heap_[0]; }
 
   /// Removes the current Top().
   void PopTop();
@@ -113,7 +105,6 @@ class LaneScheduler {
   uint64_t rebuilds() const { return rebuilds_; }
   /// Entries currently held, live or stale.
   size_t entries() const { return entries_; }
-  Mode mode() const { return mode_; }
 
  private:
   uint64_t WindowOf(Nanos at) const {
@@ -124,8 +115,8 @@ class LaneScheduler {
     return h.parked != 0 || h.epoch != e.epoch || h.clock != e.at;
   }
 
-  // Exact binary-heap primitives over {at, id} (shared by heap mode, the
-  // current-window heap, and the overflow heap). All bump ops_ per level.
+  // Exact binary-heap primitives over {at, id} (shared by the
+  // current-window heap and the overflow heap). All bump ops_ per level.
   void HeapPush(std::vector<SchedEntry>& h, SchedEntry e);
   void HeapPop(std::vector<SchedEntry>& h);
   void SiftDown(std::vector<SchedEntry>& h, size_t i);
@@ -143,15 +134,11 @@ class LaneScheduler {
   void Rebuild(const SchedEntry* extra);
 
   const std::vector<LaneHot>* hot_ = nullptr;
-  Mode mode_ = Mode::kWheel;
 
-  // Heap mode: one flat heap.
-  std::vector<SchedEntry> heap_;
-
-  // Wheel mode. Buckets cover windows (cur_win_, cur_win_ + N); window w
-  // maps to bucket w & (N-1), and the retreat-rebuild rule guarantees a
-  // bucket only ever holds entries of one window at a time. The bitmap
-  // marks non-empty buckets for ctz-driven cursor advance.
+  // Buckets cover windows (cur_win_, cur_win_ + N); window w maps to
+  // bucket w & (N-1), and the retreat-rebuild rule guarantees a bucket
+  // only ever holds entries of one window at a time. The bitmap marks
+  // non-empty buckets for ctz-driven cursor advance.
   std::vector<SchedEntry> cur_heap_;  // entries in the cursor's window
   std::vector<std::vector<SchedEntry>> buckets_;
   std::vector<uint64_t> bitmap_;

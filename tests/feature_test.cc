@@ -1,8 +1,7 @@
-// Tests for the extension features: multi-pool clusters (paper Figure 5),
-// group commit, the storage IOPS ceiling, and time attribution.
+// Tests for the extension features: group commit, the storage IOPS
+// ceiling, and time attribution.
 #include <gtest/gtest.h>
 
-#include "cxl/cxl_cluster.h"
 #include "engine/database.h"
 #include "harness/instance_driver.h"
 
@@ -10,59 +9,6 @@ namespace polarcxl {
 namespace {
 
 using sim::ExecContext;
-
-// ---------- CxlCluster ----------
-
-TEST(CxlClusterTest, PoolsAreIndependent) {
-  cxl::CxlCluster::Options o;
-  o.num_pools = 2;
-  o.device_bytes_per_pool = 32 << 20;
-  cxl::CxlCluster cluster(o);
-  EXPECT_EQ(cluster.num_pools(), 2u);
-  EXPECT_EQ(cluster.capacity(), 64u << 20);
-
-  auto host = cluster.AttachHost(0);
-  ASSERT_TRUE(host.ok());
-  // Writes through pool-0's accessor are invisible to pool 1 (distinct
-  // fabrics).
-  ExecContext ctx;
-  const uint64_t v = 0xABCD;
-  cluster.accessor(*host, 0)->StorePod(ctx, 0, v);
-  EXPECT_EQ(cluster.accessor(*host, 0)->LoadPod<uint64_t>(ctx, 0), v);
-  EXPECT_NE(cluster.accessor(*host, 1)->LoadPod<uint64_t>(ctx, 0), v);
-}
-
-TEST(CxlClusterTest, PlacementBalancesPools) {
-  cxl::CxlCluster::Options o;
-  o.num_pools = 3;
-  o.device_bytes_per_pool = 16 << 20;
-  cxl::CxlCluster cluster(o);
-  ExecContext ctx;
-  uint32_t used[3] = {0, 0, 0};
-  for (NodeId t = 0; t < 9; t++) {
-    auto placement = cluster.Allocate(ctx, t, 4 << 20);
-    ASSERT_TRUE(placement.ok());
-    used[placement->pool]++;
-  }
-  // Least-loaded placement spreads 9 equal tenants 3/3/3.
-  EXPECT_EQ(used[0], 3u);
-  EXPECT_EQ(used[1], 3u);
-  EXPECT_EQ(used[2], 3u);
-}
-
-TEST(CxlClusterTest, ClusterSurvivesPoolExhaustion) {
-  cxl::CxlCluster::Options o;
-  o.num_pools = 2;
-  o.device_bytes_per_pool = 8 << 20;
-  cxl::CxlCluster cluster(o);
-  ExecContext ctx;
-  // Fill both pools.
-  ASSERT_TRUE(cluster.Allocate(ctx, 1, 8 << 20).ok());
-  ASSERT_TRUE(cluster.Allocate(ctx, 2, 8 << 20).ok());
-  auto r = cluster.Allocate(ctx, 3, 1 << 20);
-  EXPECT_TRUE(r.status().IsOutOfMemory());
-  EXPECT_EQ(cluster.free_bytes(), 0u);
-}
 
 // ---------- group commit ----------
 

@@ -218,6 +218,14 @@ OpenLoopConfig QuickOpenLoop(engine::BufferPoolKind kind, double rate) {
 
 void ExpectIdentical(const OpenLoopResult& x, const OpenLoopResult& y) {
   EXPECT_EQ(x.lane_steps, y.lane_steps);
+  EXPECT_EQ(x.measure_steps, y.measure_steps);
+  // Scale-cost counters are per-run window deltas, never zero for a run
+  // that steps (they may differ between a cold world and a fork, whose
+  // scheduler layout is rebuilt on restore; forks are compared directly).
+  EXPECT_GT(x.sched_ops, 0u);
+  EXPECT_GT(y.sched_ops, 0u);
+  EXPECT_GT(x.window_advances, 0u);
+  EXPECT_GT(y.window_advances, 0u);
   EXPECT_EQ(x.offered, y.offered);
   EXPECT_EQ(x.admitted, y.admitted);
   EXPECT_EQ(x.shed_queue, y.shed_queue);
@@ -334,10 +342,16 @@ TEST(TrafficDriverTest, CachedForkIsBitIdenticalToCold) {
   WorldCache cache;
   const OpenLoopResult first = RunOpenLoop(c, &cache);
   const OpenLoopResult forked = RunOpenLoop(c, &cache);
+  const OpenLoopResult forked_again = RunOpenLoop(c, &cache);
   EXPECT_FALSE(first.snapshot_hit);
   EXPECT_TRUE(forked.snapshot_hit);
+  EXPECT_TRUE(forked_again.snapshot_hit);
   ExpectIdentical(cold, first);
   ExpectIdentical(cold, forked);
+  ExpectIdentical(cold, forked_again);
+  // Per-run deltas: two forks of one snapshot meter the same work.
+  EXPECT_EQ(forked.sched_ops, forked_again.sched_ops);
+  EXPECT_EQ(forked.window_advances, forked_again.window_advances);
 
   // The world key excludes rates: a different rate forks the same world.
   const OpenLoopResult scaled =

@@ -1,12 +1,13 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
 // Scheduler-equivalence tests: the hierarchical timing wheel must pop the
-// exact same {at, id, epoch} sequence as the binary-heap oracle for ANY
+// exact same {at, id, epoch} sequence as a binary-heap oracle for ANY
 // interleaving of pushes, pops, parks and resumes — that is the whole
-// determinism argument for swapping the executor's scheduler (the pop
-// order is a pure function of the live entry set, so any exact
-// min-extraction structure replays the identical step sequence).
+// determinism argument for the executor's scheduler (the pop order is a
+// pure function of the live entry set, so any exact min-extraction
+// structure replays the identical step sequence).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -16,17 +17,53 @@
 namespace polarcxl::sim {
 namespace {
 
-// Drives a wheel and a heap oracle in lockstep over one shared LaneHot
+// Exact-min oracle: one flat binary heap over the same {at, id} order,
+// dropping entries at the top under the same LaneHot staleness rule as
+// the wheel (lane parked, re-epoched, or clock moved).
+class HeapOracle {
+ public:
+  void Init(const std::vector<LaneHot>* hot) {
+    hot_ = hot;
+    heap_.clear();
+  }
+  void Push(SchedEntry e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), After);
+  }
+  bool Settle() {
+    while (!heap_.empty() && Stale(heap_.front())) PopTop();
+    return !heap_.empty();
+  }
+  const SchedEntry& Top() const { return heap_.front(); }
+  void PopTop() {
+    std::pop_heap(heap_.begin(), heap_.end(), After);
+    heap_.pop_back();
+  }
+
+ private:
+  // std heaps are max-heaps under their comparator; invert for a min-heap.
+  static bool After(const SchedEntry& a, const SchedEntry& b) {
+    return b.Before(a);
+  }
+  bool Stale(const SchedEntry& e) const {
+    const LaneHot& h = (*hot_)[e.id];
+    return h.parked != 0 || h.epoch != e.epoch || h.clock != e.at;
+  }
+
+  const std::vector<LaneHot>* hot_ = nullptr;
+  std::vector<SchedEntry> heap_;
+};
+
+// Drives a wheel and the heap oracle in lockstep over one shared LaneHot
 // sidecar (staleness is read-only on the sidecar, so sharing is safe) and
 // checks every Settle/Top against the oracle.
 class DualSched {
  public:
   void Init(size_t n_lanes) {
     hot_.assign(n_lanes, LaneHot{});
-    wheel_.Init(&hot_, LaneScheduler::Mode::kWheel);
-    oracle_.Init(&hot_, LaneScheduler::Mode::kHeap);
+    wheel_.Init(&hot_);
+    oracle_.Init(&hot_);
     wheel_.Reserve(n_lanes);
-    oracle_.Reserve(n_lanes);
   }
 
   // Schedules lane `id` at time `at` under a fresh epoch, mirroring
@@ -46,7 +83,6 @@ class DualSched {
   void Park(uint32_t id) {
     hot_[id].parked = 1;
     wheel_.NoteStale();
-    oracle_.NoteStale();
   }
 
   // Settles both schedulers, checks they agree, pops the minimum from
@@ -85,12 +121,11 @@ class DualSched {
 
   LaneHot& hot(uint32_t id) { return hot_[id]; }
   LaneScheduler& wheel() { return wheel_; }
-  LaneScheduler& oracle() { return oracle_; }
 
  private:
   std::vector<LaneHot> hot_;
   LaneScheduler wheel_;
-  LaneScheduler oracle_;
+  HeapOracle oracle_;
 };
 
 // ---------- randomized property test ----------
@@ -303,8 +338,8 @@ TEST(SchedulerEquivalence, RebuildThresholdShedsStaleAndPreservesOrder) {
   EXPECT_FALSE(ds.PopBoth(&e));
 }
 
-// Same-clock ties break deterministically by lane id in both modes — the
-// tie-break that makes the pop order a total order in the first place.
+// Same-clock ties break deterministically by lane id in both structures —
+// the tie-break that makes the pop order a total order in the first place.
 TEST(SchedulerEquivalence, SameClockTiesBreakByLaneId) {
   DualSched ds;
   ds.Init(64);

@@ -146,7 +146,15 @@ ChaosConfig SmallChaos(engine::BufferPoolKind kind) {
 
 void ExpectChaosIdentical(const ChaosResult& a, const ChaosResult& b) {
   EXPECT_EQ(a.lane_steps, b.lane_steps);
+  EXPECT_EQ(a.measure_steps, b.measure_steps);
   EXPECT_EQ(a.virtual_end, b.virtual_end);
+  // Scale-cost counters are per-run window deltas, never zero for a run
+  // that steps (a fork's scheduler layout may differ from the cold one's,
+  // so equality is checked between forks).
+  EXPECT_GT(a.sched_ops, 0u);
+  EXPECT_GT(b.sched_ops, 0u);
+  EXPECT_GT(a.window_advances, 0u);
+  EXPECT_GT(b.window_advances, 0u);
   EXPECT_EQ(a.ok_ops, b.ok_ops);
   EXPECT_EQ(a.failed_ops, b.failed_ops);
   EXPECT_EQ(a.degraded_fetches, b.degraded_fetches);
@@ -183,11 +191,15 @@ TEST(SnapshotTest, ForkedChaosRunsMatchColdUnderArmedFaultPlan) {
     EXPECT_FALSE(first.snapshot_hit);
     ExpectChaosIdentical(cold, first);
 
+    std::vector<ChaosResult> forks;
     for (int i = 0; i < 2; i++) {
-      const ChaosResult fork = RunChaos(c, &cache);
-      EXPECT_TRUE(fork.snapshot_hit);
-      ExpectChaosIdentical(cold, fork);
+      forks.push_back(RunChaos(c, &cache));
+      EXPECT_TRUE(forks.back().snapshot_hit);
+      ExpectChaosIdentical(cold, forks.back());
     }
+    // Per-run deltas: two forks of one snapshot meter the same work.
+    EXPECT_EQ(forks[0].sched_ops, forks[1].sched_ops);
+    EXPECT_EQ(forks[0].window_advances, forks[1].window_advances);
   }
 }
 
