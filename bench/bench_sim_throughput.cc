@@ -19,6 +19,8 @@
 // forked world that diverges from the cold one fails the bench — so the
 // repetitions double as the snapshot determinism gate. The setup-vs-measure
 // wall split and the amortization from forking are recorded in the JSON.
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -220,6 +222,9 @@ struct ScaleCostPoint {
   uint64_t sched_ops = 0;
   uint64_t window_advances = 0;
   double measure_real_sec = 0;
+  /// Process peak RSS once this point has run. Points run in increasing
+  /// size, so each row records what the largest world so far cost.
+  double peak_rss_mb = 0;
   double SchedOpsPerStep() const {
     return measure_steps > 0 ? static_cast<double>(sched_ops) / measure_steps
                              : 0;
@@ -279,6 +284,9 @@ std::vector<ScaleCostPoint> RunScaleCost(const std::vector<uint32_t>& counts) {
       p.sched_ops = r.sched_ops;
       p.window_advances = r.window_advances;
       p.measure_real_sec = r.measure_real_sec;
+      rusage ru;
+      getrusage(RUSAGE_SELF, &ru);
+      p.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
       points.push_back(p);
     }
   }
@@ -292,16 +300,18 @@ void PrintScaleCost(const std::vector<ScaleCostPoint>& points) {
       "(host cpus: " +
           std::to_string(std::thread::hardware_concurrency()) + ")",
       {"instances", "mode", "measure steps", "sched ops/step", "window adv/step",
-       "real s"});
+       "real s", "peak rss MB"});
   for (const ScaleCostPoint& p : points) {
-    char inst[16], steps[32], sched[32], adv[32], real[32];
+    char inst[16], steps[32], sched[32], adv[32], real[32], rss[32];
     std::snprintf(inst, sizeof(inst), "%u", p.instances);
     std::snprintf(steps, sizeof(steps), "%llu",
                   static_cast<unsigned long long>(p.measure_steps));
     std::snprintf(sched, sizeof(sched), "%.2f", p.SchedOpsPerStep());
     std::snprintf(adv, sizeof(adv), "%.4f", p.WindowAdvPerStep());
     std::snprintf(real, sizeof(real), "%.3f", p.measure_real_sec);
-    table.AddRow({inst, p.epoch ? "epoch" : "serial", steps, sched, adv, real});
+    std::snprintf(rss, sizeof(rss), "%.0f", p.peak_rss_mb);
+    table.AddRow(
+        {inst, p.epoch ? "epoch" : "serial", steps, sched, adv, real, rss});
   }
   table.Print();
 }
@@ -458,7 +468,8 @@ void WriteScaleCostJson(FILE* f, const std::vector<ScaleCostPoint>& points) {
                "    \"note\": \"sched_ops and window_advances are "
                "measurement-window counter deltas; per-step ratios are the "
                "gated evidence, wall time is reported honestly but moves "
-               "with host load\",\n");
+               "with host load; peak_rss_mb is the process peak once the "
+               "point has run (points run in increasing size)\",\n");
   std::fprintf(f, "    \"host_cpus\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f,
@@ -493,14 +504,15 @@ void WriteScaleCostJson(FILE* f, const std::vector<ScaleCostPoint>& points) {
                  "\"window_advances\": %llu, \"sched_ops_per_step\": %.2f, "
                  "\"window_advances_per_step\": %.4f, "
                  "\"sched_ops_win_vs_baseline\": %.2f, "
-                 "\"measure_real_sec\": %.4f}%s\n",
+                 "\"measure_real_sec\": %.4f, \"peak_rss_mb\": %.1f}%s\n",
                  p.instances, p.epoch ? "epoch" : "serial",
                  static_cast<unsigned long long>(p.lane_steps),
                  static_cast<unsigned long long>(p.measure_steps),
                  static_cast<unsigned long long>(p.sched_ops),
                  static_cast<unsigned long long>(p.window_advances),
                  p.SchedOpsPerStep(), p.WindowAdvPerStep(), win,
-                 p.measure_real_sec, i + 1 < points.size() ? "," : "");
+                 p.measure_real_sec, p.peak_rss_mb,
+                 i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n");
   std::fprintf(f, "  },\n");

@@ -26,8 +26,7 @@ Status CxlFabric::AddDevice(uint64_t capacity, uint32_t switch_idx) {
   CxlSwitch& sw = topo_.sw(switch_idx);
   auto port = sw.BindPort(CxlSwitch::PortKind::kDevice);
   if (!port.ok()) return port.status();
-  devices_.push_back(std::make_unique<CxlMemoryDevice>(
-      static_cast<uint32_t>(devices_.size()), capacity));
+  devices_.push_back(std::make_unique<CxlMemoryDevice>(capacity));
   device_capacity_.push_back(capacity);
   device_switch_.push_back(switch_idx);
   device_port_.push_back(sw.port_channel(*port));
@@ -116,6 +115,14 @@ void CxlFabric::CopyInSlow(MemOffset off, const void* src, uint64_t len) {
     in += chunk;
     len -= chunk;
   }
+}
+
+void CxlFabric::CaptureDeviceImages() {
+  for (auto& d : devices_) d->CaptureImage();
+}
+
+void CxlFabric::RestoreDeviceImages() {
+  for (auto& d : devices_) d->RestoreImage();
 }
 
 uint64_t CxlFabric::host_port_bytes() const {

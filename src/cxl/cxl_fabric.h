@@ -260,6 +260,14 @@ class CxlFabric {
   /// Arms watermark retirement on every fabric channel (post-setup only).
   void SetRetireLag(size_t windows) { topo_.SetRetireLag(windows); }
 
+  /// Device bytes of world snapshots: makes every device's current bytes
+  /// its copy-on-write image / rewinds every device to its image (see
+  /// CxlMemoryDevice). Whole devices, so interleaved layouts need no
+  /// decoder walk; addresses never move, so Translate() pointers stay
+  /// valid.
+  void CaptureDeviceImages();
+  void RestoreDeviceImages();
+
   /// Channel ledgers of the whole fabric graph (world snapshots).
   fabric::FabricTopology::State CaptureChannels() const {
     return topo_.Capture();

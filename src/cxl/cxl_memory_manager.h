@@ -97,18 +97,6 @@ class CxlMemoryManager {
   /// total_free. 0 when all free bytes are one span (or none are free).
   double fragmentation() const;
 
-  /// Highest fabric offset any region reaches (0 when none). World
-  /// snapshots capture device bytes only up to this watermark — everything
-  /// above it has never been handed to a tenant.
-  MemOffset HighWater() const {
-    MemOffset hw = 0;
-    for (const auto& [off, r] : regions_) {
-      const MemOffset end = r.offset + r.size;
-      if (end > hw) hw = end;
-    }
-    return hw;
-  }
-
   /// Fault-injection hook point (nullable; allocation-failure windows).
   void set_fault_injector(faults::FaultInjector* injector) {
     faults_ = injector;

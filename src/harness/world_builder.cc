@@ -285,17 +285,19 @@ uint64_t SimWorld::WindowAdvances() const {
   return t;
 }
 
-/// Everything mutable in the simulated world, captured by value. The
-/// page-store and remote-pool page maps are shared_ptr snapshots (CoW:
-/// WritePage clones a page only while a snapshot still references it), the
-/// rest is deep-copied — pool frames, page tables, LRU lists, cache-sim
-/// arrays, channel ledgers and device bytes up to the allocation watermark.
+/// Everything mutable in the simulated world outside the CXL devices,
+/// captured by value. The device bytes are not in here: each device keeps
+/// its own copy-on-write image (CxlFabric::CaptureDeviceImages), which the
+/// MMU copies a page at a time as the run writes. The page-store and
+/// remote-pool page maps are shared_ptr snapshots (CoW: WritePage clones a
+/// page only while a snapshot still references it), the rest is
+/// deep-copied — pool frames, page tables, LRU lists, cache-sim arrays and
+/// channel ledgers.
 struct SimWorld::Snapshot {
   sim::Executor::State executor;
   sim::BandwidthChannel::State client_net;
   fabric::FabricTopology::State fabric_channels;
   std::vector<sim::MemorySpace::State> host_spaces;  // one per host port
-  std::vector<uint8_t> device_bytes;  // [0, HighWater())
   rdma::RdmaNetwork::State net;
   rdma::RemoteMemoryPool::State remote;
   storage::SimDisk::State disk;
@@ -322,11 +324,7 @@ void SimWorld::CaptureSnapshot() {
   for (cxl::CxlAccessor* acc : host_accs_) {
     s->host_spaces.push_back(acc->space()->Capture());
   }
-  const MemOffset high_water = manager_->HighWater();
-  s->device_bytes.resize(high_water);
-  if (high_water > 0) {
-    fabric_.CopyOut(0, s->device_bytes.data(), high_water);
-  }
+  fabric_.CaptureDeviceImages();
   s->net = net_.Capture();
   s->remote = remote_->Capture();
   s->disk = disk_->Capture();
@@ -355,9 +353,7 @@ void SimWorld::RestoreSnapshot() {
   for (size_t i = 0; i < host_accs_.size(); i++) {
     host_accs_[i]->space()->Restore(s.host_spaces[i]);
   }
-  if (!s.device_bytes.empty()) {
-    fabric_.CopyIn(0, s.device_bytes.data(), s.device_bytes.size());
-  }
+  fabric_.RestoreDeviceImages();
   net_.Restore(s.net);
   remote_->Restore(s.remote);
   disk_->Restore(s.disk);

@@ -171,10 +171,11 @@ class SimWorld {
   void EnableInWorldParallelism(uint32_t threads);
 
   /// Captures the whole simulated state — executor lanes, channels, disk,
-  /// device bytes, page stores, logs, pools, engine state, remote pool —
-  /// into an in-memory snapshot owned by this world. Pure host-side
-  /// copying: zero effect on virtual time. Call after warmup, before the
-  /// measurement window is armed.
+  /// page stores, logs, pools, engine state, remote pool — into an
+  /// in-memory snapshot owned by this world, and makes every CXL device's
+  /// current bytes its copy-on-write image. Pure host-side work: zero
+  /// effect on virtual time. A second capture replaces the first. Call
+  /// after warmup, before the measurement window is armed.
   void CaptureSnapshot();
   bool has_snapshot() const { return snapshot_ != nullptr; }
   /// Rewinds the world to the captured state (restore-in-place). The fault
