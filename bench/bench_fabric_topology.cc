@@ -19,15 +19,13 @@
 // scribed links): the paper's full-width switch never saturates under
 // 64 B line traffic, so narrow device links are what make topology,
 // placement, and interleave choices visible at all.
-// Full-scale runs refresh BENCH_fabric_topology.json (committed).
-// POLAR_FABRIC_EXPECT="<serial>,<epoch>" turns the run into a lane_steps
-// bit-identity gate over the 2-switch reference point, serial and epoch
-// (POLAR_WORLD_THREADS 1/2/4 must all retire the same epoch pin); see
+// Full-scale runs refresh BENCH_fabric_topology.json (committed). Every run
+// ends with a lane_steps bit-identity gate over the 2-switch reference
+// point, serial and epoch (world threads 1/2/4 must all retire the same
+// epoch value), checked against bench/pins.h at the pin scale; see
 // tools/check.sh --fabric.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -97,80 +95,77 @@ double P99Us(const PoolingResult& r) {
 void WriteJson(const std::vector<PoolingResult>& scale,
                const std::vector<PoolingResult>& placement,
                const std::vector<PoolingResult>& knee) {
-  FILE* f = std::fopen("BENCH_fabric_topology.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_fabric_topology.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"fabric_topology\",\n");
-  std::fprintf(f,
-               "  \"workload\": \"sysbench point-select, 2 lanes + 2000 "
-               "rows per instance, 256KB LLC share, 1 GB/s device ports, "
-               "round-robin 16KB HDM interleave unless noted\",\n");
-  std::fprintf(f, "  \"scale\": %.3f,\n", BenchScale());
-  // Host core count alongside any wall-clock figures: virtual-time numbers
-  // are host-invariant, wall times are not.
-  std::fprintf(f, "  \"host_cpus\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"scale_sweep\": [\n");
+  using Layout = harness::JsonWriter::Layout;
+  harness::JsonWriter w("fabric_topology",
+                        "sysbench point-select, 2 lanes + 2000 rows per "
+                        "instance, 256KB LLC share, 1 GB/s device ports, "
+                        "round-robin 16KB HDM interleave unless noted",
+                        BenchScale());
+  w.Key("scale_sweep").BeginArray();
   size_t idx = 0;
   for (uint32_t sw : kSwitchPoints) {
     for (uint32_t n : kInstancePoints) {
       const PoolingResult& r = scale[idx++];
-      std::fprintf(f,
-                   "    {\"switches\": %u, \"instances\": %u, "
-                   "\"qps\": %.0f, \"p99_us\": %.1f, \"avg_us\": %.1f, "
-                   "\"cxl_gbps\": %.2f, \"uplink_gbps\": %.2f, "
-                   "\"lane_steps\": %llu}%s\n",
-                   sw, n, r.metrics.Qps(), P99Us(r),
-                   r.metrics.AvgLatencyUs(), r.cxl_gbps, r.uplink_gbps,
-                   static_cast<unsigned long long>(r.lane_steps),
-                   idx < scale.size() ? "," : "");
+      w.BeginObject(Layout::kInline)
+          .Field("switches", sw)
+          .Field("instances", n)
+          .Field("qps", r.metrics.Qps(), 0)
+          .Field("p99_us", P99Us(r), 1)
+          .Field("avg_us", r.metrics.AvgLatencyUs(), 1)
+          .Field("cxl_gbps", r.cxl_gbps, 2)
+          .Field("uplink_gbps", r.uplink_gbps, 2)
+          .Field("lane_steps", r.lane_steps)
+          .EndObject();
     }
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"placement\": {\n"
-               "    \"setup\": \"64 instances, 4 switches, wide device "
-               "ports, uplinks narrowed to 0.125 GB/s\",\n"
-               "    \"modes\": [\n");
+  w.EndArray()
+      .Key("placement")
+      .BeginObject()
+      .Field("setup",
+             "64 instances, 4 switches, wide device ports, uplinks narrowed "
+             "to 0.125 GB/s")
+      .Key("modes")
+      .BeginArray();
   for (size_t p = 0; p < placement.size(); p++) {
     const PoolingResult& r = placement[p];
-    std::fprintf(f,
-                 "      {\"mode\": \"%s\", \"qps\": %.0f, \"p99_us\": %.1f, "
-                 "\"avg_us\": %.1f, \"uplink_gbps\": %.2f}%s\n",
-                 fabric::PlacementModeName(
-                     static_cast<fabric::PlacementMode>(p)),
-                 r.metrics.Qps(), P99Us(r), r.metrics.AvgLatencyUs(),
-                 r.uplink_gbps, p + 1 < placement.size() ? "," : "");
+    w.BeginObject(Layout::kInline)
+        .Field("mode", fabric::PlacementModeName(
+                           static_cast<fabric::PlacementMode>(p)))
+        .Field("qps", r.metrics.Qps(), 0)
+        .Field("p99_us", P99Us(r), 1)
+        .Field("avg_us", r.metrics.AvgLatencyUs(), 1)
+        .Field("uplink_gbps", r.uplink_gbps, 2)
+        .EndObject();
   }
-  std::fprintf(f, "    ]\n  },\n");
-  std::fprintf(f,
-               "  \"interleave_knee\": {\n"
-               "    \"setup\": \"1 switch, 4 devices; contiguous packs "
-               "first-fit regions onto device 0\",\n"
-               "    \"curves\": [\n");
+  w.EndArray()
+      .EndObject()
+      .Key("interleave_knee")
+      .BeginObject()
+      .Field("setup",
+             "1 switch, 4 devices; contiguous packs first-fit regions onto "
+             "device 0")
+      .Key("curves")
+      .BeginArray();
   idx = 0;
-  for (size_t m = 0; m < std::size(kKneeModes); m++) {
-    std::fprintf(f, "      {\"mode\": \"%s\", \"points\": [\n",
-                 fabric::InterleaveModeName(kKneeModes[m]));
-    for (size_t i = 0; i < std::size(kKneePoints); i++) {
+  for (fabric::InterleaveMode mode : kKneeModes) {
+    w.BeginObject()
+        .Field("mode", fabric::InterleaveModeName(mode))
+        .Key("points")
+        .BeginArray();
+    for (uint32_t n : kKneePoints) {
       const PoolingResult& r = knee[idx++];
-      std::fprintf(f,
-                   "        {\"instances\": %u, \"qps\": %.0f, "
-                   "\"p99_us\": %.1f, \"avg_us\": %.1f, "
-                   "\"cxl_gbps\": %.2f}%s\n",
-                   kKneePoints[i], r.metrics.Qps(), P99Us(r),
-                   r.metrics.AvgLatencyUs(), r.cxl_gbps,
-                   i + 1 < std::size(kKneePoints) ? "," : "");
+      w.BeginObject(Layout::kInline)
+          .Field("instances", n)
+          .Field("qps", r.metrics.Qps(), 0)
+          .Field("p99_us", P99Us(r), 1)
+          .Field("avg_us", r.metrics.AvgLatencyUs(), 1)
+          .Field("cxl_gbps", r.cxl_gbps, 2)
+          .EndObject();
     }
-    std::fprintf(f, "      ]}%s\n",
-                 m + 1 < std::size(kKneeModes) ? "," : "");
+    w.EndArray().EndObject();
   }
-  std::fprintf(f, "    ]\n  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.EndArray().EndObject();
+  w.Commit();
 }
 
 int Main() {
@@ -266,21 +261,13 @@ int Main() {
     knee_table.AddRow(row);
   }
   knee_table.Print();
-
-  if (BenchScale() == 1.0) {
-    WriteJson(scale, placement, knee);
-    std::printf("wrote BENCH_fabric_topology.json\n");
-  } else {
-    std::printf(
-        "POLAR_BENCH_SCALE != 1: BENCH_fabric_topology.json not refreshed\n");
-  }
+  WriteJson(scale, placement, knee);
 
   // Determinism gate over the 2-switch reference point: the epoch-parallel
   // discipline must retire identical lane_steps at every thread count, and
-  // POLAR_FABRIC_EXPECT="<serial>,<epoch>" pins the absolute values
-  // (tools/check.sh --fabric runs this at quick scale).
+  // at the pin scale both disciplines must hit bench/pins.h.
   const PoolingResult serial = RunPooling(GateConfig(0));
-  unsigned long long epoch_steps = 0;
+  uint64_t epoch_steps = 0;
   for (int threads : {1, 2, 4}) {
     const PoolingResult par = RunPooling(GateConfig(threads));
     if (threads == 1) {
@@ -291,31 +278,19 @@ int Main() {
                    "fabric epoch drift: %llu lane_steps at %d threads, "
                    "%llu at 1\n",
                    static_cast<unsigned long long>(par.lane_steps), threads,
-                   epoch_steps);
+                   static_cast<unsigned long long>(epoch_steps));
       return 1;
     }
   }
   std::printf("gate point (8 inst, 2 switches): lane_steps %llu serial, "
               "%llu epoch (threads 1/2/4 identical)\n",
               static_cast<unsigned long long>(serial.lane_steps),
-              epoch_steps);
-  if (const char* expect = std::getenv("POLAR_FABRIC_EXPECT")) {
-    unsigned long long want_serial = 0, want_epoch = 0;
-    if (std::sscanf(expect, "%llu,%llu", &want_serial, &want_epoch) != 2) {
-      std::fprintf(stderr, "bad POLAR_FABRIC_EXPECT: %s\n", expect);
-      return 2;
-    }
-    if (serial.lane_steps != want_serial || epoch_steps != want_epoch) {
-      std::fprintf(stderr,
-                   "fabric lane_steps drift: got %llu,%llu expected %s\n",
-                   static_cast<unsigned long long>(serial.lane_steps),
-                   epoch_steps, expect);
-      return 1;
-    }
-    std::printf("fabric lane_steps match POLAR_FABRIC_EXPECT (%s)\n",
-                expect);
-  }
-  return 0;
+              static_cast<unsigned long long>(epoch_steps));
+  return CheckPins(
+      "fabric_topology",
+      {Pin("2-switch serial lane_steps", serial.lane_steps,
+           pins::kFabric.serial),
+       Pin("2-switch epoch lane_steps", epoch_steps, pins::kFabric.epoch)});
 }
 
 }  // namespace

@@ -11,11 +11,10 @@
 //   - DRAM pool: control — only the disk stall touches it.
 // The three experiments are independent and fan out over
 // POLAR_SWEEP_THREADS; results are bit-identical for any thread count.
-// Full-scale runs refresh BENCH_fault_resilience.json (committed).
-// POLAR_CHAOS_EXPECT="<cxl>,<dram>,<rdma>" turns the run into a
-// lane_steps bit-identity gate (tools/check.sh --faults).
+// Full-scale runs refresh BENCH_fault_resilience.json (committed). At the
+// pin scale the run checks its lane_steps against bench/pins.h
+// (tools/check.sh --faults).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -48,54 +47,32 @@ ChaosConfig MakeConfig(engine::BufferPoolKind kind) {
 
 void WriteJson(const std::vector<ChaosResult>& results,
                const std::vector<ChaosConfig>& configs) {
-  FILE* f = std::fopen("BENCH_fault_resilience.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_fault_resilience.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"fault_resilience\",\n");
-  std::fprintf(f,
-               "  \"workload\": \"single-instance sysbench-style 25%% "
-               "update mix, 8 lanes, canonical mixed-fault schedule\",\n");
-  std::fprintf(f, "  \"scale\": %.3f,\n", BenchScale());
-  std::fprintf(f, "  \"plan\": \"%s\",\n",
-               "cxl-down .20-.35, nic-down .30-.40, cxl-flaky .45-.55 "
-               "p=0.2, nic-degrade .55-.70, cxl-degrade .58-.66, "
-               "disk-stall .75-.85 (fractions of the measure window)");
-  std::fprintf(f, "  \"pools\": {\n");
+  harness::JsonWriter w("fault_resilience",
+                        "single-instance sysbench-style 25% update mix, 8 "
+                        "lanes, canonical mixed-fault schedule",
+                        BenchScale());
+  w.Field("plan",
+          "cxl-down .20-.35, nic-down .30-.40, cxl-flaky .45-.55 p=0.2, "
+          "nic-degrade .55-.70, cxl-degrade .58-.66, disk-stall .75-.85 "
+          "(fractions of the measure window)")
+      .Key("pools")
+      .BeginObject();
   for (size_t i = 0; i < results.size(); i++) {
     const ChaosResult& r = results[i];
-    std::fprintf(f, "    \"%s\": {\n", harness::ChaosPoolName(configs[i].kind));
-    std::fprintf(f, "      \"lane_steps\": %llu,\n",
-                 static_cast<unsigned long long>(r.lane_steps));
-    std::fprintf(f, "      \"ok_ops\": %llu,\n",
-                 static_cast<unsigned long long>(r.ok_ops));
-    std::fprintf(f, "      \"failed_ops\": %llu,\n",
-                 static_cast<unsigned long long>(r.failed_ops));
-    std::fprintf(f, "      \"degraded_fetches\": %llu,\n",
-                 static_cast<unsigned long long>(r.degraded_fetches));
-    std::fprintf(f, "      \"fault_retries\": %llu,\n",
-                 static_cast<unsigned long long>(r.fault_retries));
-    std::fprintf(f, "      \"fault_rejections\": %llu,\n",
-                 static_cast<unsigned long long>(r.fault_rejections));
-    std::fprintf(f, "      \"timeline_ok\": [");
-    for (size_t b = 0; b < r.ok.num_buckets(); b++) {
-      std::fprintf(f, "%s%llu", b == 0 ? "" : ", ",
-                   static_cast<unsigned long long>(r.ok.bucket(b)));
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "      \"timeline_failed\": [");
-    for (size_t b = 0; b < r.failed.num_buckets(); b++) {
-      std::fprintf(f, "%s%llu", b == 0 ? "" : ", ",
-                   static_cast<unsigned long long>(r.failed.bucket(b)));
-    }
-    std::fprintf(f, "]\n");
-    std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
+    w.Key(harness::ChaosPoolName(configs[i].kind))
+        .BeginObject()
+        .Field("lane_steps", r.lane_steps)
+        .Field("ok_ops", r.ok_ops)
+        .Field("failed_ops", r.failed_ops)
+        .Field("degraded_fetches", r.degraded_fetches)
+        .Field("fault_retries", r.fault_retries)
+        .Field("fault_rejections", r.fault_rejections);
+    WriteBuckets(w, "timeline_ok", r.ok);
+    WriteBuckets(w, "timeline_failed", r.failed);
+    w.EndObject();
   }
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.EndObject();
+  w.Commit();
 }
 
 int Main() {
@@ -153,37 +130,16 @@ int Main() {
   }
   series.Print();
 
-  if (BenchScale() == 1.0) {
-    WriteJson(results, configs);
-    std::printf("wrote BENCH_fault_resilience.json\n");
-  } else {
-    std::printf(
-        "POLAR_BENCH_SCALE != 1: BENCH_fault_resilience.json not refreshed\n");
-  }
+  WriteJson(results, configs);
 
-  // Determinism gate: POLAR_CHAOS_EXPECT="<cxl>,<dram>,<rdma>" lane_steps.
-  // Virtual-time output must not move with host speed or thread count —
-  // only with semantic changes to the simulation or the fault model.
-  if (const char* expect = std::getenv("POLAR_CHAOS_EXPECT")) {
-    unsigned long long want[3] = {0, 0, 0};
-    if (std::sscanf(expect, "%llu,%llu,%llu", &want[0], &want[1], &want[2]) !=
-        3) {
-      std::fprintf(stderr, "bad POLAR_CHAOS_EXPECT: %s\n", expect);
-      return 2;
-    }
-    for (int i = 0; i < 3; i++) {
-      if (results[i].lane_steps != want[i]) {
-        std::fprintf(stderr,
-                     "chaos lane_steps drift (%s): got %llu, expected %llu\n",
-                     ChaosPoolName(configs[i].kind),
-                     static_cast<unsigned long long>(results[i].lane_steps),
-                     want[i]);
-        return 1;
-      }
-    }
-    std::printf("chaos lane_steps match POLAR_CHAOS_EXPECT (%s)\n", expect);
-  }
-  return 0;
+  // Determinism gate: virtual-time output must not move with host speed or
+  // thread count, only with semantic changes to the simulation or the
+  // fault model.
+  return CheckPins(
+      "fault_resilience",
+      {Pin("cxl lane_steps", results[0].lane_steps, pins::kChaos[0]),
+       Pin("dram lane_steps", results[1].lane_steps, pins::kChaos[1]),
+       Pin("tiered_rdma lane_steps", results[2].lane_steps, pins::kChaos[2])});
 }
 
 }  // namespace

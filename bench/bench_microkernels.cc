@@ -1,8 +1,9 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
-// Host-side kernel microbenchmarks for the third-wave hot-path work: the
-// SIMD intra-node search, the CPU-cache-sim probe paths (memo hit, probed
-// hit, miss/evict, batched range), and the buffer-pool Fetch/Unfix
-// round-trip on every pool kind. Unlike bench_sim_throughput (a whole
+// Host-side kernel microbenchmarks: the SIMD intra-node search, the
+// CPU-cache-sim probe paths (memo hit, probed hit, miss/evict, batched
+// range), the buffer-pool Fetch/Unfix round-trip and B+tree get/update on
+// every pool kind, B+tree insert on the CXL pool, a bandwidth-channel
+// transfer and a histogram insertion. Unlike bench_sim_throughput (a whole
 // simulated workload, noisy on shared boxes), each kernel here runs in a
 // tight loop over a pinned working set, so per-kernel regressions stand out
 // even when end-to-end numbers wobble. Full-scale runs refresh the
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -20,6 +22,7 @@
 #include "engine/node_search.h"
 #include "harness/report.h"
 #include "harness/world_builder.h"
+#include "sim/bandwidth_channel.h"
 #include "sim/cpu_cache.h"
 
 namespace polarcxl::bench {
@@ -187,7 +190,9 @@ struct KernelWorld {
     remote = std::make_unique<rdma::RemoteMemoryPool>(&net, 100, 1 << 15);
   }
 
-  std::unique_ptr<engine::Database> MakeDb(BufferPoolKind kind) {
+  std::unique_ptr<engine::Database> MakeDb(BufferPoolKind kind,
+                                           uint64_t rows = 1000,
+                                           uint32_t pool_pages = 512) {
     engine::DatabaseEnv env;
     env.store = &store;
     env.log = &log;
@@ -196,13 +201,13 @@ struct KernelWorld {
     env.remote = remote.get();
     engine::DatabaseOptions opt;
     opt.pool_kind = kind;
-    opt.pool_pages = 512;
+    opt.pool_pages = pool_pages;
     ExecContext ctx;
     auto db = engine::Database::Create(ctx, env, opt);
     POLAR_CHECK(db.ok());
     auto table = (*db)->CreateTable(ctx, "t", 64);
     POLAR_CHECK(table.ok());
-    for (uint64_t k = 1; k <= 1000; k++) {
+    for (uint64_t k = 1; k <= rows; k++) {
       POLAR_CHECK((*table)->Insert(ctx, k, std::string(64, 'x')).ok());
     }
     return std::move(*db);
@@ -218,7 +223,7 @@ struct KernelWorld {
   std::unique_ptr<rdma::RemoteMemoryPool> remote;
 };
 
-KernelResult FetchUnfix(const char* name, BufferPoolKind kind,
+KernelResult FetchUnfix(const std::string& name, BufferPoolKind kind,
                         uint64_t* sink) {
   // The fetched page is the tree root, so after warm-up every Fetch is a
   // steady-state pool hit — the path a point select pays per descent level.
@@ -229,7 +234,7 @@ KernelResult FetchUnfix(const char* name, BufferPoolKind kind,
   ctx.cache = db->cache();
   const PageId root = db->table(size_t{0})->tree()->root();
   return TimeKernel(
-      name, 50000,
+      name.c_str(), 50000,
       [&](uint64_t iters) {
         uint64_t acc = 0;
         for (uint64_t i = 0; i < iters; i++) {
@@ -243,30 +248,93 @@ KernelResult FetchUnfix(const char* name, BufferPoolKind kind,
       sink);
 }
 
+// ---------------------------------------------------------------------------
+// B+tree operations
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kTreeRows = 20000;
+
+/// Times `op(tree, ctx, i)` for i = 0, 1, ... on a warm B+tree of kTreeRows
+/// 64-byte rows whose pool (8192 frames: every page stays resident, so
+/// inserts never evict) is of `kind`.
+template <typename Op>
+KernelResult TreeKernel(const std::string& name, BufferPoolKind kind, Op op,
+                        uint64_t* sink) {
+  KernelWorld world;
+  auto db = world.MakeDb(kind, kTreeRows, 8192);
+  engine::BTree* tree = db->table(size_t{0})->tree();
+  ExecContext ctx;
+  ctx.cache = db->cache();
+  uint64_t i = 0;
+  return TimeKernel(
+      name.c_str(), 20000,
+      [&](uint64_t iters) {
+        uint64_t acc = 0;
+        for (const uint64_t end = i + iters; i < end; i++) {
+          acc += op(tree, ctx, i);
+        }
+        return acc;
+      },
+      sink);
+}
+
+/// A scattered existing key: consecutive ops land on different leaves.
+uint64_t TreeKey(uint64_t i) { return 1 + (i * 2654435761ULL) % kTreeRows; }
+
+// ---------------------------------------------------------------------------
+// Simulator bookkeeping
+// ---------------------------------------------------------------------------
+
+/// One 16 KB page transfer on a 12 GB/s channel every 2 us of virtual time.
+KernelResult ChannelTransfer(uint64_t* sink) {
+  sim::BandwidthChannel ch("bench", 12ULL * 1000 * 1000 * 1000);
+  Nanos now = 0;
+  return TimeKernel(
+      "channel_transfer", 200000,
+      [&](uint64_t iters) {
+        uint64_t acc = 0;
+        for (uint64_t i = 0; i < iters; i++) {
+          acc += static_cast<uint64_t>(ch.Transfer(now, 16384));
+          now += 2000;
+        }
+        return acc;
+      },
+      sink);
+}
+
+/// Latency-histogram insertion over an LCG spread of values below 2^30 ns.
+KernelResult HistogramAdd(uint64_t* sink) {
+  Histogram h;
+  Nanos v = 1;
+  return TimeKernel(
+      "histogram_add", 200000,
+      [&](uint64_t iters) {
+        for (uint64_t i = 0; i < iters; i++) {
+          h.Add(v);
+          v = (v * 1664525 + 1013904223) & ((Nanos{1} << 30) - 1);
+        }
+        return h.count();
+      },
+      sink);
+}
+
 void WriteJson(const std::vector<KernelResult>& results) {
-  FILE* f = std::fopen("BENCH_microkernels.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_microkernels.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"microkernels\",\n");
-  std::fprintf(f, "  \"simd\": \"%s\",\n", kSimdLevel);
-  std::fprintf(f, "  \"unit\": \"ns_per_op (host CPU time, tight loop)\",\n");
-  std::fprintf(f, "  \"kernels\": {\n");
-  for (size_t i = 0; i < results.size(); i++) {
-    std::fprintf(f, "    \"%s\": %.2f%s\n", results[i].name.c_str(),
-                 results[i].ns_per_op, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  harness::JsonWriter w("microkernels",
+                        "host-side kernels in tight loops over pinned "
+                        "working sets",
+                        BenchScale());
+  w.Field("unit", "ns_per_op (host CPU time, tight loop)")
+      .Key("kernels")
+      .BeginObject();
+  for (const KernelResult& r : results) w.Field(r.name, r.ns_per_op, 2);
+  w.EndObject();
+  w.Commit();
 }
 
 int Main() {
   PrintHeader("kernel microbenchmarks",
               "n/a (host-side kernels: node search, cache probes, "
-              "fetch/unfix)");
+              "fetch/unfix, B+tree ops, channel, histogram)");
   std::vector<KernelResult> results;
   uint64_t sink = 0;
 
@@ -286,33 +354,53 @@ int Main() {
   results.push_back(CacheMissEvict(&sink));
   results.push_back(CacheTouchRange(&sink));
 
-  results.push_back(FetchUnfix("fetch_unfix_cxl", BufferPoolKind::kCxl,
-                               &sink));
-  results.push_back(FetchUnfix("fetch_unfix_dram", BufferPoolKind::kDram,
-                               &sink));
-  results.push_back(FetchUnfix("fetch_unfix_tiered_rdma",
-                               BufferPoolKind::kTieredRdma, &sink));
+  const std::pair<BufferPoolKind, std::string> kinds[] = {
+      {BufferPoolKind::kCxl, "cxl"},
+      {BufferPoolKind::kDram, "dram"},
+      {BufferPoolKind::kTieredRdma, "tiered_rdma"},
+  };
+  for (const auto& [kind, kind_name] : kinds) {
+    results.push_back(FetchUnfix("fetch_unfix_" + kind_name, kind, &sink));
+    std::string row;  // capacity reused: a steady-state get allocates nothing
+    results.push_back(TreeKernel(
+        "btree_get_" + kind_name, kind,
+        [&row](engine::BTree* tree, ExecContext& ctx, uint64_t i) {
+          POLAR_CHECK(tree->GetTo(ctx, TreeKey(i), &row).ok());
+          return row.size();
+        },
+        &sink));
+    results.push_back(TreeKernel(
+        "btree_update_" + kind_name, kind,
+        [](engine::BTree* tree, ExecContext& ctx, uint64_t i) {
+          const uint32_t v = static_cast<uint32_t>(i);
+          const Slice patch(reinterpret_cast<const char*>(&v), 4);
+          POLAR_CHECK(tree->UpdatePartial(ctx, TreeKey(i), 0, patch).ok());
+          return uint64_t{1};
+        },
+        &sink));
+  }
+  const std::string value(64, 'y');
+  results.push_back(TreeKernel(
+      "btree_insert_cxl", BufferPoolKind::kCxl,
+      [&value](engine::BTree* tree, ExecContext& ctx, uint64_t i) {
+        // Ascending new keys: the tree grows at its right edge.
+        POLAR_CHECK(tree->Insert(ctx, kTreeRows + 1 + i, value).ok());
+        return uint64_t{1};
+      },
+      &sink));
+
+  results.push_back(ChannelTransfer(&sink));
+  results.push_back(HistogramAdd(&sink));
 
   harness::ReportTable table("Kernel timings (" + std::string(kSimdLevel) +
                                  " build)",
                              {"kernel", "ns/op", "ops"});
   for (const KernelResult& r : results) {
-    char ns[32], ops[32];
-    std::snprintf(ns, sizeof(ns), "%.2f", r.ns_per_op);
-    std::snprintf(ops, sizeof(ops), "%llu",
-                  static_cast<unsigned long long>(r.ops));
-    table.AddRow({r.name, ns, ops});
+    table.AddRow({r.name, harness::Fmt(r.ns_per_op, 2), std::to_string(r.ops)});
   }
   table.Print();
   std::printf("sink=%llu\n", static_cast<unsigned long long>(sink));
-
-  if (BenchScale() == 1.0) {
-    WriteJson(results);
-    std::printf("wrote BENCH_microkernels.json\n");
-  } else {
-    std::printf(
-        "POLAR_BENCH_SCALE != 1: BENCH_microkernels.json not refreshed\n");
-  }
+  WriteJson(results);
   return 0;
 }
 

@@ -19,6 +19,12 @@
 // forked world that diverges from the cold one fails the bench — so the
 // repetitions double as the snapshot determinism gate. The setup-vs-measure
 // wall split and the amortization from forking are recorded in the JSON.
+//
+// At the pin scale the bench checks its lane_steps against bench/pins.h:
+// the epoch pins when the run executed epochs (POLAR_WORLD_THREADS >= 1),
+// the serial pins otherwise; a POLAR_PROF build also checks the hot-path
+// share of profiled time. `bench_sim_throughput scale` runs the scale-cost
+// sweep alone (see ScaleMain).
 #include <sys/resource.h>
 
 #include <cstdio>
@@ -34,16 +40,15 @@
 namespace polarcxl::bench {
 namespace {
 
+/// One rep: its counters and the thread CPU time it took.
 struct ThroughputSample {
-  uint64_t lane_steps = 0;
-  Nanos virtual_end = 0;
+  harness::RunStats run;
   double wall_sec = 0;
-  double setup_wall_sec = 0;
-  double measure_wall_sec = 0;
-  bool snapshot_hit = false;
-  double StepsPerSec() const { return static_cast<double>(lane_steps) / wall_sec; }
+  double StepsPerSec() const {
+    return static_cast<double>(run.lane_steps) / wall_sec;
+  }
   double VirtualPerWall() const {
-    return static_cast<double>(virtual_end) / (wall_sec * 1e9);
+    return static_cast<double>(run.virtual_end) / (wall_sec * 1e9);
   }
 };
 
@@ -68,15 +73,8 @@ harness::PoolingConfig BenchConfig(engine::BufferPoolKind kind) {
 ThroughputSample RunOnce(engine::BufferPoolKind kind,
                          harness::WorldCache* cache) {
   const double t0 = harness::ThreadCpuSeconds();
-  const harness::PoolingResult r = harness::RunPooling(BenchConfig(kind), cache);
-  const double t1 = harness::ThreadCpuSeconds();
-  ThroughputSample s;
-  s.lane_steps = r.lane_steps;
-  s.virtual_end = r.virtual_end;
-  s.wall_sec = t1 - t0;
-  s.setup_wall_sec = r.setup_wall_sec;
-  s.measure_wall_sec = r.measure_wall_sec;
-  s.snapshot_hit = r.snapshot_hit;
+  ThroughputSample s{harness::RunPooling(BenchConfig(kind), cache)};
+  s.wall_sec = harness::ThreadCpuSeconds() - t0;
   return s;
 }
 
@@ -91,23 +89,24 @@ RepSeries RunReps(engine::BufferPoolKind kind, int reps,
     } else {
       // The snapshot determinism gate: a forked rep must retire exactly the
       // cold rep's virtual-time outputs.
-      if (s.lane_steps != series.cold.lane_steps ||
-          s.virtual_end != series.cold.virtual_end) {
-        std::fprintf(stderr,
-                     "snapshot fork diverged from cold build: rep %d got "
-                     "lane_steps=%llu virtual_end=%lld, cold had %llu/%lld\n",
-                     i + 1, static_cast<unsigned long long>(s.lane_steps),
-                     static_cast<long long>(s.virtual_end),
-                     static_cast<unsigned long long>(series.cold.lane_steps),
-                     static_cast<long long>(series.cold.virtual_end));
+      if (s.run.lane_steps != series.cold.run.lane_steps ||
+          s.run.virtual_end != series.cold.run.virtual_end) {
+        std::fprintf(
+            stderr,
+            "snapshot fork diverged from cold build: rep %d got "
+            "lane_steps=%llu virtual_end=%lld, cold had %llu/%lld\n",
+            i + 1, static_cast<unsigned long long>(s.run.lane_steps),
+            static_cast<long long>(s.run.virtual_end),
+            static_cast<unsigned long long>(series.cold.run.lane_steps),
+            static_cast<long long>(series.cold.run.virtual_end));
         std::exit(1);
       }
       if (s.StepsPerSec() > series.best.StepsPerSec()) series.best = s;
     }
-    if (s.snapshot_hit &&
+    if (s.run.snapshot_hit &&
         (series.fork_setup_wall_sec == 0 ||
-         s.setup_wall_sec < series.fork_setup_wall_sec)) {
-      series.fork_setup_wall_sec = s.setup_wall_sec;
+         s.run.setup_wall_sec < series.fork_setup_wall_sec)) {
+      series.fork_setup_wall_sec = s.run.setup_wall_sec;
     }
     series.actual_wall_sec += s.wall_sec;
   }
@@ -125,14 +124,10 @@ RepSeries RunReps(engine::BufferPoolKind kind, int reps,
 struct ScalingPoint {
   uint32_t instances = 0;
   uint32_t threads = 0;
-  uint64_t lane_steps = 0;
-  uint64_t measure_steps = 0;
-  double measure_real_sec = 0;
-  uint64_t epochs = 0;
-  uint64_t drain_divergence = 0;
+  harness::RunStats run;
   double StepsPerSec() const {
-    return measure_real_sec > 0
-               ? static_cast<double>(measure_steps) / measure_real_sec
+    return run.measure_real_sec > 0
+               ? static_cast<double>(run.measure_steps) / run.measure_real_sec
                : 0;
   }
 };
@@ -164,15 +159,7 @@ std::vector<ScalingPoint> RunScaling() {
                      static_cast<unsigned long long>(pinned));
         std::exit(1);
       }
-      ScalingPoint p;
-      p.instances = instances;
-      p.threads = threads;
-      p.lane_steps = r.lane_steps;
-      p.measure_steps = r.measure_steps;
-      p.measure_real_sec = r.measure_real_sec;
-      p.epochs = r.epochs;
-      p.drain_divergence = r.drain_divergence;
-      points.push_back(p);
+      points.push_back({instances, threads, r});
     }
   }
   return points;
@@ -187,18 +174,12 @@ void PrintScaling(const std::vector<ScalingPoint>& points) {
       {"instances", "threads", "measure steps", "real s", "steps/sec",
        "epochs", "divergence"});
   for (const ScalingPoint& p : points) {
-    char inst[16], thr[16], steps[32], real[32], rate[32], ep[32], div[32];
-    std::snprintf(inst, sizeof(inst), "%u", p.instances);
-    std::snprintf(thr, sizeof(thr), "%u", p.threads);
-    std::snprintf(steps, sizeof(steps), "%llu",
-                  static_cast<unsigned long long>(p.measure_steps));
-    std::snprintf(real, sizeof(real), "%.3f", p.measure_real_sec);
-    std::snprintf(rate, sizeof(rate), "%.0f", p.StepsPerSec());
-    std::snprintf(ep, sizeof(ep), "%llu",
-                  static_cast<unsigned long long>(p.epochs));
-    std::snprintf(div, sizeof(div), "%llu",
-                  static_cast<unsigned long long>(p.drain_divergence));
-    table.AddRow({inst, thr, steps, real, rate, ep, div});
+    table.AddRow({std::to_string(p.instances), std::to_string(p.threads),
+                  std::to_string(p.run.measure_steps),
+                  harness::Fmt(p.run.measure_real_sec, 3),
+                  harness::Fmt(p.StepsPerSec(), 0),
+                  std::to_string(p.run.epochs),
+                  std::to_string(p.run.drain_divergence)});
   }
   table.Print();
 }
@@ -209,7 +190,7 @@ void PrintScaling(const std::vector<ScalingPoint>& points) {
 
 /// One (instances, mode) cell of the scale-cost sweep. sched_ops and
 /// window_advances are measurement-window deltas of the monotone executor
-/// and channel diagnostics (see PoolingResult); divided by measure_steps
+/// and channel diagnostics (see RunStats); divided by measure_steps
 /// they give the per-lane-step bookkeeping cost that must stay flat as the
 /// world grows. Wall time is reported honestly alongside but the counters
 /// are the primary evidence — this host is too small/noisy for wall-clock
@@ -217,23 +198,17 @@ void PrintScaling(const std::vector<ScalingPoint>& points) {
 struct ScaleCostPoint {
   uint32_t instances = 0;
   bool epoch = false;
-  uint64_t lane_steps = 0;
-  uint64_t measure_steps = 0;
-  uint64_t sched_ops = 0;
-  uint64_t window_advances = 0;
-  double measure_real_sec = 0;
+  harness::RunStats run;
   /// Process peak RSS once this point has run. Points run in increasing
   /// size, so each row records what the largest world so far cost.
   double peak_rss_mb = 0;
-  double SchedOpsPerStep() const {
-    return measure_steps > 0 ? static_cast<double>(sched_ops) / measure_steps
-                             : 0;
-  }
-  double WindowAdvPerStep() const {
-    return measure_steps > 0
-               ? static_cast<double>(window_advances) / measure_steps
+  double PerStep(uint64_t count) const {
+    return run.measure_steps > 0
+               ? static_cast<double>(count) / run.measure_steps
                : 0;
   }
+  double SchedOpsPerStep() const { return PerStep(run.sched_ops); }
+  double WindowAdvPerStep() const { return PerStep(run.window_advances); }
 };
 
 /// Pre-PR per-step costs at full scale, measured on the binary-heap
@@ -276,18 +251,10 @@ std::vector<ScaleCostPoint> RunScaleCost(const std::vector<uint32_t>& counts) {
       c.measure = Scaled(Millis(40));
       c.world_threads = epoch ? 1 : 0;
       const harness::PoolingResult r = harness::RunPooling(c, nullptr);
-      ScaleCostPoint p;
-      p.instances = instances;
-      p.epoch = epoch;
-      p.lane_steps = r.lane_steps;
-      p.measure_steps = r.measure_steps;
-      p.sched_ops = r.sched_ops;
-      p.window_advances = r.window_advances;
-      p.measure_real_sec = r.measure_real_sec;
       rusage ru;
       getrusage(RUSAGE_SELF, &ru);
-      p.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
-      points.push_back(p);
+      const double rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
+      points.push_back({instances, epoch, r, rss_mb});
     }
   }
   return points;
@@ -302,89 +269,32 @@ void PrintScaleCost(const std::vector<ScaleCostPoint>& points) {
       {"instances", "mode", "measure steps", "sched ops/step", "window adv/step",
        "real s", "peak rss MB"});
   for (const ScaleCostPoint& p : points) {
-    char inst[16], steps[32], sched[32], adv[32], real[32], rss[32];
-    std::snprintf(inst, sizeof(inst), "%u", p.instances);
-    std::snprintf(steps, sizeof(steps), "%llu",
-                  static_cast<unsigned long long>(p.measure_steps));
-    std::snprintf(sched, sizeof(sched), "%.2f", p.SchedOpsPerStep());
-    std::snprintf(adv, sizeof(adv), "%.4f", p.WindowAdvPerStep());
-    std::snprintf(real, sizeof(real), "%.3f", p.measure_real_sec);
-    std::snprintf(rss, sizeof(rss), "%.0f", p.peak_rss_mb);
-    table.AddRow(
-        {inst, p.epoch ? "epoch" : "serial", steps, sched, adv, real, rss});
+    table.AddRow({std::to_string(p.instances), p.epoch ? "epoch" : "serial",
+                  std::to_string(p.run.measure_steps),
+                  harness::Fmt(p.SchedOpsPerStep(), 2),
+                  harness::Fmt(p.WindowAdvPerStep(), 4),
+                  harness::Fmt(p.run.measure_real_sec, 3),
+                  harness::Fmt(p.peak_rss_mb, 0)});
   }
   table.Print();
-}
-
-/// Reads the previously committed "profile" object (balanced-brace scan) so
-/// a profiler-free build — the one that produces the committed throughput
-/// numbers — does not discard the breakdown a POLAR_PROF build recorded.
-std::string CarriedProfile() {
-  FILE* f = std::fopen("BENCH_sim_throughput.json", "r");
-  if (f == nullptr) return "";
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  const size_t key = text.find("\"profile\": {");
-  if (key == std::string::npos) return "";
-  const size_t open = text.find('{', key);
-  int depth = 0;
-  for (size_t i = open; i < text.size(); i++) {
-    if (text[i] == '{') depth++;
-    if (text[i] == '}' && --depth == 0) {
-      return text.substr(open, i - open + 1);
-    }
-  }
-  return "";
-}
-
-double SumSelfSec(const std::string& profile) {
-  double sum = 0;
-  size_t pos = 0;
-  while ((pos = profile.find("\"self_sec\":", pos)) != std::string::npos) {
-    pos += 11;
-    sum += std::atof(profile.c_str() + pos);
-  }
-  return sum;
-}
-
-double DomainSelfSec(const std::string& profile, const char* name) {
-  const size_t key = profile.find("\"" + std::string(name) + "\":");
-  if (key == std::string::npos) return 0;
-  const size_t pos = profile.find("\"self_sec\":", key);
-  if (pos == std::string::npos) return 0;
-  return std::atof(profile.c_str() + pos + 11);
 }
 
 /// Fraction of profiled self CPU time spent in the two hot-path domains
 /// (engine + cache_sim). This is the regression surface of the
 /// static-dispatch / SIMD-kernel work: if the pool re-virtualizes or a
 /// probe path bloats, these domains grow relative to the rest of the
-/// simulator. Prefers a fresh POLAR_PROF measurement; falls back to the
-/// committed profile section. Returns a negative value if no profile is
-/// available at all.
+/// simulator. Only meaningful on a POLAR_PROF build.
 double HotSelfShare() {
-  if (prof::kEnabled) {
-    double hot = 0;
-    double sum = 0;
-    for (const prof::DomainTotals& t : prof::Collect()) {
-      sum += t.self_sec;
-      if (std::strcmp(t.name, "engine") == 0 ||
-          std::strcmp(t.name, "cache_sim") == 0) {
-        hot += t.self_sec;
-      }
+  double hot = 0;
+  double sum = 0;
+  for (const prof::DomainTotals& t : prof::Collect()) {
+    sum += t.self_sec;
+    if (std::strcmp(t.name, "engine") == 0 ||
+        std::strcmp(t.name, "cache_sim") == 0) {
+      hot += t.self_sec;
     }
-    return sum > 0 ? hot / sum : -1.0;
   }
-  const std::string carried = CarriedProfile();
-  if (carried.empty()) return -1.0;
-  const double sum = SumSelfSec(carried);
-  if (sum <= 0) return -1.0;
-  return (DomainSelfSec(carried, "engine") +
-          DomainSelfSec(carried, "cache_sim")) /
-         sum;
+  return sum > 0 ? hot / sum : 0;
 }
 
 /// Per-domain self/total CPU breakdown. The profiler covers the whole
@@ -400,263 +310,175 @@ void PrintProfReport() {
       {"domain", "calls", "self s", "self %", "total s"});
   for (const prof::DomainTotals& t : totals) {
     if (t.calls == 0) continue;
-    char calls[32], self_s[32], pct[32], total_s[32];
-    std::snprintf(calls, sizeof(calls), "%llu",
-                  static_cast<unsigned long long>(t.calls));
-    std::snprintf(self_s, sizeof(self_s), "%.3f", t.self_sec);
-    std::snprintf(pct, sizeof(pct), "%.1f",
-                  self_sum > 0 ? 100.0 * t.self_sec / self_sum : 0.0);
-    std::snprintf(total_s, sizeof(total_s), "%.3f", t.total_sec);
-    table.AddRow({t.name, calls, self_s, pct, total_s});
+    table.AddRow({t.name, std::to_string(t.calls), harness::Fmt(t.self_sec, 3),
+                  harness::Fmt(self_sum > 0 ? 100.0 * t.self_sec / self_sum : 0,
+                               1),
+                  harness::Fmt(t.total_sec, 3)});
   }
   table.Print();
 }
 
-void WriteConfigJson(FILE* f, const char* name, const RepSeries& s) {
-  std::fprintf(f, "  \"%s\": {\n", name);
-  std::fprintf(f, "    \"lane_steps\": %llu,\n",
-               static_cast<unsigned long long>(s.best.lane_steps));
-  std::fprintf(f, "    \"wall_sec\": %.4f,\n", s.best.wall_sec);
-  std::fprintf(f, "    \"lane_steps_per_sec\": %.0f,\n", s.best.StepsPerSec());
-  std::fprintf(f, "    \"virtual_ns_per_wall_ns\": %.4f,\n",
-               s.best.VirtualPerWall());
-  std::fprintf(f, "    \"setup_wall_sec\": %.4f,\n", s.best.setup_wall_sec);
-  std::fprintf(f, "    \"measure_wall_sec\": %.4f,\n",
-               s.best.measure_wall_sec);
-  std::fprintf(f, "    \"snapshot_hit\": %s,\n",
-               s.best.snapshot_hit ? "true" : "false");
-  std::fprintf(f, "    \"cold_setup_wall_sec\": %.4f,\n",
-               s.cold.setup_wall_sec);
-  std::fprintf(f, "    \"fork_setup_wall_sec\": %.4f\n",
-               s.fork_setup_wall_sec);
-  std::fprintf(f, "  },\n");
+using Layout = harness::JsonWriter::Layout;
+
+void WriteConfigJson(harness::JsonWriter& w, const char* name,
+                     const RepSeries& s) {
+  w.Key(name)
+      .BeginObject()
+      .Field("lane_steps", s.best.run.lane_steps)
+      .Field("wall_sec", s.best.wall_sec, 4)
+      .Field("lane_steps_per_sec", s.best.StepsPerSec(), 0)
+      .Field("virtual_ns_per_wall_ns", s.best.VirtualPerWall(), 4)
+      .Field("setup_wall_sec", s.best.run.setup_wall_sec, 4)
+      .Field("measure_wall_sec", s.best.run.measure_wall_sec, 4)
+      .Field("snapshot_hit", s.best.run.snapshot_hit)
+      .Field("cold_setup_wall_sec", s.cold.run.setup_wall_sec, 4)
+      .Field("fork_setup_wall_sec", s.fork_setup_wall_sec, 4)
+      .EndObject();
 }
 
-void WriteScalingJson(FILE* f, const std::vector<ScalingPoint>& points) {
-  std::fprintf(f, "  \"in_world_scaling\": {\n");
-  std::fprintf(f, "    \"workload\": \"fig7 point-select pooling (cxl), 8 "
-                  "lanes/instance, POLAR_WORLD_THREADS sweep\",\n");
-  std::fprintf(f, "    \"host_cpus\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "    \"points\": [\n");
-  for (size_t i = 0; i < points.size(); i++) {
-    const ScalingPoint& p = points[i];
-    std::fprintf(f,
-                 "      {\"instances\": %u, \"threads\": %u, \"lane_steps\": "
-                 "%llu, \"measure_steps\": %llu, \"measure_real_sec\": %.4f, "
-                 "\"steps_per_sec\": %.0f, \"epochs\": %llu, "
-                 "\"drain_divergence\": %llu}%s\n",
-                 p.instances, p.threads,
-                 static_cast<unsigned long long>(p.lane_steps),
-                 static_cast<unsigned long long>(p.measure_steps),
-                 p.measure_real_sec, p.StepsPerSec(),
-                 static_cast<unsigned long long>(p.epochs),
-                 static_cast<unsigned long long>(p.drain_divergence),
-                 i + 1 < points.size() ? "," : "");
+void WriteScalingJson(harness::JsonWriter& w,
+                      const std::vector<ScalingPoint>& points) {
+  w.Key("in_world_scaling")
+      .BeginObject()
+      .Field("workload",
+             "fig7 point-select pooling (cxl), 8 lanes/instance, "
+             "POLAR_WORLD_THREADS sweep")
+      .Key("points")
+      .BeginArray();
+  for (const ScalingPoint& p : points) {
+    w.BeginObject(Layout::kInline)
+        .Field("instances", p.instances)
+        .Field("threads", p.threads)
+        .Field("lane_steps", p.run.lane_steps)
+        .Field("measure_steps", p.run.measure_steps)
+        .Field("measure_real_sec", p.run.measure_real_sec, 4)
+        .Field("steps_per_sec", p.StepsPerSec(), 0)
+        .Field("epochs", p.run.epochs)
+        .Field("drain_divergence", p.run.drain_divergence)
+        .EndObject();
   }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  },\n");
+  w.EndArray().EndObject();
 }
 
-void WriteScaleCostJson(FILE* f, const std::vector<ScaleCostPoint>& points) {
-  std::fprintf(f, "  \"scale_cost\": {\n");
-  std::fprintf(f,
-               "    \"workload\": \"fig7 point-select pooling (cxl), 8 "
-               "lanes/instance, 40ms warmup + 40ms measure, serial vs "
-               "epoch-parallel (1 worker)\",\n");
-  std::fprintf(f,
-               "    \"note\": \"sched_ops and window_advances are "
-               "measurement-window counter deltas; per-step ratios are the "
-               "gated evidence, wall time is reported honestly but moves "
-               "with host load; peak_rss_mb is the process peak once the "
-               "point has run (points run in increasing size)\",\n");
-  std::fprintf(f, "    \"host_cpus\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f,
-               "    \"baseline\": {\n"
-               "      \"note\": \"pre-PR binary-heap scheduler + eager "
-               "window ledger, same workload and counters\",\n"
-               "      \"points\": [\n");
-  constexpr size_t kBaselineCount =
-      sizeof(kPrePrBaseline) / sizeof(kPrePrBaseline[0]);
-  for (size_t i = 0; i < kBaselineCount; i++) {
-    const ScaleBaseline& b = kPrePrBaseline[i];
-    std::fprintf(f,
-                 "        {\"instances\": %u, \"mode\": \"%s\", "
-                 "\"sched_ops_per_step\": %.2f, "
-                 "\"window_advances_per_step\": %.4f}%s\n",
-                 b.instances, b.epoch ? "epoch" : "serial",
-                 b.sched_ops_per_step, b.window_adv_per_step,
-                 i + 1 < kBaselineCount ? "," : "");
+void WriteScaleCostJson(harness::JsonWriter& w,
+                        const std::vector<ScaleCostPoint>& points) {
+  w.Key("scale_cost")
+      .BeginObject()
+      .Field("workload",
+             "fig7 point-select pooling (cxl), 8 lanes/instance, 40ms "
+             "warmup + 40ms measure, serial vs epoch-parallel (1 worker)")
+      .Field("note",
+             "sched_ops and window_advances are measurement-window counter "
+             "deltas; per-step ratios are the gated evidence, wall time is "
+             "reported honestly but moves with host load; peak_rss_mb is the "
+             "process peak once the point has run (points run in increasing "
+             "size)")
+      .Key("baseline")
+      .BeginObject()
+      .Field("note",
+             "pre-PR binary-heap scheduler + eager window ledger, same "
+             "workload and counters")
+      .Key("points")
+      .BeginArray();
+  for (const ScaleBaseline& b : kPrePrBaseline) {
+    w.BeginObject(Layout::kInline)
+        .Field("instances", b.instances)
+        .Field("mode", b.epoch ? "epoch" : "serial")
+        .Field("sched_ops_per_step", b.sched_ops_per_step, 2)
+        .Field("window_advances_per_step", b.window_adv_per_step, 4)
+        .EndObject();
   }
-  std::fprintf(f, "      ]\n    },\n");
-  std::fprintf(f, "    \"points\": [\n");
-  for (size_t i = 0; i < points.size(); i++) {
-    const ScaleCostPoint& p = points[i];
+  w.EndArray().EndObject().Key("points").BeginArray();
+  for (const ScaleCostPoint& p : points) {
     const ScaleBaseline* b = BaselineFor(p.instances, p.epoch);
     const double win =
         (b != nullptr && p.SchedOpsPerStep() > 0)
             ? b->sched_ops_per_step / p.SchedOpsPerStep()
             : 0;
-    std::fprintf(f,
-                 "      {\"instances\": %u, \"mode\": \"%s\", \"lane_steps\": "
-                 "%llu, \"measure_steps\": %llu, \"sched_ops\": %llu, "
-                 "\"window_advances\": %llu, \"sched_ops_per_step\": %.2f, "
-                 "\"window_advances_per_step\": %.4f, "
-                 "\"sched_ops_win_vs_baseline\": %.2f, "
-                 "\"measure_real_sec\": %.4f, \"peak_rss_mb\": %.1f}%s\n",
-                 p.instances, p.epoch ? "epoch" : "serial",
-                 static_cast<unsigned long long>(p.lane_steps),
-                 static_cast<unsigned long long>(p.measure_steps),
-                 static_cast<unsigned long long>(p.sched_ops),
-                 static_cast<unsigned long long>(p.window_advances),
-                 p.SchedOpsPerStep(), p.WindowAdvPerStep(), win,
-                 p.measure_real_sec, p.peak_rss_mb,
-                 i + 1 < points.size() ? "," : "");
+    w.BeginObject(Layout::kInline)
+        .Field("instances", p.instances)
+        .Field("mode", p.epoch ? "epoch" : "serial")
+        .Field("lane_steps", p.run.lane_steps)
+        .Field("measure_steps", p.run.measure_steps)
+        .Field("sched_ops", p.run.sched_ops)
+        .Field("window_advances", p.run.window_advances)
+        .Field("sched_ops_per_step", p.SchedOpsPerStep(), 2)
+        .Field("window_advances_per_step", p.WindowAdvPerStep(), 4)
+        .Field("sched_ops_win_vs_baseline", win, 2)
+        .Field("measure_real_sec", p.run.measure_real_sec, 4)
+        .Field("peak_rss_mb", p.peak_rss_mb, 1)
+        .EndObject();
   }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  },\n");
+  w.EndArray().EndObject();
 }
 
 void WriteJson(const RepSeries& cxl, const RepSeries& rdma, int reps,
                const std::vector<ScalingPoint>& scaling,
                const std::vector<ScaleCostPoint>& scale_cost) {
-  // Must be captured before fopen("w") truncates the file.
-  const std::string carried = prof::kEnabled ? "" : CarriedProfile();
-  FILE* f = std::fopen("BENCH_sim_throughput.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_sim_throughput.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"sim_throughput\",\n");
-  std::fprintf(f,
-               "  \"workload\": \"8-instance sysbench point-select pooling "
-               "(fig7 point), 8 lanes/instance\",\n");
-  std::fprintf(f, "  \"scale\": %.3f,\n", BenchScale());
-  std::fprintf(f, "  \"reps\": %d,\n", reps);
-  WriteConfigJson(f, "cxl", cxl);
-  WriteConfigJson(f, "tiered_rdma", rdma);
-  if (!scaling.empty()) WriteScalingJson(f, scaling);
-  if (!scale_cost.empty()) WriteScaleCostJson(f, scale_cost);
+  harness::JsonWriter w("sim_throughput",
+                        "8-instance sysbench point-select pooling (fig7 "
+                        "point), 8 lanes/instance",
+                        BenchScale());
+  w.Field("reps", reps);
+  WriteConfigJson(w, "cxl", cxl);
+  WriteConfigJson(w, "tiered_rdma", rdma);
+  if (!scaling.empty()) WriteScalingJson(w, scaling);
+  if (!scale_cost.empty()) WriteScaleCostJson(w, scale_cost);
   // World snapshot/fork amortization over all reps of both configs: what
   // cold-building every rep would cost vs what the cache-backed reps
   // actually cost (rep 1 of each config is a real cold build, so the
   // estimate is measured, not modeled).
   const double cold_est = cxl.cold_wall_sec_est + rdma.cold_wall_sec_est;
   const double actual = cxl.actual_wall_sec + rdma.actual_wall_sec;
-  std::fprintf(f, "  \"snapshot_amortization\": {\n");
-  std::fprintf(f, "    \"cold_wall_sec_est\": %.4f,\n", cold_est);
-  std::fprintf(f, "    \"actual_wall_sec\": %.4f,\n", actual);
-  std::fprintf(f, "    \"speedup\": %.2f\n",
-               actual > 0 ? cold_est / actual : 0.0);
-  std::fprintf(f, "  },\n");
-  if (prof::kEnabled) {
-    // Fresh breakdown from this (POLAR_PROF) build. Throughput numbers from
-    // such a build are instrumented; the committed perf figures above come
-    // from a profiler-free rerun, which carries this section forward.
-    std::fprintf(f, "  \"profile\": {\n");
-    std::fprintf(f, "    \"enabled\": true,\n");
-    std::fprintf(f,
-                 "    \"note\": \"per-domain CPU seconds over the whole "
-                 "process (both configs, all reps), POLAR_PROF build\",\n");
-    std::fprintf(f, "    \"domains\": {\n");
-    const std::vector<prof::DomainTotals> totals = prof::Collect();
-    bool first = true;
-    for (const prof::DomainTotals& t : totals) {
-      if (t.calls == 0) continue;
-      if (!first) std::fprintf(f, ",\n");
-      first = false;
-      std::fprintf(f,
-                   "      \"%s\": {\"calls\": %llu, \"self_sec\": %.4f, "
-                   "\"total_sec\": %.4f}",
-                   t.name, static_cast<unsigned long long>(t.calls),
-                   t.self_sec, t.total_sec);
-    }
-    std::fprintf(f, "\n    }\n");
-    std::fprintf(f, "  }\n");
-  } else if (!carried.empty()) {
-    std::fprintf(f, "  \"profile\": %s\n", carried.c_str());
-  } else {
-    std::fprintf(f,
-                 "  \"profile\": {\"enabled\": false, \"note\": \"build with "
-                 "-DPOLAR_PROF=ON to record a breakdown\"}\n");
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.Key("snapshot_amortization")
+      .BeginObject()
+      .Field("cold_wall_sec_est", cold_est, 4)
+      .Field("actual_wall_sec", actual, 4)
+      .Field("speedup", actual > 0 ? cold_est / actual : 0.0, 2)
+      .EndObject();
+  w.Commit();
 }
 
-/// tools/check.sh --scale: POLAR_SCALE_EXPECT="<serial_steps>,<epoch_steps>"
-/// short-circuits the bench into the 64-instance scale-cost pair alone —
-/// serial vs epoch-parallel lane_steps are pinned (the at-scale determinism
-/// gate), and POLAR_MAX_SCHED_OPS_PER_STEP caps the per-step scheduler work
-/// so an O(log lanes) or O(lanes) regression in the scheduler fails CI even
-/// though wall time on a loaded runner would hide it.
-int ScaleGate(const char* expect) {
-  unsigned long long want_serial = 0;
-  unsigned long long want_epoch = 0;
-  if (std::sscanf(expect, "%llu,%llu", &want_serial, &want_epoch) != 2) {
-    std::fprintf(stderr, "bad POLAR_SCALE_EXPECT: %s\n", expect);
-    return 2;
+/// `bench_sim_throughput scale` (tools/check.sh --scale): the scale-cost
+/// sweep alone, never written to JSON. At the pin scale it runs the
+/// 64-instance pair and checks its serial and epoch lane_steps plus the
+/// sched-ops-per-step ceiling, so an O(log lanes) or O(lanes) scheduler
+/// regression fails even where wall time on a loaded runner would hide it.
+/// At any other scale it sweeps 8/32/64/256 instances and only prints (how
+/// the committed baseline constants were measured).
+int ScaleMain() {
+  if (BenchScale() != pins::kScale) {
+    PrintScaleCost(RunScaleCost({8u, 32u, 64u, 256u}));
+    return CheckPins("sim_throughput scale", {});
   }
-  const std::vector<ScaleCostPoint> points = RunScaleCost({64});
+  const std::vector<ScaleCostPoint> points = RunScaleCost({64u});
   PrintScaleCost(points);
   const ScaleCostPoint& serial = points[0];
   const ScaleCostPoint& epoch = points[1];
-  if (serial.lane_steps != want_serial || epoch.lane_steps != want_epoch) {
-    std::fprintf(stderr,
-                 "64-instance lane_steps drift: got serial=%llu epoch=%llu, "
-                 "expected serial=%llu epoch=%llu\n",
-                 static_cast<unsigned long long>(serial.lane_steps),
-                 static_cast<unsigned long long>(epoch.lane_steps),
-                 want_serial, want_epoch);
-    return 1;
-  }
-  std::printf("64-instance lane_steps match POLAR_SCALE_EXPECT (%llu, %llu)\n",
-              want_serial, want_epoch);
-  if (const char* ceiling_env = std::getenv("POLAR_MAX_SCHED_OPS_PER_STEP")) {
-    const double ceiling = std::atof(ceiling_env);
-    if (ceiling <= 0) {
-      std::fprintf(stderr, "bad POLAR_MAX_SCHED_OPS_PER_STEP: %s\n",
-                   ceiling_env);
-      return 2;
-    }
-    for (const ScaleCostPoint& p : points) {
-      if (p.SchedOpsPerStep() > ceiling) {
-        std::fprintf(stderr,
-                     "sched_ops regression (%s): %.2f ops/step > ceiling "
-                     "%.2f — scheduler bookkeeping grew with world size\n",
-                     p.epoch ? "epoch" : "serial", p.SchedOpsPerStep(),
-                     ceiling);
-        return 1;
-      }
-    }
-    std::printf("sched_ops/step within ceiling %.2f (serial %.2f, epoch %.2f)\n",
-                ceiling, serial.SchedOpsPerStep(), epoch.SchedOpsPerStep());
-  }
-  return 0;
+  return CheckPins(
+      "sim_throughput scale",
+      {Pin("64-instance serial lane_steps", serial.run.lane_steps,
+           pins::kScale64.serial),
+       Pin("64-instance epoch lane_steps", epoch.run.lane_steps,
+           pins::kScale64.epoch),
+       Ceiling("serial sched ops/step", serial.SchedOpsPerStep(),
+               pins::kMaxSchedOpsPerStep),
+       Ceiling("epoch sched ops/step", epoch.SchedOpsPerStep(),
+               pins::kMaxSchedOpsPerStep)});
 }
 
-int Main() {
+int Main(int argc, char** argv) {
+  const bool scale_mode = argc == 2 && std::strcmp(argv[1], "scale") == 0;
+  if (argc > 1 && !scale_mode) {
+    std::fprintf(stderr, "usage: %s [scale]\n", argv[0]);
+    return 2;
+  }
   PrintHeader("sim-core throughput",
               "n/a (infrastructure bench: lane-steps/sec of the simulator)");
-  // Scale gate short-circuit (see ScaleGate): the --scale CI job only wants
-  // the 64-instance pair, not the full rep/scaling machinery.
-  if (const char* scale_expect = std::getenv("POLAR_SCALE_EXPECT")) {
-    return ScaleGate(scale_expect);
-  }
-  // Development aid: POLAR_SCALE_COST_ONLY=1 runs just the scale-cost sweep
-  // (at the current POLAR_BENCH_SCALE) and exits without touching the JSON —
-  // how the committed baseline constants were measured.
-  if (const char* sc_only = std::getenv("POLAR_SCALE_COST_ONLY");
-      sc_only != nullptr && std::atoi(sc_only) != 0) {
-    PrintScaleCost(RunScaleCost({8u, 32u, 64u, 256u}));
-    return 0;
-  }
+  if (scale_mode) return ScaleMain();
   // Five reps by default: forked reps cost roughly the measurement window
   // alone, so extra repetitions are nearly free and shave best-of noise.
-  const char* reps_env = std::getenv("POLAR_BENCH_REPS");
-  const int reps = reps_env != nullptr ? std::max(1, std::atoi(reps_env)) : 5;
+  const int reps = BenchReps(5);
 
   harness::WorldCache cache;
   const RepSeries cxl = RunReps(engine::BufferPoolKind::kCxl, reps, &cache);
@@ -668,16 +490,13 @@ int Main() {
       {"config", "lane-steps", "wall s", "setup s", "measure s", "fork",
        "steps/sec", "vns/wns"});
   auto row = [&](const char* name, const RepSeries& s) {
-    char steps[32], wall[32], setup[32], measure[32], rate[32], ratio[32];
-    std::snprintf(steps, sizeof(steps), "%llu",
-                  static_cast<unsigned long long>(s.best.lane_steps));
-    std::snprintf(wall, sizeof(wall), "%.3f", s.best.wall_sec);
-    std::snprintf(setup, sizeof(setup), "%.3f", s.best.setup_wall_sec);
-    std::snprintf(measure, sizeof(measure), "%.3f", s.best.measure_wall_sec);
-    std::snprintf(rate, sizeof(rate), "%.0f", s.best.StepsPerSec());
-    std::snprintf(ratio, sizeof(ratio), "%.4f", s.best.VirtualPerWall());
-    table.AddRow({name, steps, wall, setup, measure,
-                  s.best.snapshot_hit ? "yes" : "no", rate, ratio});
+    table.AddRow({name, std::to_string(s.best.run.lane_steps),
+                  harness::Fmt(s.best.wall_sec, 3),
+                  harness::Fmt(s.best.run.setup_wall_sec, 3),
+                  harness::Fmt(s.best.run.measure_wall_sec, 3),
+                  s.best.run.snapshot_hit ? "yes" : "no",
+                  harness::Fmt(s.best.StepsPerSec(), 0),
+                  harness::Fmt(s.best.VirtualPerWall(), 4)});
   };
   row("cxl", cxl);
   row("tiered_rdma", rdma);
@@ -705,78 +524,28 @@ int Main() {
     scale_cost = RunScaleCost({8u, 32u, 64u, 256u});
     PrintScaleCost(scale_cost);
   }
+  WriteJson(cxl, rdma, reps, scaling, scale_cost);
 
-  // Only full-scale runs refresh the committed trajectory file: a quick
-  // POLAR_BENCH_SCALE pass must not silently clobber it with numbers from
-  // a smaller workload.
-  if (BenchScale() == 1.0) {
-    WriteJson(cxl, rdma, reps, scaling, scale_cost);
-    std::printf("wrote BENCH_sim_throughput.json\n");
-  } else {
-    std::printf(
-        "POLAR_BENCH_SCALE != 1: BENCH_sim_throughput.json not refreshed\n");
+  // lane_steps is pure virtual-time output, so it must not move with host
+  // speed, only with semantic changes to the simulation; forked reps are
+  // held to the same pin. Runs that executed epochs take the epoch pins.
+  const bool epoch = cxl.best.run.epochs > 0;
+  const pins::Fig7& pin = epoch ? pins::kFig7Epoch : pins::kFig7Serial;
+  const std::string mode = epoch ? "fig7 epoch " : "fig7 serial ";
+  std::vector<PinnedValue> values = {
+      Pin(mode + "cxl lane_steps", cxl.best.run.lane_steps, pin.cxl),
+      Pin(mode + "tiered_rdma lane_steps", rdma.best.run.lane_steps,
+          pin.tiered_rdma)};
+  if (prof::kEnabled) {
+    values.push_back(Ceiling("engine+cache_sim self share", HotSelfShare(),
+                             pins::kMaxHotShare));
   }
-
-  // Determinism gate: POLAR_BENCH_EXPECT="<cxl_steps>,<rdma_steps>" turns
-  // the bench into a bit-identity check (lane_steps is pure virtual-time
-  // output, so it must not move with host speed — only with semantic
-  // changes to the simulation). tools/check.sh --bench uses this; with
-  // POLAR_BENCH_REPS > 1, forked reps are held to the same pin.
-  if (const char* expect = std::getenv("POLAR_BENCH_EXPECT")) {
-    unsigned long long want_cxl = 0;
-    unsigned long long want_rdma = 0;
-    if (std::sscanf(expect, "%llu,%llu", &want_cxl, &want_rdma) != 2) {
-      std::fprintf(stderr, "bad POLAR_BENCH_EXPECT: %s\n", expect);
-      return 2;
-    }
-    if (cxl.best.lane_steps != want_cxl || rdma.best.lane_steps != want_rdma) {
-      std::fprintf(stderr,
-                   "lane_steps drift: got cxl=%llu rdma=%llu, expected "
-                   "cxl=%llu rdma=%llu\n",
-                   static_cast<unsigned long long>(cxl.best.lane_steps),
-                   static_cast<unsigned long long>(rdma.best.lane_steps),
-                   want_cxl, want_rdma);
-      return 1;
-    }
-    std::printf("lane_steps match POLAR_BENCH_EXPECT (%llu, %llu)\n",
-                want_cxl, want_rdma);
-  }
-
-  // Hot-share gate: POLAR_BENCH_MAX_HOT_SHARE="0.93" fails the bench when
-  // the engine+cache_sim domains consume more than that fraction of the
-  // profiled self CPU time. Meaningful on a POLAR_PROF build (fresh
-  // measurement); on other builds it checks the committed profile, which
-  // only moves when a POLAR_PROF run refreshes the JSON.
-  if (const char* max_share = std::getenv("POLAR_BENCH_MAX_HOT_SHARE")) {
-    const double limit = std::atof(max_share);
-    if (limit <= 0 || limit > 1) {
-      std::fprintf(stderr, "bad POLAR_BENCH_MAX_HOT_SHARE: %s\n", max_share);
-      return 2;
-    }
-    const double share = HotSelfShare();
-    if (share < 0) {
-      std::fprintf(stderr,
-                   "POLAR_BENCH_MAX_HOT_SHARE set but no profile available "
-                   "(build with -DPOLAR_PROF=ON or commit one)\n");
-      return 2;
-    }
-    std::printf("hot-path self share (engine+cache_sim, %s): %.1f%% "
-                "(limit %.1f%%)\n",
-                prof::kEnabled ? "fresh" : "committed", 100.0 * share,
-                100.0 * limit);
-    if (share > limit) {
-      std::fprintf(stderr,
-                   "hot-path share regression: %.1f%% > %.1f%% — the "
-                   "engine/cache_sim hot paths grew relative to the rest of "
-                   "the simulator\n",
-                   100.0 * share, 100.0 * limit);
-      return 1;
-    }
-  }
-  return 0;
+  return CheckPins("sim_throughput", values);
 }
 
 }  // namespace
 }  // namespace polarcxl::bench
 
-int main() { return polarcxl::bench::Main(); }
+int main(int argc, char** argv) {
+  return polarcxl::bench::Main(argc, argv);
+}

@@ -7,11 +7,10 @@
 // each pool's maximum sustained arrival rate before SLO violation, and one
 // chaos-under-peak timeline replays the canonical mixed-fault schedule at
 // near-capacity load ("Black-Friday peak + CXL outage").
-// Full-scale runs refresh BENCH_slo_capacity.json (committed).
-// POLAR_SLO_EXPECT="<cxl>,<dram>,<rdma>,<chaos>" turns the run into a
-// lane_steps bit-identity gate (tools/check.sh --slo).
+// Full-scale runs refresh BENCH_slo_capacity.json (committed). At the pin
+// scale the run checks its lane_steps against bench/pins.h (tools/check.sh
+// --slo).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -90,87 +89,64 @@ struct KindRun {
 
 void WriteJson(const std::vector<KindRun>& runs,
                const OpenLoopResult& chaos) {
-  FILE* f = std::fopen("BENCH_slo_capacity.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_slo_capacity.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"slo_capacity\",\n");
-  std::fprintf(f,
-               "  \"workload\": \"open-loop: gold Poisson 120k/s + "
-               "best-effort bursty 120k/s on (x scale), 25%% update mix, "
-               "8 server lanes, p99 SLO 900us, 2ms deadlines\",\n");
-  std::fprintf(f, "  \"scale\": %.3f,\n", BenchScale());
-  std::fprintf(f, "  \"pools\": {\n");
-  for (size_t k = 0; k < runs.size(); k++) {
-    const KindRun& kr = runs[k];
-    std::fprintf(f, "    \"%s\": {\n", harness::ChaosPoolName(kr.kind));
-    std::fprintf(f, "      \"curve\": [\n");
+  using Layout = harness::JsonWriter::Layout;
+  harness::JsonWriter w("slo_capacity",
+                        "open-loop: gold Poisson 120k/s + best-effort bursty "
+                        "120k/s on (x scale), 25% update mix, 8 server lanes, "
+                        "p99 SLO 900us, 2ms deadlines",
+                        BenchScale());
+  w.Key("pools").BeginObject();
+  for (const KindRun& kr : runs) {
+    w.Key(harness::ChaosPoolName(kr.kind)).BeginObject().Key("curve")
+        .BeginArray();
     for (size_t i = 0; i < kr.sweep.size(); i++) {
       const OpenLoopResult& r = kr.sweep[i];
-      std::fprintf(
-          f,
-          "        {\"scale\": %.2f, \"offered_per_sec\": %.0f, "
-          "\"goodput_per_sec\": %.0f, \"p99_us\": %.1f, "
-          "\"loss_fraction\": %.4f, \"shed_queue\": %llu, "
-          "\"shed_deadline\": %llu, \"failed\": %llu, \"slo_met\": %s}%s\n",
-          kSweepScales[i],
-          static_cast<double>(r.offered) * 1e9 /
-              static_cast<double>(r.window),
-          r.goodput, static_cast<double>(r.p99) / 1e3, r.loss_fraction,
-          static_cast<unsigned long long>(r.shed_queue),
-          static_cast<unsigned long long>(r.shed_deadline),
-          static_cast<unsigned long long>(r.failed_ops),
-          r.slo_met ? "true" : "false",
-          i + 1 < kr.sweep.size() ? "," : "");
+      w.BeginObject(Layout::kInline)
+          .Field("scale", kSweepScales[i], 2)
+          .Field("offered_per_sec",
+                 static_cast<double>(r.offered) * 1e9 /
+                     static_cast<double>(r.window),
+                 0)
+          .Field("goodput_per_sec", r.goodput, 0)
+          .Field("p99_us", static_cast<double>(r.p99) / 1e3, 1)
+          .Field("loss_fraction", r.loss_fraction, 4)
+          .Field("shed_queue", r.shed_queue)
+          .Field("shed_deadline", r.shed_deadline)
+          .Field("failed", r.failed_ops)
+          .Field("slo_met", r.slo_met)
+          .EndObject();
     }
-    std::fprintf(f, "      ],\n");
-    std::fprintf(f,
-                 "      \"capacity\": {\"scale\": %.4f, "
-                 "\"offered_per_sec\": %.0f, \"goodput_per_sec\": %.0f, "
-                 "\"p99_us\": %.1f}\n",
-                 kr.capacity.scale, kr.capacity.offered_rate,
-                 kr.capacity.result.goodput,
-                 static_cast<double>(kr.capacity.result.p99) / 1e3);
-    std::fprintf(f, "    }%s\n", k + 1 < runs.size() ? "," : "");
+    w.EndArray()
+        .Key("capacity")
+        .BeginObject(Layout::kInline)
+        .Field("scale", kr.capacity.scale, 4)
+        .Field("offered_per_sec", kr.capacity.offered_rate, 0)
+        .Field("goodput_per_sec", kr.capacity.result.goodput, 0)
+        .Field("p99_us", static_cast<double>(kr.capacity.result.p99) / 1e3, 1)
+        .EndObject()
+        .EndObject();
   }
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"chaos_under_peak\": {\n");
-  std::fprintf(f, "    \"pool\": \"cxl\",\n");
-  std::fprintf(f,
-               "    \"plan\": \"canonical chaos schedule at 2x base load: "
-               "cxl-down .20-.35, nic-down .30-.40, cxl-flaky .45-.55 "
-               "p=0.2, nic-degrade .55-.70, cxl-degrade .58-.66, "
-               "disk-stall .75-.85\",\n");
-  std::fprintf(f, "    \"lane_steps\": %llu,\n",
-               static_cast<unsigned long long>(chaos.lane_steps));
-  std::fprintf(f, "    \"goodput_per_sec\": %.0f,\n", chaos.goodput);
-  std::fprintf(f, "    \"p99_us\": %.1f,\n",
-               static_cast<double>(chaos.p99) / 1e3);
-  std::fprintf(f, "    \"shed_queue\": %llu,\n",
-               static_cast<unsigned long long>(chaos.shed_queue));
-  std::fprintf(f, "    \"shed_deadline\": %llu,\n",
-               static_cast<unsigned long long>(chaos.shed_deadline));
-  std::fprintf(f, "    \"failed\": %llu,\n",
-               static_cast<unsigned long long>(chaos.failed_ops));
-  std::fprintf(f, "    \"degraded_fetches\": %llu,\n",
-               static_cast<unsigned long long>(chaos.degraded_fetches));
-  std::fprintf(f, "    \"retries_exhausted\": %llu,\n",
-               static_cast<unsigned long long>(chaos.retries_exhausted));
-  const char* names[] = {"timeline_ok", "timeline_failed", "timeline_shed"};
-  const TimeSeries* series[] = {&chaos.ok, &chaos.failed, &chaos.shed};
-  for (int s = 0; s < 3; s++) {
-    std::fprintf(f, "    \"%s\": [", names[s]);
-    for (size_t b = 0; b < series[s]->num_buckets(); b++) {
-      std::fprintf(f, "%s%llu", b == 0 ? "" : ", ",
-                   static_cast<unsigned long long>(series[s]->bucket(b)));
-    }
-    std::fprintf(f, "]%s\n", s < 2 ? "," : "");
-  }
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.EndObject()
+      .Key("chaos_under_peak")
+      .BeginObject()
+      .Field("pool", "cxl")
+      .Field("plan",
+             "canonical chaos schedule at 2x base load: cxl-down .20-.35, "
+             "nic-down .30-.40, cxl-flaky .45-.55 p=0.2, nic-degrade "
+             ".55-.70, cxl-degrade .58-.66, disk-stall .75-.85")
+      .Field("lane_steps", chaos.lane_steps)
+      .Field("goodput_per_sec", chaos.goodput, 0)
+      .Field("p99_us", static_cast<double>(chaos.p99) / 1e3, 1)
+      .Field("shed_queue", chaos.shed_queue)
+      .Field("shed_deadline", chaos.shed_deadline)
+      .Field("failed", chaos.failed_ops)
+      .Field("degraded_fetches", chaos.degraded_fetches)
+      .Field("retries_exhausted", chaos.retries_exhausted);
+  WriteBuckets(w, "timeline_ok", chaos.ok);
+  WriteBuckets(w, "timeline_failed", chaos.failed);
+  WriteBuckets(w, "timeline_shed", chaos.shed);
+  w.EndObject();
+  w.Commit();
 }
 
 int Main() {
@@ -267,42 +243,20 @@ int Main() {
               static_cast<unsigned long long>(chaos.failed_ops),
               static_cast<unsigned long long>(chaos.degraded_fetches));
 
-  if (BenchScale() == 1.0) {
-    WriteJson(runs, chaos);
-    std::printf("wrote BENCH_slo_capacity.json\n");
-  } else {
-    std::printf(
-        "POLAR_BENCH_SCALE != 1: BENCH_slo_capacity.json not refreshed\n");
-  }
+  WriteJson(runs, chaos);
 
-  // Determinism gate: POLAR_SLO_EXPECT="<cxl>,<dram>,<rdma>,<chaos>" pins
-  // the scale-1.0 sweep point's lane_steps per pool plus the
-  // chaos-under-peak run. Open-loop schedules and the serving interleave
-  // must be bit-identical for any sweep/world thread count.
-  if (const char* expect = std::getenv("POLAR_SLO_EXPECT")) {
-    unsigned long long want[4] = {0, 0, 0, 0};
-    if (std::sscanf(expect, "%llu,%llu,%llu,%llu", &want[0], &want[1],
-                    &want[2], &want[3]) != 4) {
-      std::fprintf(stderr, "bad POLAR_SLO_EXPECT: %s\n", expect);
-      return 2;
-    }
-    const size_t base_idx = 2;  // kSweepScales[2] == 1.0
-    unsigned long long got[4] = {runs[0].sweep[base_idx].lane_steps,
-                                 runs[1].sweep[base_idx].lane_steps,
-                                 runs[2].sweep[base_idx].lane_steps,
-                                 chaos.lane_steps};
-    const char* names[4] = {"cxl", "dram", "rdma", "chaos-under-peak"};
-    for (int i = 0; i < 4; i++) {
-      if (got[i] != want[i]) {
-        std::fprintf(stderr,
-                     "slo lane_steps drift (%s): got %llu, expected %llu\n",
-                     names[i], got[i], want[i]);
-        return 1;
-      }
-    }
-    std::printf("slo lane_steps match POLAR_SLO_EXPECT (%s)\n", expect);
-  }
-  return 0;
+  // Determinism gate: the scale-1.0 sweep point's lane_steps per pool plus
+  // the chaos-under-peak run. Open-loop schedules and the serving
+  // interleave must be bit-identical for any sweep/world thread count.
+  const size_t base_idx = 2;  // kSweepScales[2] == 1.0
+  return CheckPins(
+      "slo_capacity",
+      {Pin("cxl lane_steps", runs[0].sweep[base_idx].lane_steps, pins::kSlo[0]),
+       Pin("dram lane_steps", runs[1].sweep[base_idx].lane_steps,
+           pins::kSlo[1]),
+       Pin("tiered_rdma lane_steps", runs[2].sweep[base_idx].lane_steps,
+           pins::kSlo[2]),
+       Pin("chaos-under-peak lane_steps", chaos.lane_steps, pins::kSlo[3])});
 }
 
 }  // namespace

@@ -8,8 +8,6 @@
 // bit-identical at any thread count (see harness/sweep_runner.h).
 #pragma once
 
-#include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -49,8 +47,7 @@ inline void RunPoolingFigure(const char* figure, const char* paper_summary,
   // bit-identical to the cold rep — this doubles as an in-binary
   // cold-vs-fork determinism check. The cache is scoped per point so a long
   // sweep never holds more than the in-flight points' worlds.
-  const char* reps_env = std::getenv("POLAR_BENCH_REPS");
-  const int reps = reps_env != nullptr ? std::max(1, std::atoi(reps_env)) : 1;
+  const int reps = BenchReps(1);
   const auto results =
       harness::RunSweep<harness::PoolingConfig, harness::PoolingResult>(
           configs, [reps](const harness::PoolingConfig& c) {

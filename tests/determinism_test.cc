@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "bench/pins.h"
 #include "harness/instance_driver.h"
 #include "harness/recovery_driver.h"
 #include "harness/sharing_driver.h"
@@ -43,8 +44,8 @@ TEST(DeterminismTest, PoolingRunsAreBitIdentical) {
 TEST(DeterminismTest, SharingRunsAreBitIdentical) {
   // Absolute pins beside the run-to-run equality: queries, lock waits and
   // invalidations per mode (same virtual-time purity as the lane_steps
-  // pins below; update only alongside an explanation of what changed the
-  // simulated execution).
+  // pins in bench/pins.h; update only alongside an explanation of what
+  // changed the simulated execution).
   struct Pin {
     SharingMode mode;
     uint64_t queries, lock_waits, invalidations;
@@ -139,23 +140,29 @@ TEST(DeterminismTest, SerialLoopMatchesParallelSweepAtAnyThreadCount) {
 }
 
 TEST(DeterminismTest, Fig7QuickScaleLaneStepsArePinned) {
-  // Pins the exact lane_steps of the bench_sim_throughput workload at quick
-  // scale (the POLAR_BENCH_SCALE=0.1 windows: 4 ms warmup, 12 ms measure).
-  // lane_steps is pure virtual-time output — host speed cannot move it, so
-  // any drift here is a semantic change to the simulation (RNG draw order,
-  // latency arithmetic, cache state machine, eviction order, ...). Such a
-  // change may be intentional, but it must never be an accident: update
-  // these constants (and tools/check.sh) only alongside an explanation of
-  // what changed the simulated execution.
-  PoolingConfig cxl = Fig7PoolingConfig(engine::BufferPoolKind::kCxl);
-  cxl.warmup = Millis(4);
-  cxl.measure = Millis(12);
-  EXPECT_EQ(RunPooling(cxl).lane_steps, 22105u);
+  // The bench_sim_throughput workload at the pin scale (4 ms warmup, 12 ms
+  // measure) must retire exactly the lane_steps in bench/pins.h, under the
+  // legacy serial executor and under the epoch discipline, for both pool
+  // kinds. The fabric topology subsystem must stay invisible when
+  // unconfigured, so these are also the pre-topology driver's values.
+  for (const int world_threads : {0, 2}) {
+    SCOPED_TRACE(::testing::Message() << "world_threads=" << world_threads);
+    const bench::pins::Fig7& pin = world_threads == 0
+                                       ? bench::pins::kFig7Serial
+                                       : bench::pins::kFig7Epoch;
+    PoolingConfig cxl = Fig7PoolingConfig(engine::BufferPoolKind::kCxl);
+    cxl.warmup = Millis(4);
+    cxl.measure = Millis(12);
+    cxl.world_threads = world_threads;
+    EXPECT_EQ(RunPooling(cxl).lane_steps, pin.cxl);
 
-  PoolingConfig rdma = Fig7PoolingConfig(engine::BufferPoolKind::kTieredRdma);
-  rdma.warmup = Millis(4);
-  rdma.measure = Millis(12);
-  EXPECT_EQ(RunPooling(rdma).lane_steps, 17460u);
+    PoolingConfig rdma =
+        Fig7PoolingConfig(engine::BufferPoolKind::kTieredRdma);
+    rdma.warmup = Millis(4);
+    rdma.measure = Millis(12);
+    rdma.world_threads = world_threads;
+    EXPECT_EQ(RunPooling(rdma).lane_steps, pin.tiered_rdma);
+  }
 }
 
 TEST(DeterminismTest, SeedChangesResultsButNotValidity) {

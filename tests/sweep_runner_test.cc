@@ -2,11 +2,13 @@
 // experiment owns its whole simulated world, so fanning a sweep out over
 // threads is pure wall-clock parallelism. These tests pin that contract —
 // bit-identical PoolingResults at any thread count, including with the
-// measurement windows rescaled through POLAR_BENCH_SCALE.
+// measurement windows rescaled through POLAR_BENCH_SCALE — and the bench
+// knobs and pin check of bench/bench_common.h.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -105,6 +107,67 @@ TEST(SweepRunnerTest, ScaledWindowsStayDeterministicAcrossThreadCounts) {
     SCOPED_TRACE(i);
     ExpectBitIdentical(serial[i], parallel[i]);
   }
+}
+
+TEST(BenchKnobsTest, MalformedScaleOrRepsExitsInsteadOfDefaulting) {
+  // A typo must not silently run at full scale: that rewrites the committed
+  // BENCH_*.json and skips the pin gates.
+  for (const char* bad : {"0,1", "0", "-0.1", "abc", "", "0.1x", "nan"}) {
+    SCOPED_TRACE(bad);
+    setenv("POLAR_BENCH_SCALE", bad, 1);
+    EXPECT_EXIT(bench::BenchScale(), ::testing::ExitedWithCode(2),
+                "POLAR_BENCH_SCALE");
+  }
+  setenv("POLAR_BENCH_SCALE", "0.1", 1);
+  EXPECT_EQ(bench::BenchScale(), bench::pins::kScale);
+  unsetenv("POLAR_BENCH_SCALE");
+  EXPECT_EQ(bench::BenchScale(), 1.0);
+
+  for (const char* bad : {"0", "2.5", "x", "-3"}) {
+    SCOPED_TRACE(bad);
+    setenv("POLAR_BENCH_REPS", bad, 1);
+    EXPECT_EXIT(bench::BenchReps(5), ::testing::ExitedWithCode(2),
+                "POLAR_BENCH_REPS");
+  }
+  setenv("POLAR_BENCH_REPS", "3", 1);
+  EXPECT_EQ(bench::BenchReps(5), 3);
+  unsetenv("POLAR_BENCH_REPS");
+  EXPECT_EQ(bench::BenchReps(5), 5);
+}
+
+TEST(BenchKnobsTest, CheckPinsNamesEveryDriftingValue) {
+  using bench::Ceiling;
+  using bench::Pin;
+  setenv("POLAR_BENCH_SCALE", "0.1", 1);  // the pin scale
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(
+      bench::CheckPins("unit", {Pin("steps", 5, 5), Ceiling("share", 0.5, 0.9)}),
+      0);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(out.find("unit: pins checked"), std::string::npos) << out;
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(bench::CheckPins("unit", {Pin("steps", 5, 5),
+                                      Pin("epoch steps", 6, 7),
+                                      Ceiling("share", 0.95, 0.9)}),
+            1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("epoch steps = 6, bench/pins.h pins it at 7"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("share = 0.95, bench/pins.h caps it at 0.9"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("steps = 5"), std::string::npos) << err;
+
+  // Off the pin scale nothing is compared, and the run says so.
+  setenv("POLAR_BENCH_SCALE", "1", 1);
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(bench::CheckPins("unit", {Pin("steps", 6, 7)}), 0);
+  const std::string skipped = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(skipped.find("unit: pins not checked"), std::string::npos)
+      << skipped;
+  unsetenv("POLAR_BENCH_SCALE");
 }
 
 }  // namespace
