@@ -2,7 +2,8 @@
 // Host-side kernel microbenchmarks: the SIMD intra-node search, the
 // CPU-cache-sim probe paths (memo hit, probed hit, miss/evict, batched
 // range), the buffer-pool Fetch/Unfix round-trip and B+tree get/update on
-// every pool kind, B+tree insert on the CXL pool, a bandwidth-channel
+// every pool kind, the tiered RDMA pool's miss path (remote-tier fetch and
+// dirty write-back), B+tree insert on the CXL pool, a bandwidth-channel
 // transfer and a histogram insertion. Unlike bench_sim_throughput (a whole
 // simulated workload, noisy on shared boxes), each kernel here runs in a
 // tight loop over a pinned working set, so per-kernel regressions stand out
@@ -176,6 +177,9 @@ KernelResult CacheTouchRange(uint64_t* sink) {
 // Buffer-pool Fetch/Unfix round-trip
 // ---------------------------------------------------------------------------
 
+/// Rows of the tables the miss-path and B+tree kernels run on.
+constexpr uint64_t kTreeRows = 20000;
+
 /// One simulated host with every memory backend wired up, so each pool kind
 /// gets its natural substrate (CXL region, DRAM frames, tiered RDMA).
 struct KernelWorld {
@@ -248,11 +252,43 @@ KernelResult FetchUnfix(const std::string& name, BufferPoolKind kind,
       sink);
 }
 
+/// The tiered pool's miss path. A 64-frame LBP cycles over every page of a
+/// kTreeRows table (about three times as many pages), so each Fetch misses
+/// to the remote tier and evicts the LRU frame. Every other fetch is a
+/// write fix unfixed dirty, so half the evictions write back to the remote
+/// tier.
+KernelResult FetchMissTiered(uint64_t* sink) {
+  KernelWorld world;
+  auto db = world.MakeDb(BufferPoolKind::kTieredRdma, kTreeRows,
+                         /*pool_pages=*/64);
+  bufferpool::BufferPool* pool = db->pool();
+  // Every page the load touched was populated into the remote tier, and
+  // page ids are dense from the superblock's 0.
+  const PageId pages = static_cast<PageId>(world.remote->pages_stored());
+  POLAR_CHECK(pages > 2 * pool->capacity_pages());
+  ExecContext ctx;
+  ctx.cache = db->cache();
+  PageId next = 0;
+  return TimeKernel(
+      "fetch_miss_tiered_rdma", 5000,
+      [&](uint64_t iters) {
+        uint64_t acc = 0;
+        for (uint64_t i = 0; i < iters; i++) {
+          const bool write = (i & 1) != 0;
+          auto ref = pool->Fetch(ctx, next, write);
+          POLAR_CHECK(ref.ok());
+          acc += ref->data[kPageSize / 2];
+          pool->Unfix(ctx, *ref, next, /*dirty=*/write, /*new_lsn=*/0);
+          next = next + 1 == pages ? 0 : next + 1;
+        }
+        return acc;
+      },
+      sink);
+}
+
 // ---------------------------------------------------------------------------
 // B+tree operations
 // ---------------------------------------------------------------------------
-
-constexpr uint64_t kTreeRows = 20000;
 
 /// Times `op(tree, ctx, i)` for i = 0, 1, ... on a warm B+tree of kTreeRows
 /// 64-byte rows whose pool (8192 frames: every page stays resident, so
@@ -379,6 +415,7 @@ int Main() {
         },
         &sink));
   }
+  results.push_back(FetchMissTiered(&sink));
   const std::string value(64, 'y');
   results.push_back(TreeKernel(
       "btree_insert_cxl", BufferPoolKind::kCxl,

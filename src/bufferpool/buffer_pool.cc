@@ -1,8 +1,21 @@
 #include "bufferpool/buffer_pool.h"
 
+#include <cstring>
+#include <memory>
 #include <vector>
 
 namespace polarcxl::bufferpool {
+
+uint8_t* WritableImage(PageImageRef& image) {
+  if (image.use_count() > 1) {
+    auto copy = std::make_shared_for_overwrite<PageImage>();
+    std::memcpy(copy->data(), image->data(), kPageSize);
+    image = std::move(copy);
+  }
+  // Every image is allocated non-const; the const in PageImageRef is the
+  // sharing contract, which the sole reference lifts.
+  return const_cast<uint8_t*>(image->data());
+}
 
 void LruList::PushFront(uint32_t b) {
   prev_[b] = kInvalidBlock;

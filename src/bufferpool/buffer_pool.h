@@ -107,8 +107,11 @@ class BufferPool {
   /// Upgrades an existing fix from read to write mode (re-latching). Pools
   /// that track durable lock state or distributed locks override this.
   /// Fails when the fix cannot be promoted — e.g. a degraded-mode fallback
-  /// frame held while the pool's memory tier is faulted out.
-  virtual Status UpgradeToWrite(sim::ExecContext& ctx, const PageRef& ref,
+  /// frame held while the pool's memory tier is faulted out. A pool whose
+  /// frames share page images (the RDMA tier) may move the frame to a
+  /// private copy, so `ref` is updated in place: callers must refetch
+  /// `ref.data` afterwards.
+  virtual Status UpgradeToWrite(sim::ExecContext& ctx, PageRef& ref,
                                 PageId page_id) {
     (void)ctx;
     (void)ref;
@@ -171,6 +174,12 @@ class BufferPool {
   PoolKind kind_ = PoolKind::kOther;
 };
 
+/// Copy-on-write for frames that alias shared page images (the RDMA-tier
+/// pools): a frame's bytes may be written only while the frame holds the
+/// sole reference to its image. Clones the image if anyone else (the
+/// remote tier, a world snapshot) still holds it, and returns its bytes.
+uint8_t* WritableImage(PageImageRef& image);
+
 /// CRTP adapter that locks a pool's hot-path entry points to its concrete
 /// implementations. Derived defines the non-virtual FetchImpl / UnfixImpl /
 /// TouchRangeImpl / UpgradeToWriteImpl; the virtual overrides here are
@@ -197,7 +206,7 @@ class StaticDispatchPool : public BufferPool {
                   uint32_t len, bool write) final {
     self()->TouchRangeImpl(ctx, ref, off, len, write);
   }
-  Status UpgradeToWrite(sim::ExecContext& ctx, const PageRef& ref,
+  Status UpgradeToWrite(sim::ExecContext& ctx, PageRef& ref,
                         PageId page_id) final {
     return self()->UpgradeToWriteImpl(ctx, ref, page_id);
   }

@@ -327,8 +327,8 @@ void CxlBufferPool::UnfixImpl(sim::ExecContext& ctx, const PageRef& ref,
   ChargeMeta(ctx, b, /*write=*/true);
 }
 
-Status CxlBufferPool::UpgradeToWriteImpl(sim::ExecContext& ctx,
-                                         const PageRef& ref, PageId page_id) {
+Status CxlBufferPool::UpgradeToWriteImpl(sim::ExecContext& ctx, PageRef& ref,
+                                         PageId page_id) {
   (void)page_id;
   if (ref.block >= num_blocks()) {
     // A degraded read fix cannot be promoted: writes need the real frame.

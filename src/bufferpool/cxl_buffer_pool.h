@@ -80,7 +80,7 @@ class CxlBufferPool final : public StaticDispatchPool<CxlBufferPool> {
                             bool for_write);
   void UnfixImpl(sim::ExecContext& ctx, const PageRef& ref, PageId page_id,
                  bool dirty, Lsn new_lsn);
-  Status UpgradeToWriteImpl(sim::ExecContext& ctx, const PageRef& ref,
+  Status UpgradeToWriteImpl(sim::ExecContext& ctx, PageRef& ref,
                             PageId page_id);
   void TouchRangeImpl(sim::ExecContext& ctx, const PageRef& ref, uint32_t off,
                       uint32_t len, bool write);

@@ -36,7 +36,7 @@ class DramBufferPool final : public StaticDispatchPool<DramBufferPool> {
                  bool dirty, Lsn new_lsn);
   void TouchRangeImpl(sim::ExecContext& ctx, const PageRef& ref, uint32_t off,
                       uint32_t len, bool write);
-  Status UpgradeToWriteImpl(sim::ExecContext& ctx, const PageRef& ref,
+  Status UpgradeToWriteImpl(sim::ExecContext& ctx, PageRef& ref,
                             PageId page_id) {
     (void)ctx;
     (void)ref;

@@ -1,6 +1,7 @@
 #include "bufferpool/tiered_rdma_buffer_pool.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace polarcxl::bufferpool {
 
@@ -13,7 +14,7 @@ TieredRdmaBufferPool::TieredRdmaBufferPool(Options options,
       dram_(dram),
       remote_(remote),
       store_(store),
-      frames_(opt_.lbp_capacity_pages * kPageSize),
+      images_(opt_.lbp_capacity_pages),
       meta_(opt_.lbp_capacity_pages),
       lru_(static_cast<uint32_t>(opt_.lbp_capacity_pages)),
       page_table_(static_cast<uint32_t>(opt_.lbp_capacity_pages)) {
@@ -35,15 +36,17 @@ bool TieredRdmaBufferPool::ConsumeRetryBudget(Nanos backoff) {
   return true;
 }
 
-Status TieredRdmaBufferPool::RemoteReadRetry(sim::ExecContext& ctx,
-                                             PageId page_id, void* dst) {
+Result<PageImageRef> TieredRdmaBufferPool::RemoteReadRetry(
+    sim::ExecContext& ctx, PageId page_id) {
   Nanos backoff = kVerbsBackoffBase;
   for (int attempt = 1;; attempt++) {
-    Status s = remote_->ReadPage(ctx, opt_.node, opt_.tenant, page_id, dst);
-    if (s.ok()) {
+    Result<PageImageRef> r =
+        remote_->ReadPage(ctx, opt_.node, opt_.tenant, page_id);
+    if (r.ok()) {
       retry_budget_left_ = opt_.retry_budget;  // healthy NIC refills budget
-      return s;
+      return r;
     }
+    const Status& s = r.status();
     if (!s.IsIOError() || attempt == kVerbsAttempts) return s;
     if (!ConsumeRetryBudget(backoff)) {
       return Status::Unavailable("verbs retry budget exhausted");
@@ -57,11 +60,11 @@ Status TieredRdmaBufferPool::RemoteReadRetry(sim::ExecContext& ctx,
 
 Status TieredRdmaBufferPool::RemoteWriteRetry(sim::ExecContext& ctx,
                                               PageId page_id,
-                                              const void* data) {
+                                              const PageImageRef& image) {
   Nanos backoff = kVerbsBackoffBase;
   for (int attempt = 1;; attempt++) {
     Status s =
-        remote_->WritePage(ctx, opt_.node, opt_.tenant, page_id, data);
+        remote_->WritePage(ctx, opt_.node, opt_.tenant, page_id, image);
     if (s.ok()) {
       retry_budget_left_ = opt_.retry_budget;
       return s;
@@ -88,10 +91,16 @@ uint32_t TieredRdmaBufferPool::AllocBlock(sim::ExecContext& ctx) {
     if (m.fix_count > 0) continue;
     if (m.dirty) {
       // Write-back is a full-page RDMA WRITE even if one row changed:
-      // the write amplification of tiered designs.
+      // the write amplification of tiered designs. The remote tier takes
+      // the frame's image itself.
       dram_->Stream(ctx, FrameAddr(b), kPageSize, /*write=*/false);
       EnsureWalDurable(ctx, FrameData(b));
-      const Status s = RemoteWriteRetry(ctx, m.page_id, FrameData(b));
+      // A dirty frame was cloned at write-fix time, so it cannot be the
+      // image the remote tier holds (it may still share it with a world
+      // snapshot, which is fine: nothing writes it from here on).
+      POLAR_CHECK_MSG(remote_->Peek(opt_.tenant, m.page_id) != images_[b],
+                      "dirty LBP frame aliases the remote tier's image");
+      const Status s = RemoteWriteRetry(ctx, m.page_id, images_[b]);
       if (!s.ok()) {
         // Remote pool full or NIC still down after retries: fall back to
         // storage so the dirty page is never lost.
@@ -101,6 +110,7 @@ uint32_t TieredRdmaBufferPool::AllocBlock(sim::ExecContext& ctx) {
     }
     lru_.Remove(b);
     page_table_.Erase(m.page_id);
+    images_[b].reset();
     m = BlockMeta{};
     stats_.evictions++;
     return b;
@@ -110,7 +120,6 @@ uint32_t TieredRdmaBufferPool::AllocBlock(sim::ExecContext& ctx) {
 
 Result<PageRef> TieredRdmaBufferPool::FetchImpl(sim::ExecContext& ctx,
                                             PageId page_id, bool for_write) {
-  (void)for_write;
   stats_.fetches++;
   const uint32_t found = page_table_.Find(page_id);
   if (found != PageMap::kNotFound) {
@@ -118,27 +127,34 @@ Result<PageRef> TieredRdmaBufferPool::FetchImpl(sim::ExecContext& ctx,
     const uint32_t b = found;
     meta_[b].fix_count++;
     lru_.MoveToFront(b);
-    return PageRef{b, FrameData(b), dram_, FrameAddr(b)};
+    uint8_t* data = for_write ? WritableImage(images_[b]) : FrameData(b);
+    return PageRef{b, data, dram_, FrameAddr(b)};
   }
 
   stats_.misses++;
   const uint32_t b = AllocBlock(ctx);
   if (b == kInvalidBlock) return Status::Busy("all LBP frames fixed");
 
-  // Miss path: remote memory first (full 16 KB RDMA READ), then storage.
-  Status s = RemoteReadRetry(ctx, page_id, FrameData(b));
+  // Miss path: remote memory first (full 16 KB RDMA READ; the frame then
+  // aliases the remote image), then storage into a fresh image.
+  Result<PageImageRef> remote = RemoteReadRetry(ctx, page_id);
+  const Status& s = remote.status();
   if (s.ok()) {
     remote_hits_++;
-  } else if (s.IsIOError() || s.IsUnavailable()) {
-    // NIC still down after the per-op retries — or the total retry budget
-    // is spent: serve from storage and skip the remote populate (it would
-    // only burn more retries).
-    stats_.degraded_fetches++;
-    store_->ReadPage(ctx, page_id, FrameData(b));
+    images_[b] = std::move(*remote);
   } else {
-    store_->ReadPage(ctx, page_id, FrameData(b));
-    // Populate the remote tier so the next crash/miss finds it there.
-    RemoteWriteRetry(ctx, page_id, FrameData(b)).ok();
+    auto fresh = std::make_shared_for_overwrite<PageImage>();
+    store_->ReadPage(ctx, page_id, fresh->data());
+    images_[b] = std::move(fresh);
+    if (s.IsIOError() || s.IsUnavailable()) {
+      // NIC still down after the per-op retries — or the total retry
+      // budget is spent: serve from storage and skip the remote populate
+      // (it would only burn more retries).
+      stats_.degraded_fetches++;
+    } else {
+      // Populate the remote tier so the next crash/miss finds it there.
+      RemoteWriteRetry(ctx, page_id, images_[b]).ok();
+    }
   }
   dram_->Stream(ctx, FrameAddr(b), kPageSize, /*write=*/true);
 
@@ -149,7 +165,8 @@ Result<PageRef> TieredRdmaBufferPool::FetchImpl(sim::ExecContext& ctx,
   m.fix_count = 1;
   page_table_.Put(page_id, b);
   lru_.PushFront(b);
-  return PageRef{b, FrameData(b), dram_, FrameAddr(b)};
+  uint8_t* data = for_write ? WritableImage(images_[b]) : FrameData(b);
+  return PageRef{b, data, dram_, FrameAddr(b)};
 }
 
 void TieredRdmaBufferPool::UnfixImpl(sim::ExecContext& ctx, const PageRef& ref,
@@ -160,6 +177,11 @@ void TieredRdmaBufferPool::UnfixImpl(sim::ExecContext& ctx, const PageRef& ref,
   POLAR_CHECK(m.fix_count > 0);
   m.fix_count--;
   if (dirty) {
+    // Only a write fix may dirty a frame, and it made the frame the sole
+    // holder of its image. A shared image here was written through a read
+    // fix, which changed the remote tier's copy and every snapshot's too.
+    POLAR_CHECK_MSG(images_[ref.block].use_count() == 1,
+                    "dirty unfix of an LBP frame whose image is shared");
     m.dirty = true;
     if (new_lsn > m.lsn) m.lsn = new_lsn;
   }
@@ -178,9 +200,10 @@ void TieredRdmaBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
       dram_->Stream(ctx, FrameAddr(b), kPageSize, /*write=*/false);
       EnsureWalDurable(ctx, FrameData(b));
       store_->WritePage(ctx, m.page_id, FrameData(b));
-      // Keep the remote tier coherent with the checkpoint. Storage already
-      // holds the page, so giving up after the retry budget is safe.
-      RemoteWriteRetry(ctx, m.page_id, FrameData(b)).ok();
+      // Keep the remote tier coherent with the checkpoint (by reference:
+      // the frame's next write fix clones). Storage already holds the
+      // page, so giving up after the retry budget is safe.
+      RemoteWriteRetry(ctx, m.page_id, images_[b]).ok();
       m.dirty = false;
     }
   }
@@ -190,10 +213,12 @@ bool TieredRdmaBufferPool::Cached(PageId page_id) const {
   return page_table_.Contains(page_id);
 }
 
-/// Deep copy of the LBP (the remote tier snapshots itself via
-/// RemoteMemoryPool::Capture).
+/// The LBP's state. Frames are captured as image handles, not bytes: a
+/// frame written after the capture clones first, so the snapshot's images
+/// never change. (The remote tier snapshots itself via
+/// RemoteMemoryPool::Capture.)
 struct TieredPoolSnapshot : PoolSnapshot {
-  std::vector<uint8_t> frames;
+  std::vector<PageImageRef> images;
   std::vector<TieredRdmaBufferPool::BlockMeta> meta;
   std::vector<uint32_t> free_list;
   LruList lru{0};
@@ -205,7 +230,7 @@ struct TieredPoolSnapshot : PoolSnapshot {
 
 std::unique_ptr<PoolSnapshot> TieredRdmaBufferPool::CaptureState() const {
   auto s = std::make_unique<TieredPoolSnapshot>();
-  s->frames = frames_;
+  s->images = images_;
   s->meta = meta_;
   s->free_list = free_list_;
   s->lru = lru_;
@@ -218,8 +243,8 @@ std::unique_ptr<PoolSnapshot> TieredRdmaBufferPool::CaptureState() const {
 
 void TieredRdmaBufferPool::RestoreState(const PoolSnapshot& base) {
   const auto& s = static_cast<const TieredPoolSnapshot&>(base);
-  POLAR_CHECK(s.frames.size() == frames_.size());
-  frames_ = s.frames;
+  POLAR_CHECK(s.images.size() == images_.size());
+  images_ = s.images;
   meta_ = s.meta;
   free_list_ = s.free_list;
   lru_ = s.lru;

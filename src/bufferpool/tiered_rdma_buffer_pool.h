@@ -4,6 +4,17 @@
 // pool. Data moves between tiers at whole-page granularity — the source of
 // the read/write amplification the paper measures — and everything local is
 // lost on a crash, while the remote pool survives.
+//
+// Every transfer is charged in full (NIC verbs op, DRAM stream), but the
+// host moves no bytes: an LBP frame holds a handle to an immutable page
+// image, which it shares with the remote tier after a remote hit, a
+// populate or a write-back. A frame clones its image only when it is fixed
+// for write while someone else still holds the image (WritableImage), so
+// the one copy left costs once per write fix, never per access. The
+// clone's `use_count() > 1` test is race-free: images are keyed by tenant,
+// and under epoch-parallel execution only the shard thread that owns this
+// instance takes or drops references to them (snapshots capture and
+// restore between epochs).
 #pragma once
 
 #include <cstdint>
@@ -49,11 +60,13 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
                  bool dirty, Lsn new_lsn);
   void TouchRangeImpl(sim::ExecContext& ctx, const PageRef& ref, uint32_t off,
                       uint32_t len, bool write);
-  Status UpgradeToWriteImpl(sim::ExecContext& ctx, const PageRef& ref,
+  /// Moves the frame to a private image if it is shared (see the class
+  /// comment) and points `ref` at it.
+  Status UpgradeToWriteImpl(sim::ExecContext& ctx, PageRef& ref,
                             PageId page_id) {
     (void)ctx;
-    (void)ref;
     (void)page_id;
+    ref.data = WritableImage(images_[ref.block]);
     return Status::OK();
   }
   void FlushDirtyPages(sim::ExecContext& ctx) override;
@@ -86,9 +99,9 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
   /// OutOfMemory are semantic outcomes and return immediately. With a
   /// finite Options::retry_budget, a backoff that would overdraw the
   /// remaining budget is skipped and the op returns Status::Unavailable.
-  Status RemoteReadRetry(sim::ExecContext& ctx, PageId page_id, void* dst);
+  Result<PageImageRef> RemoteReadRetry(sim::ExecContext& ctx, PageId page_id);
   Status RemoteWriteRetry(sim::ExecContext& ctx, PageId page_id,
-                          const void* data);
+                          const PageImageRef& image);
   /// True (and budget consumed) if the retry loop may back off another
   /// `backoff` ns; false once the budget is spent.
   bool ConsumeRetryBudget(Nanos backoff);
@@ -100,8 +113,10 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
     Lsn lsn = 0;
   };
 
+  /// The frame's bytes. Writable only through a write fix, which made the
+  /// frame the image's sole holder.
   uint8_t* FrameData(uint32_t block) {
-    return frames_.data() + static_cast<size_t>(block) * kPageSize;
+    return const_cast<uint8_t*>(images_[block]->data());
   }
   uint64_t FrameAddr(uint32_t block) const {
     return opt_.phys_base + static_cast<uint64_t>(block) * kPageSize;
@@ -112,7 +127,7 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
   sim::MemorySpace* dram_;
   rdma::RemoteMemoryPool* remote_;
   storage::PageStore* store_;
-  std::vector<uint8_t> frames_;
+  std::vector<PageImageRef> images_;  // per block; null while free
   std::vector<BlockMeta> meta_;
   std::vector<uint32_t> free_list_;
   LruList lru_;

@@ -2,7 +2,9 @@
 // Fundamental scalar types used across the simulator and the engine.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 
 namespace polarcxl {
 
@@ -28,6 +30,15 @@ constexpr Lsn kInvalidLsn = UINT64_MAX;
 /// Size of a database page. PolarDB (InnoDB lineage) uses 16 KB pages; the
 /// paper's read/write-amplification arguments are all phrased against this.
 constexpr uint32_t kPageSize = 16 * 1024;
+
+/// One page's bytes, as the page store and the RDMA tier hold them.
+using PageImage = std::array<uint8_t, kPageSize>;
+
+/// Shared handle to an immutable page image. The page store, the remote
+/// memory pool, world snapshots and the RDMA-tier buffer pools' frames pass
+/// these around instead of copying 16 KB; a holder that must change the
+/// bytes first makes sure it holds the only reference (copy-on-write).
+using PageImageRef = std::shared_ptr<const PageImage>;
 
 /// CPU cache line size; the granularity of CXL load/store and of the
 /// cache-coherency protocol in Section 3.3.

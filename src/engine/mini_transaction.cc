@@ -72,6 +72,8 @@ Result<MiniTransaction::Handle*> MiniTransaction::GetPage(PageId page_id,
   });
   if (found != nullptr) {
     if (for_write && !found->write_fixed) {
+      // Updates found->ref in place: the RDMA tier moves the frame to a
+      // private copy of a shared page image.
       POLAR_RETURN_IF_ERROR(UpgradeToWriteFast(found->ref, page_id));
       found->write_fixed = true;
     }

@@ -213,7 +213,7 @@ class MiniTransaction {
     pool_->Unfix(ctx_, ref, page_id, dirty, new_lsn);
   }
 
-  Status UpgradeToWriteFast(const bufferpool::PageRef& ref, PageId page_id) {
+  Status UpgradeToWriteFast(bufferpool::PageRef& ref, PageId page_id) {
     switch (pool_->kind()) {
       case bufferpool::PoolKind::kCxl:
         return static_cast<bufferpool::CxlBufferPool*>(pool_)

@@ -288,10 +288,12 @@ uint64_t SimWorld::WindowAdvances() const {
 /// Everything mutable in the simulated world outside the CXL devices,
 /// captured by value. The device bytes are not in here: each device keeps
 /// its own copy-on-write image (CxlFabric::CaptureDeviceImages), which the
-/// MMU copies a page at a time as the run writes. The page-store and
-/// remote-pool page maps are shared_ptr snapshots (CoW: WritePage clones a
-/// page only while a snapshot still references it), the rest is
-/// deep-copied — pool frames, page tables, LRU lists, cache-sim arrays and
+/// MMU copies a page at a time as the run writes. Page images are shared,
+/// not copied: the page-store and remote-pool page maps and the tiered
+/// pool's LBP frames are vectors or maps of PageImageRef handles, and
+/// whoever writes a page afterwards replaces or clones its image rather
+/// than mutating one a snapshot still references. The rest is deep-copied
+/// — DRAM pool frames, page tables, LRU lists, cache-sim arrays and
 /// channel ledgers.
 struct SimWorld::Snapshot {
   sim::Executor::State executor;

@@ -1,6 +1,7 @@
 #include "rdma/remote_memory_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace polarcxl::rdma {
 
@@ -18,9 +19,9 @@ RemoteMemoryPool::RemoteMemoryPool(RdmaNetwork* network, NodeId server_node,
 
 Status RemoteMemoryPool::WritePage(sim::ExecContext& ctx, NodeId client,
                                    NodeId tenant, PageId page_id,
-                                   const void* data) {
+                                   PageImageRef image) {
   POLAR_RETURN_IF_ERROR(network_->Precheck(ctx, client, server_node_));
-  std::shared_ptr<PageImage> image;
+  PageImageRef old;  // released outside the lock
   {
     std::lock_guard<std::mutex> lk(mu_);
     const PoolPageKey key{tenant, page_id};
@@ -29,33 +30,31 @@ Status RemoteMemoryPool::WritePage(sim::ExecContext& ctx, NodeId client,
       if (pages_.size() >= capacity_pages_) {
         return Status::OutOfMemory("remote memory pool full");
       }
-      it = pages_.emplace(key, std::make_shared<PageImage>()).first;
-    } else if (it->second.use_count() > 1) {
-      // Copy-on-write: a world snapshot (or a concurrent reader) still
-      // aliases this image. The whole page is overwritten below, so a
-      // fresh allocation suffices.
-      it->second = std::make_shared<PageImage>();
+      pages_.emplace(key, std::move(image));
+    } else {
+      // The old image stays intact for whoever still holds it (a snapshot,
+      // a client frame).
+      old = std::exchange(it->second, std::move(image));
     }
-    image = std::const_pointer_cast<PageImage>(it->second);
   }
   network_->Write(ctx, client, server_node_, kPageSize);
-  std::memcpy(image->data(), data, kPageSize);
   return Status::OK();
 }
 
-Status RemoteMemoryPool::ReadPage(sim::ExecContext& ctx, NodeId client,
-                                  NodeId tenant, PageId page_id, void* dst) {
+Result<PageImageRef> RemoteMemoryPool::ReadPage(sim::ExecContext& ctx,
+                                                NodeId client, NodeId tenant,
+                                                PageId page_id) {
   POLAR_RETURN_IF_ERROR(network_->Precheck(ctx, client, server_node_));
-  std::shared_ptr<const PageImage> image;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = pages_.find(PoolPageKey{tenant, page_id});
-    if (it == pages_.end()) return Status::NotFound("page not in pool");
-    image = it->second;
-  }
+  PageImageRef image = Peek(tenant, page_id);
+  if (image == nullptr) return Status::NotFound("page not in pool");
   network_->Read(ctx, client, server_node_, kPageSize);
-  std::memcpy(dst, image->data(), kPageSize);
-  return Status::OK();
+  return image;
+}
+
+PageImageRef RemoteMemoryPool::Peek(NodeId tenant, PageId page_id) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = pages_.find(PoolPageKey{tenant, page_id});
+  return it == pages_.end() ? nullptr : it->second;
 }
 
 void RemoteMemoryPool::Drop(NodeId tenant, PageId page_id) {

@@ -3,12 +3,16 @@
 // (LegoBase / PolarDB Serverless-style) baseline. Pages are transferred at
 // whole-page granularity — the source of the paper's read/write
 // amplification. The pool's contents survive a database host crash.
+//
+// The transfer is simulated, not performed: every ReadPage/WritePage
+// charges a full 16 KB verbs op on the NICs, but the bytes move by
+// reference. The pool stores immutable page images (PageImageRef); a read
+// hands the caller the stored handle and a write stores the caller's, so
+// the client's buffer-pool frame and the pool alias one image until the
+// client clones it to write (see TieredRdmaBufferPool).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -43,13 +47,20 @@ class RemoteMemoryPool {
                    uint64_t capacity_pages);
   POLAR_DISALLOW_COPY(RemoteMemoryPool);
 
-  /// RDMA-writes a full page image from `client`'s DRAM into the pool.
+  /// RDMA-writes a full page image from `client`'s DRAM into the pool,
+  /// which keeps `image` itself: the caller must not modify it afterwards.
+  /// IOError if the verbs op cannot be posted, OutOfMemory if the page is
+  /// new and the pool is full.
   Status WritePage(sim::ExecContext& ctx, NodeId client, NodeId tenant,
-                   PageId page_id, const void* data);
+                   PageId page_id, PageImageRef image);
 
-  /// RDMA-reads a full page image into `dst`. NotFound if absent.
-  Status ReadPage(sim::ExecContext& ctx, NodeId client, NodeId tenant,
-                  PageId page_id, void* dst);
+  /// RDMA-reads a full page image: returns the stored image itself.
+  /// IOError if the verbs op cannot be posted, NotFound if absent.
+  Result<PageImageRef> ReadPage(sim::ExecContext& ctx, NodeId client,
+                                NodeId tenant, PageId page_id);
+
+  /// The stored image, or null if absent. Uncharged (checks and tests).
+  PageImageRef Peek(NodeId tenant, PageId page_id) const;
 
   /// Drops a page (tenant shrink / invalidation). No network charge.
   void Drop(NodeId tenant, PageId page_id);
@@ -65,13 +76,11 @@ class RemoteMemoryPool {
   NodeId server_node() const { return server_node_; }
   RdmaNetwork* network() { return network_; }
 
-  /// Copy-on-write snapshot of the stored pages: Capture aliases the page
-  /// payloads; WritePage clones a shared payload before overwriting it.
+  /// Snapshot of the stored pages: Capture copies the map of image
+  /// handles. Stored images are never modified, so the snapshot shares
+  /// them with the live pool and with client frames.
   struct State {
-    std::unordered_map<PoolPageKey,
-                       std::shared_ptr<const std::array<uint8_t, kPageSize>>,
-                       PoolPageKeyHash>
-        pages;
+    std::unordered_map<PoolPageKey, PageImageRef, PoolPageKeyHash> pages;
   };
   State Capture() const {
     std::lock_guard<std::mutex> lk(mu_);
@@ -83,20 +92,17 @@ class RemoteMemoryPool {
   }
 
  private:
-  using PageImage = std::array<uint8_t, kPageSize>;
-
   RdmaNetwork* network_;
   NodeId server_node_;
   uint64_t capacity_pages_;
   // Guards the page table: under epoch-parallel execution instance shards
   // fetch/evict pool pages concurrently. Page *timing* stays deterministic
   // (it flows through the deferred NIC channels); the lock only keeps the
-  // hash map itself coherent, and the CoW payloads make a read safe against
-  // a concurrent overwrite of a different key.
+  // hash map itself coherent. Images are keyed by tenant, and a tenant is
+  // one instance stepped by one shard thread, so only that thread ever
+  // takes or drops a reference to one of its images between barriers.
   mutable std::mutex mu_;
-  std::unordered_map<PoolPageKey, std::shared_ptr<const PageImage>,
-                     PoolPageKeyHash>
-      pages_;
+  std::unordered_map<PoolPageKey, PageImageRef, PoolPageKeyHash> pages_;
 };
 
 }  // namespace polarcxl::rdma

@@ -73,7 +73,7 @@ Result<bufferpool::PageRef> CxlSharedBufferPool::Fetch(sim::ExecContext& ctx,
 }
 
 Status CxlSharedBufferPool::UpgradeToWrite(sim::ExecContext& ctx,
-                                           const bufferpool::PageRef& ref,
+                                           bufferpool::PageRef& ref,
                                            PageId page_id) {
   (void)ref;
   auto it = local_.find(page_id);

@@ -46,8 +46,7 @@ class CxlSharedBufferPool final : public bufferpool::BufferPool {
                                     bool for_write) override;
   void Unfix(sim::ExecContext& ctx, const bufferpool::PageRef& ref,
              PageId page_id, bool dirty, Lsn new_lsn) override;
-  Status UpgradeToWrite(sim::ExecContext& ctx,
-                        const bufferpool::PageRef& ref,
+  Status UpgradeToWrite(sim::ExecContext& ctx, bufferpool::PageRef& ref,
                         PageId page_id) override;
   void TouchRange(sim::ExecContext& ctx, const bufferpool::PageRef& ref,
                   uint32_t off, uint32_t len, bool write) override;

@@ -1,5 +1,8 @@
 #include "sharing/rdma_sharing.h"
 
+#include <memory>
+#include <utility>
+
 namespace polarcxl::sharing {
 
 RdmaSharingGroup::RdmaSharingGroup(rdma::RdmaNetwork* net, NodeId server_node,
@@ -32,7 +35,7 @@ RdmaSharedBufferPool::RdmaSharedBufferPool(Options options,
     : opt_(options),
       dram_(dram),
       group_(group),
-      frames_(opt_.lbp_capacity_pages * kPageSize),
+      images_(opt_.lbp_capacity_pages),
       meta_(opt_.lbp_capacity_pages),
       lru_(static_cast<uint32_t>(opt_.lbp_capacity_pages)) {
   free_list_.reserve(opt_.lbp_capacity_pages);
@@ -59,6 +62,7 @@ uint32_t RdmaSharedBufferPool::AllocBlock(sim::ExecContext& ctx) {
     group_->RemoveCacher(m.page_id, opt_.node);
     lru_.Remove(b);
     page_table_.erase(m.page_id);
+    images_[b].reset();
     m = BlockMeta{};
     stats_.evictions++;
     return b;
@@ -84,7 +88,9 @@ Result<bufferpool::PageRef> RdmaSharedBufferPool::Fetch(sim::ExecContext& ctx,
     if (for_write) meta_[b].write_fixes++;
     else meta_[b].read_fixes++;
     lru_.MoveToFront(b);
-    return bufferpool::PageRef{b, FrameData(b), dram_, FrameAddr(b)};
+    uint8_t* data =
+        for_write ? bufferpool::WritableImage(images_[b]) : FrameData(b);
+    return bufferpool::PageRef{b, data, dram_, FrameAddr(b)};
   }
 
   stats_.misses++;
@@ -92,15 +98,19 @@ Result<bufferpool::PageRef> RdmaSharedBufferPool::Fetch(sim::ExecContext& ctx,
   if (b == bufferpool::kInvalidBlock) {
     return Status::Busy("all LBP frames fixed");
   }
-  // Full-page RDMA READ from the DBP (or storage on first touch).
-  Status s = group_->dbp().ReadPage(ctx, opt_.node,
-                                    RdmaSharingGroup::kSharedTenant, page_id,
-                                    FrameData(b));
-  if (!s.ok()) {
-    group_->store()->ReadPage(ctx, page_id, FrameData(b));
+  // Full-page RDMA READ from the DBP (the frame aliases the DBP image), or
+  // storage on first touch, which populates the DBP with the fresh image.
+  Result<PageImageRef> dbp = group_->dbp().ReadPage(
+      ctx, opt_.node, RdmaSharingGroup::kSharedTenant, page_id);
+  if (dbp.ok()) {
+    images_[b] = std::move(*dbp);
+  } else {
+    auto fresh = std::make_shared_for_overwrite<PageImage>();
+    group_->store()->ReadPage(ctx, page_id, fresh->data());
+    images_[b] = std::move(fresh);
     group_->dbp()
         .WritePage(ctx, opt_.node, RdmaSharingGroup::kSharedTenant, page_id,
-                   FrameData(b))
+                   images_[b])
         .ok();
   }
   dram_->Stream(ctx, FrameAddr(b), kPageSize, /*write=*/true);
@@ -113,17 +123,20 @@ Result<bufferpool::PageRef> RdmaSharedBufferPool::Fetch(sim::ExecContext& ctx,
   else m.read_fixes = 1;
   page_table_[page_id] = b;
   lru_.PushFront(b);
-  return bufferpool::PageRef{b, FrameData(b), dram_, FrameAddr(b)};
+  uint8_t* data =
+      for_write ? bufferpool::WritableImage(images_[b]) : FrameData(b);
+  return bufferpool::PageRef{b, data, dram_, FrameAddr(b)};
 }
 
 Status RdmaSharedBufferPool::UpgradeToWrite(sim::ExecContext& ctx,
-                                            const bufferpool::PageRef& ref,
+                                            bufferpool::PageRef& ref,
                                             PageId page_id) {
   group_->locks().AcquireExclusive(ctx, opt_.node, page_id);
   BlockMeta& m = meta_[ref.block];
   POLAR_CHECK(m.read_fixes > 0);
   m.read_fixes--;
   m.write_fixes++;
+  ref.data = bufferpool::WritableImage(images_[ref.block]);
   return Status::OK();
 }
 
@@ -136,13 +149,18 @@ void RdmaSharedBufferPool::Unfix(sim::ExecContext& ctx,
     m.write_fixes--;
     if (dirty) m.dirty = true;
     if (m.dirty) {
+      // The write fix made this frame its image's sole holder; a shared
+      // image was written through a read fix, behind the DBP's back.
+      POLAR_CHECK_MSG(images_[ref.block].use_count() == 1,
+                      "dirty write unlock of a frame whose image is shared");
       // Flush the WHOLE page to the DBP before the lock can move on — even
       // a 1-byte change ships 16 KB (write amplification), and the lock
-      // release is delayed by the transfer.
+      // release is delayed by the transfer. The DBP takes the frame's
+      // image itself; the next write fix here clones it.
       dram_->Stream(ctx, FrameAddr(ref.block), kPageSize, /*write=*/false);
       group_->dbp()
           .WritePage(ctx, opt_.node, RdmaSharingGroup::kSharedTenant,
-                     page_id, FrameData(ref.block))
+                     page_id, images_[ref.block])
           .ok();
       group_->InvalidateOthers(ctx, opt_.node, page_id);
       m.dirty = false;
@@ -175,6 +193,7 @@ void RdmaSharedBufferPool::DropInvalidated(PageId page_id) {
   POLAR_CHECK(m.read_fixes + m.write_fixes == 0);
   lru_.Remove(it->second);
   free_list_.push_back(it->second);
+  images_[it->second].reset();
   m = BlockMeta{};
   page_table_.erase(it);
   invalidations_received_++;

@@ -4,6 +4,13 @@
 // RDMA-attached remote memory. Releasing a write lock flushes the WHOLE
 // 16 KB page to the DBP (write amplification) and sends invalidation
 // messages over RDMA to every node caching the page.
+//
+// As in the tiered pool, transfers are charged in full but move page
+// images by reference: a node's frame aliases the DBP image it read, a
+// write unlock hands the DBP the frame's image, and a write fix clones the
+// image first if anyone else still holds it (bufferpool::WritableImage).
+// The sharing driver steps every node on one thread, so the clone's
+// reference-count test never races.
 #pragma once
 
 #include <cstdint>
@@ -82,8 +89,7 @@ class RdmaSharedBufferPool final : public bufferpool::BufferPool {
                                     bool for_write) override;
   void Unfix(sim::ExecContext& ctx, const bufferpool::PageRef& ref,
              PageId page_id, bool dirty, Lsn new_lsn) override;
-  Status UpgradeToWrite(sim::ExecContext& ctx,
-                        const bufferpool::PageRef& ref,
+  Status UpgradeToWrite(sim::ExecContext& ctx, bufferpool::PageRef& ref,
                         PageId page_id) override;
   void TouchRange(sim::ExecContext& ctx, const bufferpool::PageRef& ref,
                   uint32_t off, uint32_t len, bool write) override;
@@ -115,8 +121,9 @@ class RdmaSharedBufferPool final : public bufferpool::BufferPool {
     uint32_t write_fixes = 0;
   };
 
+  /// The frame's bytes; writable only through a write fix.
   uint8_t* FrameData(uint32_t block) {
-    return frames_.data() + static_cast<size_t>(block) * kPageSize;
+    return const_cast<uint8_t*>(images_[block]->data());
   }
   uint64_t FrameAddr(uint32_t block) const {
     return opt_.phys_base + static_cast<uint64_t>(block) * kPageSize;
@@ -126,7 +133,7 @@ class RdmaSharedBufferPool final : public bufferpool::BufferPool {
   Options opt_;
   sim::MemorySpace* dram_;
   RdmaSharingGroup* group_;
-  std::vector<uint8_t> frames_;
+  std::vector<PageImageRef> images_;  // per block; null while free
   std::vector<BlockMeta> meta_;
   std::vector<uint32_t> free_list_;
   bufferpool::LruList lru_;

@@ -19,13 +19,13 @@ void PageStore::WritePage(sim::ExecContext& ctx, PageId page_id,
   disk_->Write(ctx, kPageSize);
   ctx.pages_written_io++;
   if (page_id >= pages_.size()) pages_.resize(page_id + 1);
-  std::shared_ptr<const PageImage>& slot = pages_[page_id];
+  PageImageRef& slot = pages_[page_id];
   if (slot == nullptr) num_pages_++;
   // Copy-on-write: if a snapshot still shares this image, swap in a fresh
   // allocation instead of mutating it. The whole page is overwritten, so
-  // the old contents never need copying.
+  // the old contents never need copying and the new image is not zeroed.
   if (slot == nullptr || slot.use_count() > 1) {
-    slot = std::make_shared<PageImage>();
+    slot = std::make_shared_for_overwrite<PageImage>();
   }
   std::memcpy(const_cast<uint8_t*>(slot->data()), src, kPageSize);
 }

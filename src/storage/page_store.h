@@ -4,9 +4,7 @@
 // freshly formatted zero pages.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/macros.h"
@@ -42,7 +40,7 @@ class PageStore {
   /// replaces a shared slot with a fresh allocation instead of mutating it,
   /// so captured images stay frozen.
   struct State {
-    std::vector<std::shared_ptr<const std::array<uint8_t, kPageSize>>> pages;
+    std::vector<PageImageRef> pages;
     uint64_t num_pages = 0;
   };
   State Capture() const { return State{pages_, num_pages_}; }
@@ -52,19 +50,17 @@ class PageStore {
   }
 
  private:
-  using PageImage = std::array<uint8_t, kPageSize>;
-
   SimDisk* disk_;
   // Direct-indexed by PageId: ids are bump-allocated from the superblock
   // counter, so the id space is dense and a flat vector beats a hash table
   // on every checkpoint/recovery access (no hashing, no rehash growth).
   // Holes (never-written ids) cost one null pointer each.
   //
-  // Payloads are shared_ptr<const ...> so a world snapshot can alias them
-  // (see State); a slot whose payload a snapshot still references is
-  // replaced wholesale on write, never mutated through the const_cast-free
-  // path below.
-  std::vector<std::shared_ptr<const PageImage>> pages_;
+  // Payloads are immutable handles so a world snapshot can alias them (see
+  // State). WritePage overwrites a payload in place (through a const_cast)
+  // only while this store holds its sole reference; a slot a snapshot
+  // still references gets a fresh image instead.
+  std::vector<PageImageRef> pages_;
   uint64_t num_pages_ = 0;  // non-null entries
 };
 

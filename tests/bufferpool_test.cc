@@ -1,7 +1,7 @@
 // Tests for the three buffer pool implementations, including a
 // parameterized suite over the common BufferPool contract and
 // implementation-specific behaviours (CXL metadata survival, tiered RDMA
-// amplification).
+// amplification and page-image aliasing).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +13,7 @@
 #include "bufferpool/tiered_rdma_buffer_pool.h"
 #include "cxl/cxl_fabric.h"
 #include "cxl/cxl_memory_manager.h"
+#include "engine/mini_transaction.h"
 #include "sim/cpu_cache.h"
 
 namespace polarcxl::bufferpool {
@@ -312,14 +313,27 @@ TEST(CxlPoolTest, FrameAdoptsPageLsnFromStoreImage) {
   pool->Unfix(ctx, *ref, 20, false, 0);
 }
 
+/// Stores a page image filled with `fill` in the remote tier under the
+/// tiered pool's tenant, so the pool's next miss on `id` is a remote hit.
+void SeedRemote(PoolEnv& env, ExecContext& ctx, PageId id, uint8_t fill) {
+  auto image = std::make_shared<PageImage>();
+  image->fill(fill);
+  ASSERT_TRUE(env.remote_.WritePage(ctx, 0, /*tenant=*/1, id, image).ok());
+}
+
+/// Reads enough other pages through `pool` to evict every unfixed frame.
+void Thrash(BufferPool* pool, ExecContext& ctx) {
+  for (PageId p = 10; p < 10 + 2 * kPoolPages; p++) {
+    ReadPageFirstByte(pool, ctx, p);
+  }
+}
+
 TEST(TieredPoolTest, MissTransfersFullPageOverRdma) {
   PoolEnv env;
   auto pool = env.MakePool("tiered");
   ExecContext ctx;
   // Seed remote pool with the page so the miss is a remote hit.
-  std::array<uint8_t, kPageSize> img;
-  img.fill(0x42);
-  env.remote_.WritePage(ctx, 0, 1, 9, img.data()).ok();
+  SeedRemote(env, ctx, 9, 0x42);
   env.net_.ResetStats();
 
   EXPECT_EQ(ReadPageFirstByte(pool.get(), ctx, 9), 0x42);
@@ -360,6 +374,133 @@ TEST(TieredPoolTest, RemoteTierSurvivesInstanceLoss) {
   EXPECT_EQ(ReadPageFirstByte(pool2.get(), ctx, 2), 0x77);
   auto* tiered = static_cast<TieredRdmaBufferPool*>(pool2.get());
   EXPECT_EQ(tiered->remote_hits(), 1u);
+}
+
+// ---------- page-image aliasing (copy on write) ----------
+
+TEST(TieredPoolTest, RemoteHitAliasesRemoteImage) {
+  PoolEnv env;
+  auto pool = env.MakePool("tiered");
+  ExecContext ctx;
+  SeedRemote(env, ctx, 9, 0x42);
+  auto ref = pool->Fetch(ctx, 9, /*for_write=*/false);
+  ASSERT_TRUE(ref.ok());
+  // The frame is the remote tier's image itself: no bytes were copied.
+  EXPECT_EQ(ref->data, env.remote_.Peek(1, 9)->data());
+  pool->Unfix(ctx, *ref, 9, /*dirty=*/false, 0);
+}
+
+TEST(TieredPoolTest, WriteFixGetsPrivateClone) {
+  PoolEnv env;
+  auto pool = env.MakePool("tiered");
+  ExecContext ctx;
+  SeedRemote(env, ctx, 9, 0x42);
+  const PageImageRef remote_image = env.remote_.Peek(1, 9);
+  auto ref = pool->Fetch(ctx, 9, /*for_write=*/true);
+  ASSERT_TRUE(ref.ok());
+  EXPECT_NE(ref->data, remote_image->data());
+  EXPECT_EQ(ref->data[kPageSize - 1], 0x42);  // the clone carries the bytes
+  std::memset(ref->data, 0x77, 64);
+  pool->Unfix(ctx, *ref, 9, /*dirty=*/true, 1);
+  // The remote tier serves the old bytes until the write-back.
+  EXPECT_EQ(env.remote_.Peek(1, 9), remote_image);
+  EXPECT_EQ((*remote_image)[0], 0x42);
+  Thrash(pool.get(), ctx);
+  EXPECT_EQ((*env.remote_.Peek(1, 9))[0], 0x77);
+}
+
+TEST(TieredPoolTest, MtrUpgradeMovesHandleToPrivateClone) {
+  PoolEnv env;
+  auto pool = env.MakePool("tiered");
+  storage::RedoLog log(&env.disk_);
+  ExecContext ctx;
+  SeedRemote(env, ctx, 9, 0x42);
+  const PageImageRef remote_image = env.remote_.Peek(1, 9);
+  {
+    engine::MiniTransaction mtr(ctx, pool.get(), &log);
+    auto read = mtr.GetPage(9, /*for_write=*/false);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ((*read)->ref.data, remote_image->data());
+    auto write = mtr.GetPage(9, /*for_write=*/true);
+    ASSERT_TRUE(write.ok());
+    ASSERT_EQ(*write, *read);  // the same handle, upgraded in place
+    // The handle now points at the frame's private clone.
+    EXPECT_NE((*write)->ref.data, remote_image->data());
+    const uint8_t patch[4] = {1, 2, 3, 4};
+    mtr.WriteRaw(*write, 100, patch, sizeof(patch));
+    EXPECT_EQ((*write)->ref.data[100], 1);
+    mtr.Commit();
+  }
+  EXPECT_EQ(env.remote_.Peek(1, 9), remote_image);
+  EXPECT_EQ((*remote_image)[100], 0x42);
+  Thrash(pool.get(), ctx);
+  EXPECT_EQ((*env.remote_.Peek(1, 9))[100], 1);
+}
+
+TEST(TieredPoolTest, DirtyEvictionHandsFrameImageToRemote) {
+  PoolEnv env;
+  auto pool = env.MakePool("tiered");
+  ExecContext ctx;
+  auto ref = pool->Fetch(ctx, 1, /*for_write=*/true);
+  ASSERT_TRUE(ref.ok());
+  const uint8_t* frame = ref->data;
+  std::memset(ref->data, 0xAB, kPageSize);
+  pool->Unfix(ctx, *ref, 1, /*dirty=*/true, 5);
+  Thrash(pool.get(), ctx);
+  EXPECT_FALSE(pool->Cached(1));
+  ASSERT_TRUE(env.remote_.Contains(1, 1));
+  EXPECT_EQ(env.remote_.Peek(1, 1)->data(), frame);
+}
+
+TEST(TieredPoolTest, SnapshotKeepsBytesWrittenAfterCapture) {
+  PoolEnv env;
+  auto pool = env.MakePool("tiered");
+  ExecContext ctx;
+  WritePagePattern(pool.get(), ctx, 4, 0xAA, 1);
+  const std::unique_ptr<PoolSnapshot> snap = pool->CaptureState();
+  WritePagePattern(pool.get(), ctx, 4, 0xBB, 2);
+  EXPECT_EQ(ReadPageFirstByte(pool.get(), ctx, 4), 0xBB);
+  pool->RestoreState(*snap);
+  EXPECT_EQ(ReadPageFirstByte(pool.get(), ctx, 4), 0xAA);
+  WritePagePattern(pool.get(), ctx, 4, 0xCC, 3);
+  pool->RestoreState(*snap);
+  EXPECT_EQ(ReadPageFirstByte(pool.get(), ctx, 4), 0xAA);
+}
+
+TEST(TieredPoolTest, DirtyFrameSharedWithSnapshotWritesBack) {
+  // A frame dirtied before a capture shares its image with the snapshot;
+  // evicting it hands that same image to the remote tier, and restoring
+  // both tiers brings the dirty frame back, to be written back again.
+  PoolEnv env;
+  auto pool = env.MakePool("tiered");
+  ExecContext ctx;
+  WritePagePattern(pool.get(), ctx, 2, 0x5A, 1);
+  const std::unique_ptr<PoolSnapshot> snap = pool->CaptureState();
+  const rdma::RemoteMemoryPool::State remote_snap = env.remote_.Capture();
+  for (int round = 0; round < 2; round++) {
+    Thrash(pool.get(), ctx);
+    EXPECT_FALSE(pool->Cached(2));
+    EXPECT_EQ((*env.remote_.Peek(1, 2))[0], 0x5A);
+    pool->RestoreState(*snap);
+    env.remote_.Restore(remote_snap);
+    EXPECT_TRUE(pool->Cached(2));
+  }
+  EXPECT_EQ(ReadPageFirstByte(pool.get(), ctx, 2), 0x5A);
+}
+
+TEST(TieredPoolDeathTest, WriteThroughReadFixTrips) {
+  PoolEnv env;
+  auto pool = env.MakePool("tiered");
+  ExecContext ctx;
+  SeedRemote(env, ctx, 9, 0x42);
+  auto ref = pool->Fetch(ctx, 9, /*for_write=*/false);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_EQ(ref->data, env.remote_.Peek(1, 9)->data());
+  // A write through a read fix lands in the remote tier's image; the dirty
+  // unfix that would hide it trips the copy-on-write check.
+  ref->data[0] = 0x43;
+  EXPECT_DEATH(pool->Unfix(ctx, *ref, 9, /*dirty=*/true, 1),
+               "image is shared");
 }
 
 }  // namespace

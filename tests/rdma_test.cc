@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 
 #include "rdma/rdma_network.h"
 #include "rdma/remote_memory_pool.h"
@@ -102,64 +103,101 @@ class RemotePoolTest : public ::testing::Test {
   RemoteMemoryPool pool_;
 };
 
+/// A page image filled with `fill`, as a client frame hands it over.
+PageImageRef FilledImage(uint8_t fill) {
+  auto image = std::make_shared<PageImage>();
+  image->fill(fill);
+  return image;
+}
+
 TEST_F(RemotePoolTest, WriteThenReadRoundTrips) {
-  std::array<uint8_t, kPageSize> in;
-  in.fill(0xAB);
+  const PageImageRef in = FilledImage(0xAB);
   ExecContext ctx;
-  ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, 42, in.data()).ok());
-  std::array<uint8_t, kPageSize> out{};
-  ASSERT_TRUE(pool_.ReadPage(ctx, 0, 1, 42, out.data()).ok());
-  EXPECT_EQ(in, out);
+  ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, 42, in).ok());
+  auto out = pool_.ReadPage(ctx, 0, 1, 42);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(*in, **out);
   EXPECT_TRUE(pool_.Contains(1, 42));
 }
 
 TEST_F(RemotePoolTest, MissingPageIsNotFound) {
-  std::array<uint8_t, kPageSize> out;
   ExecContext ctx;
-  EXPECT_TRUE(pool_.ReadPage(ctx, 0, 1, 7, out.data()).IsNotFound());
+  EXPECT_TRUE(pool_.ReadPage(ctx, 0, 1, 7).status().IsNotFound());
 }
 
 TEST_F(RemotePoolTest, TenantsAreIsolated) {
-  std::array<uint8_t, kPageSize> in;
-  in.fill(1);
   ExecContext ctx;
-  ASSERT_TRUE(pool_.WritePage(ctx, 0, /*tenant=*/1, 5, in.data()).ok());
+  ASSERT_TRUE(pool_.WritePage(ctx, 0, /*tenant=*/1, 5, FilledImage(1)).ok());
   EXPECT_FALSE(pool_.Contains(2, 5));
-  std::array<uint8_t, kPageSize> out;
   EXPECT_TRUE(
-      pool_.ReadPage(ctx, 0, /*tenant=*/2, 5, out.data()).IsNotFound());
+      pool_.ReadPage(ctx, 0, /*tenant=*/2, 5).status().IsNotFound());
 }
 
 TEST_F(RemotePoolTest, CapacityEnforced) {
-  std::array<uint8_t, kPageSize> page{};
+  const PageImageRef page = FilledImage(0);
   ExecContext ctx;
   for (PageId p = 0; p < 8; p++) {
-    ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, p, page.data()).ok());
+    ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, p, page).ok());
   }
-  EXPECT_TRUE(
-      pool_.WritePage(ctx, 0, 1, 100, page.data()).IsOutOfMemory());
+  EXPECT_TRUE(pool_.WritePage(ctx, 0, 1, 100, page).IsOutOfMemory());
   // Overwriting an existing page is fine.
-  EXPECT_TRUE(pool_.WritePage(ctx, 0, 1, 3, page.data()).ok());
+  EXPECT_TRUE(pool_.WritePage(ctx, 0, 1, 3, page).ok());
 }
 
 TEST_F(RemotePoolTest, TransfersChargeFullPages) {
-  std::array<uint8_t, kPageSize> page{};
   ExecContext ctx;
   net_.ResetStats();
-  pool_.WritePage(ctx, 0, 1, 9, page.data()).ok();
+  pool_.WritePage(ctx, 0, 1, 9, FilledImage(0)).ok();
   EXPECT_EQ(net_.total_bytes(), static_cast<uint64_t>(kPageSize));
 }
 
 TEST_F(RemotePoolTest, DropTenantRemovesAll) {
-  std::array<uint8_t, kPageSize> page{};
+  const PageImageRef page = FilledImage(0);
   ExecContext ctx;
-  pool_.WritePage(ctx, 0, 1, 1, page.data()).ok();
-  pool_.WritePage(ctx, 0, 1, 2, page.data()).ok();
-  pool_.WritePage(ctx, 0, 2, 3, page.data()).ok();
+  pool_.WritePage(ctx, 0, 1, 1, page).ok();
+  pool_.WritePage(ctx, 0, 1, 2, page).ok();
+  pool_.WritePage(ctx, 0, 2, 3, page).ok();
   pool_.DropTenant(1);
   EXPECT_FALSE(pool_.Contains(1, 1));
   EXPECT_TRUE(pool_.Contains(2, 3));
   EXPECT_EQ(pool_.pages_stored(), 1u);
+}
+
+TEST_F(RemotePoolTest, PagesMoveByReference) {
+  // The transfer is charged, but the pool stores the writer's image and a
+  // read hands back that same image: no bytes are copied either way.
+  const PageImageRef in = FilledImage(0x3C);
+  ExecContext ctx;
+  net_.ResetStats();
+  ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, 4, in).ok());
+  auto out = pool_.ReadPage(ctx, 0, 1, 4);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->get(), in.get());
+  EXPECT_EQ(pool_.Peek(1, 4), in);
+  EXPECT_EQ(net_.total_bytes(), 2ULL * kPageSize);
+  EXPECT_EQ(pool_.Peek(1, 5), nullptr);
+}
+
+TEST_F(RemotePoolTest, OverwriteKeepsReadersImage) {
+  ExecContext ctx;
+  ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, 6, FilledImage(0x11)).ok());
+  auto held = pool_.ReadPage(ctx, 0, 1, 6);
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, 6, FilledImage(0x22)).ok());
+  // The overwrite replaced the stored image; the reader's is untouched.
+  EXPECT_EQ((**held)[0], 0x11);
+  EXPECT_EQ((*pool_.Peek(1, 6))[0], 0x22);
+}
+
+TEST_F(RemotePoolTest, RestoreBringsBackCapturedImages) {
+  ExecContext ctx;
+  ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, 2, FilledImage(0x01)).ok());
+  const RemoteMemoryPool::State snap = pool_.Capture();
+  ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, 2, FilledImage(0x02)).ok());
+  ASSERT_TRUE(pool_.WritePage(ctx, 0, 1, 3, FilledImage(0x03)).ok());
+  pool_.Restore(snap);
+  EXPECT_EQ((*pool_.Peek(1, 2))[0], 0x01);
+  EXPECT_FALSE(pool_.Contains(1, 3));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // driven by two real database nodes over one dataset.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "engine/database.h"
@@ -420,6 +421,45 @@ TEST_F(RdmaSharingIntegrationTest, CxlSynchronizesFarFewerBytes) {
   // CXL equivalent ships only dirtied lines; bound it generously.
   EXPECT_GT(rdma_bytes, 16u * 1024);
   EXPECT_LT(32u * kCacheLineSize, rdma_bytes);
+}
+
+TEST_F(RdmaSharingIntegrationTest, WriteUnlockShipsImageByReference) {
+  constexpr PageId kPage = 4000;  // beyond the table: first touch is storage
+  constexpr NodeId kTenant = RdmaSharingGroup::kSharedTenant;
+  rdma::RemoteMemoryPool& dbp = group_->dbp();
+  ExecContext a;
+  a.now = Millis(1);
+  auto w = pools_[0]->Fetch(a, kPage, /*for_write=*/true);
+  ASSERT_TRUE(w.ok());
+  std::memset(w->data, 0x5E, kPageSize);
+  const uint8_t* shipped = w->data;
+  pools_[0]->Unfix(a, *w, kPage, /*dirty=*/true, 0);
+  // The DBP holds the writer's frame image itself.
+  EXPECT_EQ(dbp.Peek(kTenant, kPage)->data(), shipped);
+
+  // The writer's next write fix clones; the DBP keeps the shipped bytes
+  // until the next unlock ships the clone.
+  auto w2 = pools_[0]->Fetch(a, kPage, /*for_write=*/true);
+  ASSERT_TRUE(w2.ok());
+  EXPECT_NE(w2->data, shipped);
+  std::memset(w2->data, 0x6F, kPageSize);
+  EXPECT_EQ(shipped[0], 0x5E);
+  const uint8_t* shipped2 = w2->data;
+  pools_[0]->Unfix(a, *w2, kPage, /*dirty=*/true, 0);
+  EXPECT_EQ(dbp.Peek(kTenant, kPage)->data(), shipped2);
+
+  // A peer's read aliases the DBP image and sees the writer's bytes; its
+  // upgrade to write moves it to a private clone.
+  ExecContext b;
+  b.now = Millis(2);
+  auto r = pools_[1]->Fetch(b, kPage, /*for_write=*/false);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->data, shipped2);
+  EXPECT_EQ(r->data[kPageSize - 1], 0x6F);
+  ASSERT_TRUE(pools_[1]->UpgradeToWrite(b, *r, kPage).ok());
+  EXPECT_NE(r->data, shipped2);
+  EXPECT_EQ(r->data[kPageSize - 1], 0x6F);
+  pools_[1]->Unfix(b, *r, kPage, /*dirty=*/false, 0);
 }
 
 }  // namespace

@@ -16,8 +16,9 @@
 #   tools/check.sh --parallel # tier-1 + fig7 epoch pins at
 #                             #   POLAR_WORLD_THREADS 1/2/4 + TSan leg over
 #                             #   the executor/snapshot/faults suites
-#   tools/check.sh --slo      # tier-1 + sanitized open-loop suite + SLO pins
-#                             #   across sweep/world thread counts
+#   tools/check.sh --slo      # tier-1 + sanitized open-loop and RDMA-tier
+#                             #   suites + SLO pins across sweep/world
+#                             #   thread counts
 #   tools/check.sh --fabric   # tier-1 + sanitized fabric suite + 2-switch
 #                             #   serial and epoch pins
 #   tools/check.sh --scale    # tier-1 + scheduler suite + 64-instance pins
@@ -158,8 +159,10 @@ if [[ "${1:-}" == "--parallel" ]]; then
 fi
 
 if [[ "${1:-}" == "--slo" ]]; then
-  echo "==> slo: ASan+UBSan build of the open-loop suite"
-  sanitized open_loop_test
+  echo "==> slo: ASan+UBSan build of the open-loop and RDMA-tier suites"
+  # The RDMA tier's frames alias remote page images, so an image released
+  # while a PageRef still points into it is a use-after-free ASan catches.
+  sanitized open_loop_test rdma_test bufferpool_test sharing_test
   echo "==> slo: quick-scale capacity bit-identity gate (thread sweep)"
   # Open-loop arrival schedules are counter-mode (a pure function of seed,
   # tenant, and index) and all serving runs on the virtual clock, so the
