@@ -65,8 +65,7 @@ PoolingConfig BaseConfig() {
   c.cpu_cache_bytes = 256ULL << 10;
   c.warmup = Scaled(Millis(20));
   c.measure = Scaled(Millis(60));
-  c.fabric.topology_mode = true;  // routed fabric even at one switch
-  c.fabric.devices_per_switch = 2;
+  c.fabric.devices_per_switch = 2;  // routed fabric even at one switch
   // Narrow device links (hosts keep full-width 56 GB/s ports): line-granular
   // pool traffic peaks at a few GB/s here, so 1 GB/s device ports put the
   // sweep on both sides of the saturation knee.

@@ -2,8 +2,9 @@
 // Fault-resilience timelines ("Figure 14", beyond the paper): the canonical
 // mixed-fault schedule (CXL outage, NIC brownout, flaky windows, link
 // degradation, disk stall) is replayed against all three buffer-pool
-// configurations and the ok/failed operations-per-bucket timelines are
-// printed. The headline behaviors:
+// configurations in closed-loop traffic-driver runs (no tenants) and the
+// ok/failed operations-per-bucket timelines are printed. The headline
+// behaviors:
 //   - CXL pool: degrades to storage reads during the outage (reads keep
 //     flowing, writes fail fast), recovers to the pre-fault rate after.
 //   - Tiered RDMA pool: rides out the NIC brownout with capped-backoff
@@ -19,23 +20,24 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "harness/chaos_driver.h"
 #include "harness/report.h"
 #include "harness/sweep_runner.h"
+#include "harness/traffic_driver.h"
 
 namespace polarcxl::bench {
 namespace {
 
-using harness::ChaosConfig;
-using harness::ChaosResult;
+using harness::OpenLoopConfig;
+using harness::OpenLoopResult;
 
-ChaosConfig MakeConfig(engine::BufferPoolKind kind) {
-  ChaosConfig c;
+/// No tenants: a closed-loop run of the 8 server lanes.
+OpenLoopConfig MakeConfig(engine::BufferPoolKind kind) {
+  OpenLoopConfig c;
   c.kind = kind;
-  c.lanes = 8;
+  c.lanes_per_instance = 8;
   c.sysbench.tables = 4;
   c.sysbench.rows_per_table = 8000;
-  c.write_fraction = 0.25;
+  c.closed_loop_write_fraction = 0.25;
   c.lbp_fraction = 0.3;
   c.warmup = Scaled(Millis(100));
   c.measure = Scaled(Millis(800));
@@ -45,8 +47,8 @@ ChaosConfig MakeConfig(engine::BufferPoolKind kind) {
   return c;
 }
 
-void WriteJson(const std::vector<ChaosResult>& results,
-               const std::vector<ChaosConfig>& configs) {
+void WriteJson(const std::vector<OpenLoopResult>& results,
+               const std::vector<OpenLoopConfig>& configs) {
   harness::JsonWriter w("fault_resilience",
                         "single-instance sysbench-style 25% update mix, 8 "
                         "lanes, canonical mixed-fault schedule",
@@ -58,8 +60,8 @@ void WriteJson(const std::vector<ChaosResult>& results,
       .Key("pools")
       .BeginObject();
   for (size_t i = 0; i < results.size(); i++) {
-    const ChaosResult& r = results[i];
-    w.Key(harness::ChaosPoolName(configs[i].kind))
+    const OpenLoopResult& r = results[i];
+    w.Key(engine::PoolKindName(configs[i].kind))
         .BeginObject()
         .Field("lane_steps", r.lane_steps)
         .Field("ok_ops", r.ok_ops)
@@ -86,23 +88,24 @@ int Main() {
       engine::BufferPoolKind::kDram,
       engine::BufferPoolKind::kTieredRdma,
   };
-  std::vector<ChaosConfig> configs;
+  std::vector<OpenLoopConfig> configs;
   for (auto kind : kinds) configs.push_back(MakeConfig(kind));
 
-  const auto results = RunSweep<ChaosConfig, ChaosResult>(
-      configs, [](const ChaosConfig& c) { return RunChaos(c); });
+  const auto results = RunSweep<OpenLoopConfig, OpenLoopResult>(
+      configs, [](const OpenLoopConfig& c) { return RunOpenLoop(c); });
 
   ReportTable summary("Resilience summary (whole run)",
                       {"pool", "ok ops", "failed ops", "degraded fetches",
                        "verbs retries", "rejections", "injected cxl/nic/disk"});
   for (size_t i = 0; i < results.size(); i++) {
-    const ChaosResult& r = results[i];
+    const OpenLoopResult& r = results[i];
     char injected[64];
     std::snprintf(injected, sizeof(injected), "%llu/%llu/%llu",
                   static_cast<unsigned long long>(r.injected.cxl_failures),
                   static_cast<unsigned long long>(r.injected.nic_failures),
                   static_cast<unsigned long long>(r.injected.disk_stalls));
-    summary.AddRow({ChaosPoolName(configs[i].kind), std::to_string(r.ok_ops),
+    summary.AddRow({engine::PoolKindName(configs[i].kind),
+                    std::to_string(r.ok_ops),
                     std::to_string(r.failed_ops),
                     std::to_string(r.degraded_fetches),
                     std::to_string(r.fault_retries),
@@ -114,7 +117,7 @@ int Main() {
       "K-ops/s over time (ok; 'f' column = failed ops in bucket)",
       {"t (ms)", "cxl", "cxl f", "dram", "dram f", "rdma", "rdma f"});
   size_t buckets = 0;
-  for (const ChaosResult& r : results) {
+  for (const OpenLoopResult& r : results) {
     buckets = std::max({buckets, r.ok.num_buckets(), r.failed.num_buckets()});
   }
   for (size_t b = 0; b < buckets; b++) {

@@ -390,12 +390,9 @@ int Main() {
   results.push_back(CacheMissEvict(&sink));
   results.push_back(CacheTouchRange(&sink));
 
-  const std::pair<BufferPoolKind, std::string> kinds[] = {
-      {BufferPoolKind::kCxl, "cxl"},
-      {BufferPoolKind::kDram, "dram"},
-      {BufferPoolKind::kTieredRdma, "tiered_rdma"},
-  };
-  for (const auto& [kind, kind_name] : kinds) {
+  for (const BufferPoolKind kind : {BufferPoolKind::kCxl, BufferPoolKind::kDram,
+                                    BufferPoolKind::kTieredRdma}) {
+    const std::string kind_name = engine::PoolKindName(kind);
     results.push_back(FetchUnfix("fetch_unfix_" + kind_name, kind, &sink));
     std::string row;  // capacity reused: a steady-state get allocates nothing
     results.push_back(TreeKernel(

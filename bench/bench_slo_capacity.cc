@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "harness/chaos_driver.h"  // ChaosPoolName, CanonicalChaosPlan
 #include "harness/report.h"
 #include "harness/sweep_runner.h"
 #include "harness/traffic_driver.h"
@@ -97,7 +96,7 @@ void WriteJson(const std::vector<KindRun>& runs,
                         BenchScale());
   w.Key("pools").BeginObject();
   for (const KindRun& kr : runs) {
-    w.Key(harness::ChaosPoolName(kr.kind)).BeginObject().Key("curve")
+    w.Key(engine::PoolKindName(kr.kind)).BeginObject().Key("curve")
         .BeginArray();
     for (size_t i = 0; i < kr.sweep.size(); i++) {
       const OpenLoopResult& r = kr.sweep[i];
@@ -215,7 +214,7 @@ int Main() {
                   {"pool", "scale", "offered K/s", "goodput K/s", "p99 us",
                    "loss"});
   for (const KindRun& kr : runs) {
-    cap.AddRow({ChaosPoolName(kr.kind), Fmt(kr.capacity.scale, 2),
+    cap.AddRow({engine::PoolKindName(kr.kind), Fmt(kr.capacity.scale, 2),
                 Fmt(kr.capacity.offered_rate / 1000, 0),
                 Fmt(kr.capacity.result.goodput / 1000, 0),
                 Fmt(static_cast<double>(kr.capacity.result.p99) / 1e3, 0),

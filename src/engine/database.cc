@@ -13,6 +13,18 @@ uint32_t TreeEntryOff(uint32_t idx) {
 }
 }  // namespace
 
+const char* PoolKindName(BufferPoolKind kind) {
+  switch (kind) {
+    case BufferPoolKind::kDram:
+      return "dram";
+    case BufferPoolKind::kCxl:
+      return "cxl";
+    case BufferPoolKind::kTieredRdma:
+      return "tiered_rdma";
+  }
+  return "?";
+}
+
 Database::Database(DatabaseEnv env, DatabaseOptions options)
     : env_(env), opt_(std::move(options)) {
   dram_channel_ = std::make_unique<sim::BandwidthChannel>(

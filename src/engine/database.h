@@ -35,6 +35,10 @@ enum class BufferPoolKind {
   kTieredRdma  // LBP + RDMA remote memory (the baseline)
 };
 
+/// Short name of a pool kind ("dram", "cxl", "tiered_rdma") for bench
+/// output keys, table rows and kernel names.
+const char* PoolKindName(BufferPoolKind kind);
+
 /// Durable/shared infrastructure the instance runs on.
 struct DatabaseEnv {
   storage::PageStore* store = nullptr;

@@ -39,13 +39,11 @@ struct PoolingWorld : CachedWorld {
 
   std::vector<std::unique_ptr<workload::SysbenchWorkload>> lanes_wl;
   std::vector<std::unique_ptr<PoolLaneState>> lane_states;
-  RunMetrics metrics;  // lane lambdas point here; reset before each measure
-  /// Epoch-parallel worlds record into one RunMetrics per instance (each
-  /// instance is one shard group, so no two threads touch the same slot) and
-  /// merge them in instance order after the run — same totals and histogram
-  /// buckets as the serial shared accumulator, since both are commutative.
+  /// One RunMetrics per instance, which the lane lambdas point at and every
+  /// run resets: each instance is one shard group, so under epoch execution
+  /// no two threads touch the same slot. Merged in instance order after the
+  /// run; integer latency sums stay exact in the histogram's double sum.
   std::vector<RunMetrics> instance_metrics;
-  bool epoch = false;
   std::vector<workload::SysbenchWorkload::State> wl_states;  // post-warmup
 };
 
@@ -74,11 +72,9 @@ std::string PoolingKey(const PoolingConfig& c) {
 
 /// Builds the world and registers its lanes.
 std::unique_ptr<CachedWorld> BuildPoolingWorld(const PoolingConfig& config,
-                                               const SimWorld::Spec& spec,
-                                               bool epoch) {
+                                               const SimWorld::Spec& spec) {
   auto pw = std::make_unique<PoolingWorld>(spec);
-  pw->epoch = epoch;
-  if (pw->epoch) pw->instance_metrics.resize(config.instances);
+  pw->instance_metrics.resize(config.instances);
   SimWorld& world = pw->world;
   sim::Executor& executor = world.executor();
   executor.ReserveLanes(static_cast<size_t>(config.instances) *
@@ -91,8 +87,7 @@ std::unique_ptr<CachedWorld> BuildPoolingWorld(const PoolingConfig& config,
           world.client_net()));
       auto state = std::make_unique<PoolLaneState>();
       state->wl = pw->lanes_wl.back().get();
-      state->metrics =
-          pw->epoch ? &pw->instance_metrics[i] : &pw->metrics;
+      state->metrics = &pw->instance_metrics[i];
       PoolLaneState* raw = state.get();
       pw->lane_states.push_back(std::move(state));
       const workload::SysbenchOp op = config.op;
@@ -127,11 +122,10 @@ uint64_t SysbenchDatasetPages(const workload::SysbenchConfig& config) {
 PoolingResult RunPooling(const PoolingConfig& config, WorldCache* cache) {
   WorldRun run(cache, SpecFor(config), PoolingKey(config),
                config.world_threads, config.warmup, config.measure,
-               [&config](const SimWorld::Spec& spec, bool epoch) {
-                 return BuildPoolingWorld(config, spec, epoch);
+               [&config](const SimWorld::Spec& spec) {
+                 return BuildPoolingWorld(config, spec);
                });
   PoolingWorld& pw = run.get<PoolingWorld>();
-  pw.metrics = RunMetrics();
   for (RunMetrics& m : pw.instance_metrics) m = RunMetrics();
   for (auto& state : pw.lane_states) {
     state->window_start = run.t0();
@@ -162,17 +156,12 @@ PoolingResult RunPooling(const PoolingConfig& config, WorldCache* cache) {
   cxl_probe.after = world.fabric().host_port_bytes();
   uplink_probe.after = uplink_bytes();
 
-  if (pw.epoch) {
-    // Deterministic merge in instance order; sums and bucket counts are
-    // commutative, so this equals the serial shared accumulator.
-    for (const RunMetrics& m : pw.instance_metrics) {
-      pw.metrics.queries += m.queries;
-      pw.metrics.events += m.events;
-      pw.metrics.latency.Merge(m.latency);
-    }
+  for (const RunMetrics& m : pw.instance_metrics) {
+    result.metrics.queries += m.queries;
+    result.metrics.events += m.events;
+    result.metrics.latency.Merge(m.latency);
   }
-  pw.metrics.window = config.measure;
-  result.metrics = pw.metrics;
+  result.metrics.window = config.measure;
   result.nic_gbps = nic_probe.Gbps(config.measure);
   result.cxl_gbps = cxl_probe.Gbps(config.measure);
   result.uplink_gbps = uplink_probe.Gbps(config.measure);

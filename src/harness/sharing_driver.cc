@@ -242,22 +242,12 @@ SharingResult RunSharing(const SharingConfig& config) {
   if (config.mode == SharingMode::kCxl) cxl_locks->ResetStats();
   else rdma_group->locks().ResetStats();
 
-  sim::BandwidthChannel* server_wire =
-      config.mode == SharingMode::kRdma ? &net.nic(kDbpServerNode)->wire()
-                                        : nullptr;
-  BandwidthProbe server_probe{
-      server_wire != nullptr ? server_wire->total_bytes() : 0, 0};
-
   executor.RunUntil(t1);
 
   SharingResult result;
   metrics.window = config.measure;
   result.metrics = metrics;
   result.new_orders = new_orders;
-  if (server_wire != nullptr) {
-    server_probe.after = server_wire->total_bytes();
-    result.dbp_server_gbps = server_probe.Gbps(config.measure);
-  }
   for (auto& node : nodes) {
     result.local_dram_bytes += node.pool->local_dram_bytes();
   }
@@ -266,7 +256,6 @@ SharingResult RunSharing(const SharingConfig& config) {
                                        : rdma_group->locks().table();
   result.lock_waits = table.contended_acquisitions();
   result.total_lock_wait = table.total_wait();
-  result.top_contended = table.TopContended(8);
   result.breakdown = TimeBreakdown::OfLanes(executor, setup_end);
   if (config.mode == SharingMode::kCxl) {
     for (auto& node : nodes) {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "engine/database.h"
 #include "harness/metrics.h"
@@ -58,10 +57,7 @@ struct SharingResult {
   Nanos total_lock_wait = 0;
   uint64_t invalidations = 0;  // coherency events observed
   uint64_t sync_lines = 0;     // CXL cache lines written back on unlocks
-  /// Hottest lock keys (page ids) by accumulated wait (diagnostics).
-  std::vector<std::pair<uint64_t, Nanos>> top_contended;
   TimeBreakdown breakdown;
-  double dbp_server_gbps = 0;  // RDMA DBP server wire bandwidth
 };
 
 SharingResult RunSharing(const SharingConfig& config);

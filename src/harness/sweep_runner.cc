@@ -1,17 +1,32 @@
 #include "harness/sweep_runner.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <thread>
 
 namespace polarcxl::harness {
 
-unsigned SweepThreads() {
-  const char* env = std::getenv("POLAR_SWEEP_THREADS");
-  if (env != nullptr && *env != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    return v < 1 ? 1u : static_cast<unsigned>(v);
+int ThreadsFromEnv(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return -1;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);  // LONG_MAX on overflow
+  if (!std::isdigit(static_cast<unsigned char>(*env)) || *end != '\0' ||
+      v > INT_MAX) {
+    std::fprintf(stderr, "%s=\"%s\" is not a non-negative integer\n", name,
+                 env);
+    std::exit(2);
   }
+  return static_cast<int>(v);
+}
+
+unsigned SweepThreads() {
+  const int env = ThreadsFromEnv("POLAR_SWEEP_THREADS");
+  if (env >= 0) return static_cast<unsigned>(std::max(env, 1));
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
 }

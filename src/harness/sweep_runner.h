@@ -21,8 +21,14 @@
 
 namespace polarcxl::harness {
 
-/// Sweep-wide thread count: POLAR_SWEEP_THREADS if set (values < 1 clamp to
-/// 1), else std::thread::hardware_concurrency().
+/// Reads a thread-count env var: -1 when `name` is unset or empty, else its
+/// value. Anything but a non-negative decimal integer exits 2 naming the
+/// variable: a typo must not silently pick another execution discipline
+/// (and with it another set of pins).
+int ThreadsFromEnv(const char* name);
+
+/// Sweep-wide thread count: POLAR_SWEEP_THREADS if set (0 means 1), else
+/// std::thread::hardware_concurrency().
 unsigned SweepThreads();
 
 /// Runs fn(0) .. fn(n-1), distributing indices over `threads` workers via an

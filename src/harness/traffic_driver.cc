@@ -15,11 +15,12 @@ namespace polarcxl::harness {
 namespace {
 
 /// Per-instance run state: the admission queue, the merged arrival
-/// schedule (client-lane cursor), and instance-local timelines. Owned by
-/// the cached world via unique_ptr so lane lambdas hold stable pointers;
-/// rebuilt from the config at the start of every run. In epoch-parallel
-/// mode all of an instance's lanes share one group, so this state is only
-/// ever touched by one shard — no cross-thread races by construction.
+/// schedule (client-lane cursor), instance-local timelines and the
+/// closed-loop op counts. Owned by the cached world via unique_ptr so lane
+/// lambdas hold stable pointers; rebuilt from the config at the start of
+/// every run. In epoch-parallel mode all of an instance's lanes share one
+/// group, so this state is only ever touched by one shard — no cross-thread
+/// races by construction.
 struct InstanceRun {
   AdmissionQueue queue;
   std::vector<AdmittedOp> schedule;  // absolute times, sorted
@@ -27,6 +28,8 @@ struct InstanceRun {
   TimeSeries ok{Millis(10)};
   TimeSeries failed{Millis(10)};
   TimeSeries shed{Millis(10)};
+  uint64_t ok_ops = 0;
+  uint64_t failed_ops = 0;
 };
 
 /// Per-tenant run parameters + accounting (a tenant routes to exactly one
@@ -41,8 +44,10 @@ struct TenantRun {
 /// measurement window (the world key excludes all of it).
 struct OpenLoopShared {
   std::vector<TenantRun> tenants;
-  Nanos t0 = 0;
-  Nanos t1 = 0;
+  // Sentinel window (start at max Nanos): a cold build's warm-up runs
+  // before the first window is set, and nothing reaches the sentinel.
+  Nanos t0 = std::numeric_limits<Nanos>::max();
+  Nanos t1 = -1;
   Nanos slo_latency = 0;
   Nanos deadline[kNumQosClasses] = {0, 0};
   int op_retries = 0;
@@ -57,7 +62,7 @@ struct ClientLaneState {
   OpenLoopShared* shared = nullptr;
 };
 
-/// Server-lane bookkeeping: closed-loop warmup before `open_after`, then
+/// Server-lane bookkeeping: the closed-loop mix before `open_after`, then
 /// pop-admit-serve with deadline shedding and bounded retries.
 struct ServerLaneState {
   ServerLaneState(engine::Database* db, uint32_t rows, uint64_t seed)
@@ -65,8 +70,10 @@ struct ServerLaneState {
   PointOpLane op;
   InstanceRun* inst = nullptr;
   OpenLoopShared* shared = nullptr;
-  double warmup_write_fraction = 0.25;
-  Nanos open_after = 0;  // warmup/open-loop boundary (fixed at build)
+  double closed_loop_write_fraction = 0.25;
+  /// Warm-up/open-loop boundary, fixed at build; max Nanos (never) in a
+  /// closed-loop world.
+  Nanos open_after = 0;
 };
 
 struct OpenLoopWorld : CachedWorld {
@@ -99,11 +106,13 @@ SimWorld::Spec SpecFor(const OpenLoopConfig& config) {
 /// The lane settings that shape the world through warmup (the spec and
 /// warmup are keyed by WorldRun). Tenants, rates, plan, deadlines, SLO,
 /// retries and the measure window are all per-run — one warmed world serves
-/// an entire rate sweep.
+/// an entire rate sweep. Only whether there are tenants is keyed: it sets
+/// the lane layout.
 std::string OpenLoopKey(const OpenLoopConfig& c) {
   std::ostringstream os;
-  os << "openloop:" << c.lanes_per_instance << ':' << c.warmup_write_fraction
-     << ':' << c.checkpoint_interval << ':' << c.seed;
+  os << (c.tenants.empty() ? "closedloop:" : "openloop:")
+     << c.lanes_per_instance << ':' << c.closed_loop_write_fraction << ':'
+     << c.checkpoint_interval << ':' << c.seed;
   return os.str();
 }
 
@@ -114,7 +123,9 @@ std::unique_ptr<CachedWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
   sim::Executor& executor = world.executor();
   executor.ReserveLanes(config.instances * (config.lanes_per_instance + 2));
   const Nanos setup_end = world.setup_end();
-  const Nanos open_after = setup_end + config.warmup;
+  const bool closed_loop = config.tenants.empty();
+  const Nanos open_after = closed_loop ? std::numeric_limits<Nanos>::max()
+                                       : setup_end + config.warmup;
 
   for (uint32_t i = 0; i < config.instances; i++) {
     engine::Database* db = world.db(i);
@@ -122,60 +133,76 @@ std::unique_ptr<CachedWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
     auto inst = std::make_unique<InstanceRun>();
     InstanceRun* ir = inst.get();
     cw->inst_runs.push_back(std::move(inst));
+    const auto first_lane = static_cast<uint32_t>(executor.num_lanes());
 
-    // Client lane first: on a clock tie with a server lane its lower id
-    // steps first, so arrivals at time T are enqueued before any server
-    // pops at T. Starts exactly at the window open (inert through warmup),
-    // which also pins MinClock(open_after) == open_after for every run.
-    auto client = std::make_unique<ClientLaneState>();
-    client->inst = ir;
-    client->shared = &cw->shared;
-    ClientLaneState* craw = client.get();
-    cw->client_states.push_back(std::move(client));
-    const uint32_t first_lane = executor.AddLane(
-        [craw](sim::ExecContext& ctx) {
-          InstanceRun& inst = *craw->inst;
-          if (inst.next >= inst.schedule.size()) return false;  // park
-          while (inst.next < inst.schedule.size() &&
-                 inst.schedule[inst.next].arrival <= ctx.now) {
-            const AdmittedOp op = inst.schedule[inst.next++];
-            TenantRun& tr = craw->shared->tenants[op.tenant];
-            tr.stats.offered++;
-            if (inst.queue.Offer(tr.qos, op)) {
-              tr.stats.admitted++;
-            } else {
-              tr.stats.shed_queue++;
-              inst.shed.Add(ctx.now - craw->shared->t0);
+    if (!closed_loop) {
+      // Client lane first: on a clock tie with a server lane its lower id
+      // steps first, so arrivals at time T are enqueued before any server
+      // pops at T. Starts exactly at the window open (inert through
+      // warmup), which also pins MinClock(open_after) == open_after for
+      // every run.
+      auto client = std::make_unique<ClientLaneState>();
+      client->inst = ir;
+      client->shared = &cw->shared;
+      ClientLaneState* craw = client.get();
+      cw->client_states.push_back(std::move(client));
+      executor.AddLane(
+          [craw](sim::ExecContext& ctx) {
+            InstanceRun& inst = *craw->inst;
+            if (inst.next >= inst.schedule.size()) return false;  // park
+            while (inst.next < inst.schedule.size() &&
+                   inst.schedule[inst.next].arrival <= ctx.now) {
+              const AdmittedOp op = inst.schedule[inst.next++];
+              TenantRun& tr = craw->shared->tenants[op.tenant];
+              tr.stats.offered++;
+              if (inst.queue.Offer(tr.qos, op)) {
+                tr.stats.admitted++;
+              } else {
+                tr.stats.shed_queue++;
+                inst.shed.Add(ctx.now - craw->shared->t0);
+              }
             }
-          }
-          if (inst.next >= inst.schedule.size()) return false;
-          ctx.Advance(inst.schedule[inst.next].arrival - ctx.now);
-          return true;
-        },
-        node, db->cache(), open_after);
+            if (inst.next >= inst.schedule.size()) return false;
+            ctx.Advance(inst.schedule[inst.next].arrival - ctx.now);
+            return true;
+          },
+          node, db->cache(), open_after);
+      AddCheckpointLane(world, i, config.checkpoint_interval);
+    }
 
-    AddCheckpointLane(world, i, config.checkpoint_interval);
-
-    uint32_t last_lane = first_lane;
     for (uint32_t l = 0; l < config.lanes_per_instance; l++) {
       auto state = std::make_unique<ServerLaneState>(
           db, config.sysbench.rows_per_table,
           config.seed + i * config.lanes_per_instance + l);
       state->inst = ir;
       state->shared = &cw->shared;
-      state->warmup_write_fraction = config.warmup_write_fraction;
+      state->closed_loop_write_fraction = config.closed_loop_write_fraction;
       state->open_after = open_after;
       ServerLaneState* raw = state.get();
       cw->server_states.push_back(std::move(state));
-      last_lane = executor.AddLane(
+      executor.AddLane(
           [raw](sim::ExecContext& ctx) {
-            if (ctx.now < raw->open_after) {
-              // Warmup: closed-loop, fault-free, nothing recorded.
-              raw->op.Run(ctx, raw->warmup_write_fraction);
-              return true;
-            }
             OpenLoopShared& sh = *raw->shared;
             InstanceRun& inst = *raw->inst;
+            if (ctx.now < raw->open_after) {
+              // Closed loop: an open-loop run's warm-up (fault-free and over
+              // before t0, so it records nothing and never backs off) or
+              // the whole of a closed-loop run.
+              const Nanos start = ctx.now;
+              const Status s =
+                  raw->op.Run(ctx, raw->closed_loop_write_fraction);
+              if (start >= sh.t0 && ctx.now <= sh.t1) {
+                if (s.ok()) {
+                  inst.ok.Add(ctx.now - sh.t0);
+                  inst.ok_ops++;
+                } else {
+                  inst.failed.Add(ctx.now - sh.t0);
+                  inst.failed_ops++;
+                }
+              }
+              if (!s.ok()) ctx.Advance(sh.error_backoff);
+              return true;
+            }
             AdmittedOp op;
             if (!inst.queue.Pop(&op)) {
               // Idle: jump to the next scheduled arrival (the client lane
@@ -223,7 +250,13 @@ std::unique_ptr<CachedWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
           },
           node, db->cache(), setup_end);
     }
-    cw->lane_span.emplace_back(first_lane, last_lane);
+    // A closed-loop world registers its checkpoint lane after the servers.
+    // Flaky-fault draws are keyed by lane id, so each mode keeps the lane
+    // order its pins were taken with.
+    if (closed_loop) AddCheckpointLane(world, i, config.checkpoint_interval);
+    // A node crash freezes every lane of the instance.
+    cw->lane_span.emplace_back(
+        first_lane, static_cast<uint32_t>(executor.num_lanes()) - 1);
   }
   return cw;
 }
@@ -239,7 +272,6 @@ void MergeSeries(TimeSeries* dst, const TimeSeries& src) {
 }  // namespace
 
 OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
-  POLAR_CHECK_MSG(!config.tenants.empty(), "open-loop run needs tenants");
   POLAR_CHECK_MSG(config.shed_cost > 0, "shed_cost must advance time");
   for (const TenantSpec& t : config.tenants) {
     POLAR_CHECK_MSG(t.instance < config.instances,
@@ -247,7 +279,7 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
   }
   WorldRun run(cache, SpecFor(config), OpenLoopKey(config),
                config.world_threads, config.warmup, config.measure,
-               [&config](const SimWorld::Spec& spec, bool /*epoch*/) {
+               [&config](const SimWorld::Spec& spec) {
                  return BuildOpenLoopWorld(config, spec);
                });
   OpenLoopWorld& cw = run.get<OpenLoopWorld>();
@@ -283,6 +315,8 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
     inst.ok = TimeSeries(config.bucket);
     inst.failed = TimeSeries(config.bucket);
     inst.shed = TimeSeries(config.bucket);
+    inst.ok_ops = 0;
+    inst.failed_ops = 0;
   }
   for (size_t t = 0; t < config.tenants.size(); t++) {
     const TenantSpec& spec = config.tenants[t];
@@ -328,6 +362,8 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
     MergeSeries(&result.ok, inst->ok);
     MergeSeries(&result.failed, inst->failed);
     MergeSeries(&result.shed, inst->shed);
+    result.ok_ops += inst->ok_ops;
+    result.failed_ops += inst->failed_ops;
   }
   result.p99 = result.latency.Percentile(99.0);
   const double window_sec =
@@ -339,9 +375,54 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
           : static_cast<double>(result.shed_queue + result.shed_deadline +
                                 result.failed_ops) /
                 static_cast<double>(result.offered);
-  result.slo_met = result.p99 <= config.slo_latency &&
+  result.slo_met = !config.tenants.empty() &&
+                   result.p99 <= config.slo_latency &&
                    result.loss_fraction <= config.max_loss_fraction;
   return result;
+}
+
+faults::FaultPlan CanonicalChaosPlan(Nanos measure) {
+  using faults::FaultEvent;
+  using faults::FaultKind;
+  const double m = static_cast<double>(measure);
+  const auto frac = [m](double f) { return static_cast<Nanos>(m * f); };
+
+  faults::FaultPlan plan;
+  plan.seed = 7;
+  // Full CXL outage: the CXL pool must degrade to storage reads, not crash.
+  plan.Add({FaultKind::kCxlDown, frac(0.20), frac(0.35)});
+  // NIC brownout overlapping the tail of the outage: the tiered baseline
+  // loses its remote tier, the verbs retry path kicks in.
+  plan.Add({FaultKind::kNicDown, frac(0.30), frac(0.40)});
+  // Transient flakiness: seeded probability window, exercises per-lane
+  // draw determinism.
+  {
+    FaultEvent e{FaultKind::kCxlFlaky, frac(0.45), frac(0.55)};
+    e.probability = 0.2;
+    plan.Add(e);
+  }
+  // Link degradation: latency adder + per-KB tax, throughput dips but no
+  // failures.
+  {
+    FaultEvent e{FaultKind::kNicDegrade, frac(0.55), frac(0.70)};
+    e.extra_latency = Micros(4);
+    e.per_kb_ns = 40.0;
+    plan.Add(e);
+  }
+  {
+    FaultEvent e{FaultKind::kCxlDegrade, frac(0.58), frac(0.66)};
+    e.extra_latency = 300;
+    e.per_kb_ns = 25.0;
+    plan.Add(e);
+  }
+  // Disk stall at the end: hits every pool's storage fallback path.
+  {
+    FaultEvent e{FaultKind::kDiskStall, frac(0.75), frac(0.85)};
+    e.extra_latency = Micros(300);
+    plan.Add(e);
+  }
+  plan.Normalize();
+  return plan;
 }
 
 OpenLoopConfig ScaleArrivals(const OpenLoopConfig& base, double scale) {

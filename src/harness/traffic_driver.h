@@ -1,10 +1,14 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
-// Open-loop experiment driver: per-tenant arrival schedules (open_loop.h)
-// feeding bounded admission queues in front of SimWorld database instances,
-// with deadline-based load shedding, bounded op retries, and goodput
-// accounting under a p99 SLO. Composes with FaultPlan exactly like the
-// chaos driver, so "Black-Friday peak + CXL outage" is one config. Used by
-// bench_slo_capacity and tests/open_loop_test.
+// Traffic driver of the fault-wired SimWorld: per-tenant arrival schedules
+// (open_loop.h) feeding bounded admission queues in front of SimWorld
+// database instances, with deadline-based load shedding, bounded op
+// retries, and goodput accounting under a p99 SLO. A FaultPlan arms for the
+// measurement window, so "Black-Friday peak + CXL outage" is one config.
+// With no tenants the run is closed-loop: every server lane issues the
+// sysbench point-op mix back to back through the window, and the result is
+// the ok/failed throughput timeline under the plan (the fault-resilience
+// run). Used by bench_slo_capacity, bench_fig14_fault_resilience and the
+// open-loop, fault, snapshot and parallel-world tests.
 //
 // Determinism contract: RunOpenLoop is a pure function of its config —
 // bit-identical timelines, histograms and lane_steps for any
@@ -39,6 +43,9 @@ struct TenantSpec {
   uint32_t instance = 0;  // which database instance serves this tenant
 };
 
+/// An empty `tenants` list makes the run closed-loop: no client lane, no
+/// admission queue, and the tenant, admission, deadline, SLO and retry
+/// fields go unused.
 struct OpenLoopConfig {
   engine::BufferPoolKind kind = engine::BufferPoolKind::kCxl;
   uint32_t instances = 1;
@@ -58,16 +65,18 @@ struct OpenLoopConfig {
   /// offered) stays within max_loss_fraction.
   Nanos slo_latency = Micros(500);
   double max_loss_fraction = 0.05;
-  /// Closed-loop warmup mix (pool warming happens before the open-loop
-  /// window; tenant write fractions apply only during measurement).
-  double warmup_write_fraction = 0.25;
+  /// Update fraction of the closed-loop mix: the warm-up of an open-loop
+  /// run (tenant write fractions apply only in its window) and the whole of
+  /// a closed-loop run.
+  double closed_loop_write_fraction = 0.25;
   double lbp_fraction = 0.3;
   uint64_t cpu_cache_bytes = 4ULL << 20;
   Nanos warmup = Millis(100);
   Nanos measure = Millis(400);
   Nanos bucket = Millis(10);
   /// Virtual think-time a server lane spends after a failed attempt before
-  /// retrying or reporting failure (inherited from the chaos driver).
+  /// retrying or reporting failure (a real client backs off instead of
+  /// hammering a dead device).
   Nanos error_backoff = Micros(50);
   /// Bounded retries per admitted op: total attempts = 1 + op_retries;
   /// the final failure surfaces to the client as Unavailable.
@@ -78,13 +87,18 @@ struct OpenLoopConfig {
   /// TieredRdma verbs retry budget (satellite: bounded total backoff,
   /// exhaustion -> Status::Unavailable; 0 = unlimited legacy behavior).
   Nanos verbs_retry_budget = 0;
+  /// Periodic checkpoint cadence (0 = never). Without checkpoints every
+  /// page stays dirty after load and a CXL outage rejects all reads of
+  /// cached pages; with them, clean pages are re-served from storage.
   Nanos checkpoint_interval = Millis(100);
   /// Fault schedule relative to the measurement window start, armed after
-  /// the fork exactly like RunChaos.
+  /// warm-up (and after the fork of a cached world).
   faults::FaultPlan plan;
   uint64_t seed = 7;          // warmup / service RNG
   uint64_t arrival_seed = 42; // counter-mode schedule hash key
-  /// Same semantics as ChaosConfig::world_threads.
+  /// In-world parallelism, same semantics as PoolingConfig::world_threads.
+  /// One instance is one shard group, so a single-instance run replays the
+  /// serial timeline exactly at every thread count.
   int world_threads = -1;
 };
 
@@ -104,6 +118,10 @@ struct TenantStats {
   Histogram queue_wait;        // arrival -> service start (served ops)
 };
 
+/// A closed-loop run (no tenants) fills only the RunStats, ok_ops,
+/// failed_ops and the ok/failed timelines: ok_ops and failed_ops count the
+/// ops that start at or after the window start and end by its end, the
+/// other totals stay zero and slo_met is false.
 struct OpenLoopResult : RunStats {
   std::vector<TenantStats> tenants;
   // ---- merged totals (sum over tenants, deterministic order) ----
@@ -127,13 +145,20 @@ struct OpenLoopResult : RunStats {
   TimeSeries shed{Millis(10)};
 };
 
-/// Runs one open-loop experiment end to end. With a `cache`, the
-/// post-warmup world is snapshotted and forked across runs sharing the
-/// setup key — tenants, rates, plan, measure window and SLO are all
-/// per-run, so one warmed world serves an entire rate sweep or capacity
-/// search. Forked runs are bit-identical to cold ones.
+/// Runs one experiment end to end: open-loop with tenants, closed-loop
+/// without. With a `cache`, the post-warmup world is snapshotted and forked
+/// across runs sharing the setup key — tenants, rates, plan, measure window
+/// and SLO are all per-run (only whether there are tenants is keyed), so
+/// one warmed world serves an entire rate sweep, capacity search or set of
+/// fault schedules. Forked runs are bit-identical to cold ones.
 OpenLoopResult RunOpenLoop(const OpenLoopConfig& config,
                            WorldCache* cache = nullptr);
+
+/// The canonical mixed-fault schedule of the resilience bench, the
+/// chaos-under-peak run and the fault tests: CXL outage, NIC brownout,
+/// flaky windows, link degradation and a disk stall at fixed fractions of
+/// `measure`.
+faults::FaultPlan CanonicalChaosPlan(Nanos measure);
 
 /// Scales every tenant's arrival rate by `scale` (capacity-search knob).
 OpenLoopConfig ScaleArrivals(const OpenLoopConfig& base, double scale);

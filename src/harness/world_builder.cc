@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -11,6 +10,7 @@
 #include "cxl/cxl_memory_manager.h"
 #include "fabric/fabric_topology.h"
 #include "harness/instance_driver.h"
+#include "harness/sweep_runner.h"
 #include "rdma/remote_memory_pool.h"
 
 namespace polarcxl::harness {
@@ -45,19 +45,18 @@ cxl::CxlFabric::Options FabricOptionsFor(const SimWorld::Spec& spec) {
 /// epoch-parallel thread count.
 uint32_t ResolveWorldThreads(int requested) {
   if (requested >= 0) return static_cast<uint32_t>(requested);
-  const char* env = std::getenv("POLAR_WORLD_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<uint32_t>(v) : 0;
+  const int env = ThreadsFromEnv("POLAR_WORLD_THREADS");
+  return env > 0 ? static_cast<uint32_t>(env) : 0;
 }
 
 /// Cache key of a warmed world: every input that shapes it through warm-up.
 std::string WorldKey(const std::string& lanes_key, const SimWorld::Spec& s,
                      bool epoch, Nanos warmup) {
   std::ostringstream os;
-  // Epoch discipline is part of the key (drivers may wire per-instance
-  // state for it); the thread COUNT is not — worlds are identical across
-  // counts, so a cached world is re-sharded with SetThreads() on hit.
+  // Epoch discipline is part of the key (warm-up runs under it, and it
+  // marks the shared channels); the thread COUNT is not — worlds are
+  // identical across counts, so a cached world is re-sharded with
+  // SetThreads() on hit.
   const workload::SysbenchConfig& sb = s.sysbench;
   os << lanes_key << ":e" << (epoch ? 1 : 0) << ':' << warmup << ':'
      << static_cast<int>(s.kind) << ':' << s.instances << ':' << sb.tables
@@ -72,8 +71,8 @@ std::string WorldKey(const std::string& lanes_key, const SimWorld::Spec& s,
      << (f.ring ? 1 : 0) << ':' << f.uplink_bps << ':' << f.uplink_latency
      << ':' << static_cast<int>(f.interleave.mode) << ':'
      << f.interleave.granule << ':' << f.interleave.ways << ':'
-     << static_cast<int>(f.placement) << ':' << (f.topology_mode ? 1 : 0)
-     << ':' << f.port_bps << ':' << f.device_port_bps;
+     << static_cast<int>(f.placement) << ':' << f.port_bps << ':'
+     << f.device_port_bps;
   return os.str();
 }
 }  // namespace
@@ -447,7 +446,7 @@ WorldRun::WorldRun(WorldCache* cache, const SimWorld::Spec& spec,
     world_->world.RestoreSnapshot();
     world_->RestoreLanes();
   } else {
-    std::unique_ptr<CachedWorld> fresh = build(spec, epoch);
+    std::unique_ptr<CachedWorld> fresh = build(spec);
     SimWorld& w = fresh->world;
     if (epoch) w.EnableInWorldParallelism(threads);
     w.executor().RunUntil(w.setup_end() + warmup);

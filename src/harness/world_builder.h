@@ -1,6 +1,6 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
 // World construction, deterministic snapshot/fork, and the run lifecycle of
-// the SimWorld drivers (RunPooling, RunChaos, RunOpenLoop). Every driver
+// the SimWorld drivers (RunPooling, RunOpenLoop). Every driver
 // used to rebuild the same simulated world — fabric, NICs, disk, instances,
 // loaded tables, warmed pool — from zero for every sweep point and every
 // rep. This module centralizes the build (one copy of the load call sites),
@@ -75,15 +75,15 @@ inline double ThreadCpuSeconds() {
 }
 
 // ---------------------------------------------------------------------------
-// SimWorld: the shared single-host world of the pooling/chaos drivers
+// SimWorld: the shared single-host world of the pooling/traffic drivers
 // ---------------------------------------------------------------------------
 
 /// Shape of the CXL fabric behind the world's instances. The default — one
 /// switch, one device, routing off — is the historical single-switch world,
-/// bit-identical to the pre-topology driver. Raising `switches` (or setting
-/// `topology_mode` with one switch) activates per-address routing: every
-/// access additionally charges its route's uplinks, entered switch fabrics,
-/// and destination device port.
+/// bit-identical to the pre-topology driver. More than one switch or more
+/// than one device per switch activates per-address routing: every access
+/// additionally charges its route's uplinks, entered switch fabrics, and
+/// destination device port.
 struct FabricWorldSpec {
   uint32_t switches = 1;
   uint32_t devices_per_switch = 1;
@@ -99,16 +99,16 @@ struct FabricWorldSpec {
   uint64_t device_port_bps = 0;
   fabric::InterleaveSpec interleave;
   fabric::PlacementMode placement = fabric::PlacementMode::kLocalFirst;
-  /// Forces topology-mode routing even with a single switch.
-  bool topology_mode = false;
 
-  bool TopologyActive() const { return switches > 1 || topology_mode; }
+  bool TopologyActive() const {
+    return switches > 1 || devices_per_switch > 1;
+  }
 };
 
 /// One simulated host: CXL fabric + switch(es), RDMA NIC pair, remote memory
 /// pool, client network, shared PolarFS-like disk, and `instances` database
-/// instances loaded with sysbench tables. Identical to what RunPooling and
-/// RunChaos (instances == 1, wire_faults) used to build inline.
+/// instances loaded with sysbench tables. RunPooling builds it fault-free;
+/// RunOpenLoop builds it with `wire_faults`.
 class SimWorld {
  public:
   struct Spec {
@@ -272,8 +272,8 @@ class WorldCache {
 // ---------------------------------------------------------------------------
 
 /// What every SimWorld run reports besides its driver's own counters.
-/// PoolingResult, ChaosResult and OpenLoopResult derive from it, and
-/// WorldRun::Measure fills it.
+/// PoolingResult and OpenLoopResult derive from it, and WorldRun::Measure
+/// fills it.
 struct RunStats {
   /// Executor lane-steps over the whole run (setup excluded) and inside the
   /// measurement window alone, the largest virtual clock reached, and the
@@ -313,7 +313,7 @@ struct RunStats {
   faults::FaultInjector::Stats injected;
 };
 
-/// The sysbench point op of the chaos and open-loop lanes: a uniform table
+/// The sysbench point op of the traffic driver's server lanes: a uniform table
 /// and row, then a single-column update with probability `write_fraction`,
 /// else a point read. It runs over the Status-returning table surface, so
 /// injected faults surface as errors; the SysbenchWorkload driver
@@ -354,17 +354,17 @@ void AddCheckpointLane(SimWorld& world, uint32_t i, Nanos interval);
 /// The driver then sets its per-run state and calls Measure once.
 class WorldRun {
  public:
-  /// Constructs a world and registers its lanes. `epoch` says whether the
-  /// run executes epoch-parallel (drivers may wire per-instance state).
-  using Build = std::function<std::unique_ptr<CachedWorld>(
-      const SimWorld::Spec& spec, bool epoch)>;
+  /// Constructs a world and registers its lanes.
+  using Build =
+      std::function<std::unique_ptr<CachedWorld>(const SimWorld::Spec& spec)>;
 
   /// `lanes_key` names every driver setting outside `spec` and `warmup`
   /// that shapes the world through warm-up; per-run settings (the measure
   /// window, fault plans, arrival rates) stay out so one world serves them
-  /// all. `world_threads`: -1 reads POLAR_WORLD_THREADS (unset/0 = serial),
-  /// 0 forces the legacy serial executor, >= 1 runs epoch-parallel on that
-  /// many threads; results are bit-identical for every value.
+  /// all. `world_threads`: -1 reads POLAR_WORLD_THREADS (unset/0 = serial;
+  /// anything but a non-negative integer exits 2), 0 forces the legacy
+  /// serial executor, >= 1 runs epoch-parallel on that many threads;
+  /// results are bit-identical for every value.
   WorldRun(WorldCache* cache, const SimWorld::Spec& spec,
            const std::string& lanes_key, int world_threads, Nanos warmup,
            Nanos measure, const Build& build);

@@ -144,12 +144,6 @@ void BufferFusionServer::HardwareBackInvalidate(NodeId writer,
   }
 }
 
-void BufferFusionServer::DropNode(NodeId node) {
-  for (Slot& slot : slots_) {
-    slot.active_mask &= ~(1ULL << node);
-  }
-}
-
 uint64_t BufferFusionServer::ActiveMask(PageId page_id) const {
   const auto it = dir_.find(page_id);
   return it == dir_.end() ? 0 : slots_[it->second].active_mask;

@@ -59,9 +59,6 @@ class BufferFusionServer {
   /// and raising removal flags for active nodes. Returns pages recycled.
   uint32_t RecycleLru(sim::ExecContext& ctx, uint32_t count);
 
-  /// Node teardown: deregister from all active sets.
-  void DropNode(NodeId node);
-
   /// CXL 3.0 mode support: registers a node's CPU cache so hardware
   /// back-invalidation can drop peers' lines when a writer commits.
   void RegisterNodeCache(NodeId node, sim::CpuCacheSim* cache);

@@ -1,7 +1,6 @@
 #include "sim/lock_table.h"
 
 #include <algorithm>
-#include <vector>
 
 namespace polarcxl::sim {
 
@@ -9,7 +8,7 @@ Nanos VirtualLockTable::AcquireExclusive(uint64_t key, Nanos now) {
   LockRec& rec = locks_[key];
   const Nanos reader_block = std::min(rec.s_max_end, now + kMaxReaderBlock);
   const Nanos grant = std::max({now, rec.x_free_at, reader_block});
-  Account(rec, now, grant);
+  Account(now, grant);
   return grant;
 }
 
@@ -21,25 +20,13 @@ void VirtualLockTable::ReleaseExclusive(uint64_t key, Nanos end) {
 Nanos VirtualLockTable::AcquireShared(uint64_t key, Nanos now) {
   LockRec& rec = locks_[key];
   const Nanos grant = std::max(now, rec.x_free_at);
-  Account(rec, now, grant);
+  Account(now, grant);
   return grant;
 }
 
 void VirtualLockTable::ReleaseShared(uint64_t key, Nanos end) {
   LockRec& rec = locks_[key];
   rec.s_max_end = std::max(rec.s_max_end, end);
-}
-
-std::vector<std::pair<uint64_t, Nanos>> VirtualLockTable::TopContended(
-    size_t n) const {
-  std::vector<std::pair<uint64_t, Nanos>> all;
-  for (const auto& [key, rec] : locks_) {
-    if (rec.waited > 0) all.emplace_back(key, rec.waited);
-  }
-  std::sort(all.begin(), all.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (all.size() > n) all.resize(n);
-  return all;
 }
 
 }  // namespace polarcxl::sim

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/types.h"
@@ -40,8 +39,6 @@ class VirtualLockTable {
 
   /// Total time requesters spent waiting (sum over acquisitions).
   Nanos total_wait() const { return total_wait_; }
-  /// The `n` keys with the largest accumulated wait (diagnostics).
-  std::vector<std::pair<uint64_t, Nanos>> TopContended(size_t n) const;
   uint64_t contended_acquisitions() const { return contended_; }
   uint64_t acquisitions() const { return acquisitions_; }
   size_t num_keys() const { return locks_.size(); }
@@ -54,22 +51,19 @@ class VirtualLockTable {
     total_wait_ = 0;
     contended_ = 0;
     acquisitions_ = 0;
-    for (auto& [key, rec] : locks_) rec.waited = 0;
   }
 
  private:
   struct LockRec {
     Nanos x_free_at = 0;   // last exclusive hold ends here
     Nanos s_max_end = 0;   // latest shared hold ends here
-    Nanos waited = 0;      // accumulated wait on this key
   };
 
-  void Account(LockRec& rec, Nanos now, Nanos grant) {
+  void Account(Nanos now, Nanos grant) {
     acquisitions_++;
     if (grant > now) {
       contended_++;
       total_wait_ += grant - now;
-      rec.waited += grant - now;
     }
   }
 

@@ -1,9 +1,10 @@
 // Fault-subsystem tests: plan parsing/ordering/round-trip, injector
 // arm/disarm pass-through, per-domain windows, seeded probability-draw
-// determinism, lock fencing, and the chaos driver's determinism contract —
-// the canonical schedule must produce bit-identical timelines and
-// lane_steps for any sweep thread count, with pinned values guarding
-// against silent drift of the simulation or the fault model.
+// determinism, lock fencing, and the determinism contract of the
+// closed-loop fault run (the traffic driver with no tenants) — the
+// canonical schedule must produce bit-identical timelines and lane_steps
+// for any sweep thread count, with pinned values guarding against silent
+// drift of the simulation or the fault model.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,16 +12,16 @@
 
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
-#include "harness/chaos_driver.h"
 #include "harness/sweep_runner.h"
+#include "harness/traffic_driver.h"
 #include "sharing/dist_lock_manager.h"
 
 namespace polarcxl::faults {
 namespace {
 
-using harness::ChaosConfig;
-using harness::ChaosResult;
-using harness::RunChaos;
+using harness::OpenLoopConfig;
+using harness::OpenLoopResult;
+using harness::RunOpenLoop;
 using sharing::CxlLockTransport;
 using sharing::DistLockManager;
 using sim::ExecContext;
@@ -482,14 +483,15 @@ TEST(DistLockFencingTest, FencingOffByDefault) {
   EXPECT_EQ(locks.HoldCount(1), 0u);
 }
 
-// ---------- chaos driver determinism ----------
+// ---------- closed-loop fault run determinism ----------
 
-/// Small-but-real chaos run: same shape as bench_fig14, scaled down so the
-/// whole determinism battery stays in test time.
-ChaosConfig QuickChaos(engine::BufferPoolKind kind) {
-  ChaosConfig c;
+/// Small-but-real closed-loop fault run (no tenants): same shape as
+/// bench_fig14, scaled down so the whole determinism battery stays in test
+/// time.
+OpenLoopConfig QuickChaos(engine::BufferPoolKind kind) {
+  OpenLoopConfig c;
   c.kind = kind;
-  c.lanes = 4;
+  c.lanes_per_instance = 4;
   c.sysbench.tables = 2;
   c.sysbench.rows_per_table = 2000;
   c.warmup = Millis(20);
@@ -500,7 +502,7 @@ ChaosConfig QuickChaos(engine::BufferPoolKind kind) {
   return c;
 }
 
-void ExpectIdentical(const ChaosResult& x, const ChaosResult& y) {
+void ExpectIdentical(const OpenLoopResult& x, const OpenLoopResult& y) {
   EXPECT_EQ(x.lane_steps, y.lane_steps);
   EXPECT_EQ(x.ok_ops, y.ok_ops);
   EXPECT_EQ(x.failed_ops, y.failed_ops);
@@ -519,30 +521,31 @@ void ExpectIdentical(const ChaosResult& x, const ChaosResult& y) {
 }
 
 TEST(ChaosDriverTest, RepeatRunsAreBitIdentical) {
-  const ChaosConfig config = QuickChaos(engine::BufferPoolKind::kCxl);
-  ExpectIdentical(RunChaos(config), RunChaos(config));
+  const OpenLoopConfig config = QuickChaos(engine::BufferPoolKind::kCxl);
+  ExpectIdentical(RunOpenLoop(config), RunOpenLoop(config));
 }
 
 TEST(ChaosDriverTest, SweepThreadCountInvariant) {
-  std::vector<ChaosConfig> configs = {
+  std::vector<OpenLoopConfig> configs = {
       QuickChaos(engine::BufferPoolKind::kCxl),
       QuickChaos(engine::BufferPoolKind::kDram),
       QuickChaos(engine::BufferPoolKind::kTieredRdma),
   };
-  const auto run = [](const ChaosConfig& c) { return RunChaos(c); };
+  const auto run = [](const OpenLoopConfig& c) { return RunOpenLoop(c); };
   const auto serial =
-      harness::RunSweep<ChaosConfig, ChaosResult>(configs, run, 1);
+      harness::RunSweep<OpenLoopConfig, OpenLoopResult>(configs, run, 1);
   const auto parallel =
-      harness::RunSweep<ChaosConfig, ChaosResult>(configs, run, 3);
+      harness::RunSweep<OpenLoopConfig, OpenLoopResult>(configs, run, 3);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); i++) {
-    SCOPED_TRACE(harness::ChaosPoolName(configs[i].kind));
+    SCOPED_TRACE(engine::PoolKindName(configs[i].kind));
     ExpectIdentical(serial[i], parallel[i]);
   }
 }
 
 TEST(ChaosDriverTest, CanonicalScheduleGracefulDegradation) {
-  const ChaosResult r = RunChaos(QuickChaos(engine::BufferPoolKind::kCxl));
+  const OpenLoopResult r =
+      RunOpenLoop(QuickChaos(engine::BufferPoolKind::kCxl));
 
   // The CXL outage degrades the pool instead of killing it: storage
   // fallbacks happen, some writes are rejected, but work keeps completing
@@ -567,32 +570,34 @@ TEST(ChaosDriverTest, CanonicalScheduleLaneStepsPinned) {
   // move only when the simulation's cost model or the fault subsystem
   // changes semantically; host speed, thread count and reruns must not
   // move them. Update deliberately alongside BENCH_fault_resilience.json.
-  const ChaosResult cxl = RunChaos(QuickChaos(engine::BufferPoolKind::kCxl));
-  const ChaosResult dram = RunChaos(QuickChaos(engine::BufferPoolKind::kDram));
-  const ChaosResult rdma =
-      RunChaos(QuickChaos(engine::BufferPoolKind::kTieredRdma));
+  const OpenLoopResult cxl =
+      RunOpenLoop(QuickChaos(engine::BufferPoolKind::kCxl));
+  const OpenLoopResult dram =
+      RunOpenLoop(QuickChaos(engine::BufferPoolKind::kDram));
+  const OpenLoopResult rdma =
+      RunOpenLoop(QuickChaos(engine::BufferPoolKind::kTieredRdma));
   EXPECT_EQ(cxl.lane_steps, 37619u);
   EXPECT_EQ(dram.lane_steps, 47724u);
   EXPECT_EQ(rdma.lane_steps, 36399u);
 }
 
 TEST(ChaosDriverTest, NodeCrashFreezesLanesThenRecovers) {
-  ChaosConfig config = QuickChaos(engine::BufferPoolKind::kDram);
+  OpenLoopConfig config = QuickChaos(engine::BufferPoolKind::kDram);
   // Replace the canonical schedule with a single instance-node freeze over
   // [30%, 50%) of the window.
   config.plan = faults::FaultPlan{};
   config.plan.seed = 7;
   {
     FaultEvent e{FaultKind::kNodeCrash, Millis(60), Millis(100)};
-    e.target = 1;  // the chaos driver's instance node
+    e.target = 1;  // the node of instance 0
     config.plan.Add(e);
   }
 
-  const ChaosResult crashed = RunChaos(config);
+  const OpenLoopResult crashed = RunOpenLoop(config);
 
-  ChaosConfig baseline = config;
+  OpenLoopConfig baseline = config;
   baseline.plan = faults::FaultPlan{};
-  const ChaosResult healthy = RunChaos(baseline);
+  const OpenLoopResult healthy = RunOpenLoop(baseline);
 
   // The freeze removes throughput (no failures — the node is gone, not
   // erroring), and the instance resumes at full rate afterwards.
@@ -607,7 +612,7 @@ TEST(ChaosDriverTest, NodeCrashFreezesLanesThenRecovers) {
   EXPECT_GT(crashed.ok.bucket(last), 0u);
 
   // Crash handling is part of the deterministic contract too.
-  ExpectIdentical(crashed, RunChaos(config));
+  ExpectIdentical(crashed, RunOpenLoop(config));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Open-loop traffic layer tests: counter-mode arrival determinism (schedules
 // bit-identical across sweep/world thread counts), admission queue caps and
-// QoS weighting, TimeSeries bucket-edge accounting, the chaos driver's
-// error_backoff path, the tiered pool's verbs retry budget, and the traffic
-// driver's determinism + overload-protection contracts.
+// QoS weighting, TimeSeries bucket-edge accounting, the closed-loop
+// (no-tenant) run's error_backoff path and accounting, the tiered pool's
+// verbs retry budget, and the traffic driver's determinism +
+// overload-protection contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "harness/chaos_driver.h"
 #include "harness/open_loop.h"
 #include "harness/sweep_runner.h"
 #include "harness/traffic_driver.h"
@@ -148,12 +148,13 @@ TEST(TimeSeriesTest, BucketBoundaryLandsInUpperBucket) {
   EXPECT_LE(ts.num_buckets(), TimeSeries::kMaxBuckets);
 }
 
-// ---------- chaos driver error_backoff (satellite) ----------
+// ---------- closed-loop error_backoff ----------
 
-ChaosConfig OutageChaos(Nanos error_backoff) {
-  ChaosConfig c;
+/// A closed-loop run (no tenants) under one CXL outage.
+OpenLoopConfig OutageChaos(Nanos error_backoff) {
+  OpenLoopConfig c;
   c.kind = engine::BufferPoolKind::kCxl;
-  c.lanes = 4;
+  c.lanes_per_instance = 4;
   c.sysbench.tables = 2;
   c.sysbench.rows_per_table = 2000;
   c.warmup = Millis(20);
@@ -163,14 +164,14 @@ ChaosConfig OutageChaos(Nanos error_backoff) {
   // All-write mix: during a CXL outage reads fall through to degraded
   // storage serves, but writes fail fast (the durable frame is
   // unreachable), so every op exercises the backoff path.
-  c.write_fraction = 1.0;
+  c.closed_loop_write_fraction = 1.0;
   c.plan.Add({faults::FaultKind::kCxlDown, Millis(20), Millis(80)});
   return c;
 }
 
 TEST(ChaosDriverTest, ErrorBackoffThrottlesFailingLanes) {
-  const ChaosResult fast = RunChaos(OutageChaos(Micros(10)));
-  const ChaosResult slow = RunChaos(OutageChaos(Millis(2)));
+  const OpenLoopResult fast = RunOpenLoop(OutageChaos(Micros(10)));
+  const OpenLoopResult slow = RunOpenLoop(OutageChaos(Millis(2)));
   ASSERT_GT(fast.failed_ops, 0u);
   ASSERT_GT(slow.failed_ops, 0u);
   // A much longer backoff burns the outage window waiting instead of
@@ -180,7 +181,7 @@ TEST(ChaosDriverTest, ErrorBackoffThrottlesFailingLanes) {
   EXPECT_GT(fast.failed_ops, slow.failed_ops * 4);
   EXPECT_GT(fast.lane_steps, slow.lane_steps);
   // And the backoff value is part of the determinism contract.
-  const ChaosResult again = RunChaos(OutageChaos(Millis(2)));
+  const OpenLoopResult again = RunOpenLoop(OutageChaos(Millis(2)));
   EXPECT_EQ(slow.lane_steps, again.lane_steps);
   EXPECT_EQ(slow.failed_ops, again.failed_ops);
 }
@@ -249,6 +250,40 @@ void ExpectIdentical(const OpenLoopResult& x, const OpenLoopResult& y) {
   for (size_t b = 0; b < x.ok.num_buckets(); b++) {
     EXPECT_EQ(x.ok.bucket(b), y.ok.bucket(b)) << "ok bucket " << b;
   }
+}
+
+uint64_t BucketSum(const TimeSeries& ts) {
+  uint64_t sum = 0;
+  for (size_t b = 0; b < ts.num_buckets(); b++) sum += ts.bucket(b);
+  return sum;
+}
+
+TEST(TrafficDriverTest, NoTenantRunIsClosedLoop) {
+  // No tenants: the server lanes run the closed-loop mix through the
+  // window, and only the op counts and their timelines are filled.
+  const OpenLoopResult r = RunOpenLoop(OutageChaos(Micros(50)));
+  EXPECT_TRUE(r.tenants.empty());
+  EXPECT_EQ(r.offered, 0u);
+  EXPECT_EQ(r.admitted, 0u);
+  EXPECT_EQ(r.shed_queue, 0u);
+  EXPECT_EQ(r.shed_deadline, 0u);
+  EXPECT_EQ(r.shed.num_buckets(), 0u);
+  EXPECT_FALSE(r.slo_met);
+  EXPECT_GT(r.ok_ops, 0u);
+  EXPECT_GT(r.failed_ops, 0u);
+  EXPECT_EQ(r.ok_ops, BucketSum(r.ok));
+  EXPECT_EQ(r.failed_ops, BucketSum(r.failed));
+
+  // An open-loop run warms up with the same closed-loop body, but its
+  // warm-up records nothing: with no arrivals its window stays empty.
+  const OpenLoopResult idle =
+      RunOpenLoop(QuickOpenLoop(engine::BufferPoolKind::kCxl, 0.0));
+  EXPECT_GT(idle.lane_steps, 0u);
+  EXPECT_EQ(idle.offered, 0u);
+  EXPECT_EQ(idle.ok_ops, 0u);
+  EXPECT_EQ(idle.failed_ops, 0u);
+  EXPECT_EQ(idle.ok.num_buckets(), 0u);
+  EXPECT_EQ(idle.failed.num_buckets(), 0u);
 }
 
 TEST(TrafficDriverTest, RepeatRunsAreBitIdentical) {

@@ -2,8 +2,9 @@
 // bit-identical for every POLAR_WORLD_THREADS value — the sharding, the
 // barrier drain order and the frozen-window channel observations are all
 // thread-count independent by construction. The matrix covers pooling
-// worlds (both pool kinds), a chaos world with an armed fault plan (single
-// group: must also match the legacy serial driver exactly, divergence 0),
+// worlds (both pool kinds), a closed-loop traffic world with an armed fault
+// plan (single group: must also match the serial executor exactly,
+// divergence 0),
 // snapshot forks and cached-world re-sharding, and cross-group park/resume
 // deferral at the raw executor level.
 #include <gtest/gtest.h>
@@ -11,8 +12,8 @@
 #include <utility>
 #include <vector>
 
-#include "harness/chaos_driver.h"
 #include "harness/instance_driver.h"
+#include "harness/traffic_driver.h"
 #include "harness/world_builder.h"
 #include "sim/executor.h"
 
@@ -88,10 +89,11 @@ TEST(ParallelWorldTest, SnapshotForkIsBitIdenticalInEpochMode) {
   ExpectPoolingIdentical(cold, fork);
 }
 
-ChaosConfig SmallChaos(int world_threads) {
-  ChaosConfig c;
+/// A closed-loop fault run: the traffic driver with no tenants.
+OpenLoopConfig SmallChaos(int world_threads) {
+  OpenLoopConfig c;
   c.kind = engine::BufferPoolKind::kCxl;
-  c.lanes = 4;
+  c.lanes_per_instance = 4;
   c.sysbench.tables = 2;
   c.sysbench.rows_per_table = 2000;
   c.warmup = Millis(10);
@@ -101,16 +103,16 @@ ChaosConfig SmallChaos(int world_threads) {
   return c;
 }
 
-// A chaos world is single-instance — one shard group — so epoch execution
-// replays the serial timeline exactly: every deferred charge re-commits to
-// its observed completion (divergence 0) and the whole result, fault
-// timeline included, matches the legacy serial driver bit for bit.
+// A single-instance world is one shard group, so epoch execution replays
+// the serial timeline exactly: every deferred charge re-commits to its
+// observed completion (divergence 0) and the whole result, fault timeline
+// included, matches the serial executor bit for bit.
 TEST(ParallelWorldTest, ChaosWithArmedPlanMatchesSerialExactly) {
-  const ChaosResult serial = RunChaos(SmallChaos(0));
+  const OpenLoopResult serial = RunOpenLoop(SmallChaos(0));
   EXPECT_EQ(serial.drain_divergence, 0u);  // serial path never drains
   for (int threads : {1, 2, 4}) {
     SCOPED_TRACE(threads);
-    const ChaosResult r = RunChaos(SmallChaos(threads));
+    const OpenLoopResult r = RunOpenLoop(SmallChaos(threads));
     EXPECT_EQ(r.drain_divergence, 0u);
     EXPECT_GT(r.epochs, 0u);
     EXPECT_EQ(r.ok_ops, serial.ok_ops);

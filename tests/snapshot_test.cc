@@ -15,9 +15,9 @@
 #include "cxl/cxl_device.h"
 #include "cxl/cxl_fabric.h"
 #include "cxl/cxl_memory_manager.h"
-#include "harness/chaos_driver.h"
 #include "harness/instance_driver.h"
 #include "harness/sweep_runner.h"
+#include "harness/traffic_driver.h"
 #include "harness/world_builder.h"
 
 namespace polarcxl::harness {
@@ -148,10 +148,11 @@ TEST(SnapshotTest, SnapshotReuseIsThreadCountInvariant) {
   }
 }
 
-ChaosConfig SmallChaos(engine::BufferPoolKind kind) {
-  ChaosConfig c;
+/// A closed-loop fault run: the traffic driver with no tenants.
+OpenLoopConfig SmallChaos(engine::BufferPoolKind kind) {
+  OpenLoopConfig c;
   c.kind = kind;
-  c.lanes = 4;
+  c.lanes_per_instance = 4;
   c.sysbench.tables = 2;
   c.sysbench.rows_per_table = 2000;
   c.warmup = Millis(20);
@@ -162,7 +163,7 @@ ChaosConfig SmallChaos(engine::BufferPoolKind kind) {
   return c;
 }
 
-void ExpectChaosIdentical(const ChaosResult& a, const ChaosResult& b) {
+void ExpectChaosIdentical(const OpenLoopResult& a, const OpenLoopResult& b) {
   EXPECT_EQ(a.lane_steps, b.lane_steps);
   EXPECT_EQ(a.measure_steps, b.measure_steps);
   EXPECT_EQ(a.virtual_end, b.virtual_end);
@@ -200,18 +201,18 @@ TEST(SnapshotTest, ForkedChaosRunsMatchColdUnderArmedFaultPlan) {
   for (auto kind :
        {engine::BufferPoolKind::kCxl, engine::BufferPoolKind::kTieredRdma}) {
     SCOPED_TRACE(static_cast<int>(kind));
-    const ChaosConfig c = SmallChaos(kind);
-    const ChaosResult cold = RunChaos(c);
+    const OpenLoopConfig c = SmallChaos(kind);
+    const OpenLoopResult cold = RunOpenLoop(c);
     EXPECT_FALSE(cold.snapshot_hit);
 
     WorldCache cache;
-    const ChaosResult first = RunChaos(c, &cache);
+    const OpenLoopResult first = RunOpenLoop(c, &cache);
     EXPECT_FALSE(first.snapshot_hit);
     ExpectChaosIdentical(cold, first);
 
-    std::vector<ChaosResult> forks;
+    std::vector<OpenLoopResult> forks;
     for (int i = 0; i < 2; i++) {
-      forks.push_back(RunChaos(c, &cache));
+      forks.push_back(RunOpenLoop(c, &cache));
       EXPECT_TRUE(forks.back().snapshot_hit);
       ExpectChaosIdentical(cold, forks.back());
     }

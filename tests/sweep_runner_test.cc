@@ -135,6 +135,31 @@ TEST(BenchKnobsTest, MalformedScaleOrRepsExitsInsteadOfDefaulting) {
   EXPECT_EQ(bench::BenchReps(5), 5);
 }
 
+TEST(BenchKnobsTest, MalformedThreadCountsExitInsteadOfDefaulting) {
+  // A typo must not silently pick another execution discipline: "four" used
+  // to run the serial executor (and check the serial pins), "2x" read as 2.
+  for (const char* bad :
+       {"four", "2x", "-1", "1.5", " 2", "+2", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    setenv("POLAR_SWEEP_THREADS", bad, 1);
+    EXPECT_EXIT(SweepThreads(), ::testing::ExitedWithCode(2),
+                "POLAR_SWEEP_THREADS");
+    unsetenv("POLAR_SWEEP_THREADS");
+    setenv("POLAR_WORLD_THREADS", bad, 1);
+    EXPECT_EXIT(RunPooling(SmallPooling(engine::BufferPoolKind::kCxl)),
+                ::testing::ExitedWithCode(2), "POLAR_WORLD_THREADS");
+    unsetenv("POLAR_WORLD_THREADS");
+  }
+  // Unset and 0 run the serial executor, a positive count the epoch one.
+  const PoolingConfig c = SmallPooling(engine::BufferPoolKind::kCxl);
+  EXPECT_EQ(RunPooling(c).epochs, 0u);
+  setenv("POLAR_WORLD_THREADS", "0", 1);
+  EXPECT_EQ(RunPooling(c).epochs, 0u);
+  setenv("POLAR_WORLD_THREADS", "2", 1);
+  EXPECT_GT(RunPooling(c).epochs, 0u);
+  unsetenv("POLAR_WORLD_THREADS");
+}
+
 TEST(BenchKnobsTest, CheckPinsNamesEveryDriftingValue) {
   using bench::Ceiling;
   using bench::Pin;

@@ -148,8 +148,9 @@ if [[ "${1:-}" == "--parallel" ]]; then
       build/bench/bench_sim_throughput
   done
   echo "==> parallel: chaos gate at POLAR_WORLD_THREADS=2 (serial pins)"
-  # Chaos worlds are single-group, so the epoch discipline replays the
-  # serial timeline exactly — the same chaos pins must hold.
+  # The fig14 closed-loop worlds are single-instance, one shard group, so
+  # the epoch discipline replays the serial timeline exactly — the same
+  # chaos pins must hold.
   pinned -q POLAR_WORLD_THREADS=2 POLAR_BENCH_REPS=1 POLAR_SWEEP_THREADS=1 \
     build/bench/bench_fig14_fault_resilience
   echo "==> parallel: TSan build of executor/snapshot/faults suites"
