@@ -67,16 +67,16 @@ struct PoolSnapshot {
   virtual ~PoolSnapshot() = default;
 };
 
-/// Concrete-type tag for the engine's devirtualized fast path. The three
+/// Concrete-type tag for the engine's devirtualized fast path. The two
 /// built-in single-node pools advertise their kind; the mtr layer switches
 /// on it and static_casts to the concrete pool so Fetch/Unfix inline (and
-/// their callees devirtualize under LTO). Pools that don't opt in —
-/// multi-primary sharing pools, test doubles — stay kOther and take the
-/// virtual path; behavior is identical either way.
+/// their callees devirtualize under LTO). kTieredRdma is the local buffer
+/// pool, with or without a remote tier (the DRAM-BP has none). Pools that
+/// don't opt in — multi-primary sharing pools, test doubles — stay kOther
+/// and take the virtual path; behavior is identical either way.
 enum class PoolKind : uint8_t {
   kOther = 0,
   kCxl,
-  kDram,
   kTieredRdma,
 };
 
@@ -108,8 +108,8 @@ class BufferPool {
   /// that track durable lock state or distributed locks override this.
   /// Fails when the fix cannot be promoted — e.g. a degraded-mode fallback
   /// frame held while the pool's memory tier is faulted out. A pool whose
-  /// frames share page images (the RDMA tier) may move the frame to a
-  /// private copy, so `ref` is updated in place: callers must refetch
+  /// frames share page images (the local buffer pool) may move the frame
+  /// to a private copy, so `ref` is updated in place: callers must refetch
   /// `ref.data` afterwards.
   virtual Status UpgradeToWrite(sim::ExecContext& ctx, PageRef& ref,
                                 PageId page_id) {
@@ -174,9 +174,9 @@ class BufferPool {
   PoolKind kind_ = PoolKind::kOther;
 };
 
-/// Copy-on-write for frames that alias shared page images (the RDMA-tier
-/// pools): a frame's bytes may be written only while the frame holds the
-/// sole reference to its image. Clones the image if anyone else (the
+/// Copy-on-write for frames that alias shared page images (the local
+/// buffer pool): a frame's bytes may be written only while the frame holds
+/// the sole reference to its image. Clones the image if anyone else (the
 /// remote tier, a world snapshot) still holds it, and returns its bytes.
 uint8_t* WritableImage(PageImageRef& image);
 
@@ -216,7 +216,7 @@ class StaticDispatchPool : public BufferPool {
 };
 
 /// Intrusive doubly-linked LRU over block indices, array-backed. Used by
-/// the DRAM-resident pools; the CXL pool keeps its links in CXL memory
+/// the local buffer pool; the CXL pool keeps its links in CXL memory
 /// instead so they survive crashes.
 class LruList {
  public:

@@ -80,6 +80,32 @@ Status TieredRdmaBufferPool::RemoteWriteRetry(sim::ExecContext& ctx,
   }
 }
 
+void TieredRdmaBufferPool::WriteBack(sim::ExecContext& ctx, uint32_t block) {
+  BlockMeta& m = meta_[block];
+  POLAR_CHECK(m.dirty);
+  // The frame bytes stream out of DRAM. To a remote tier, a write-back is
+  // a full-page RDMA WRITE even if one row changed: the write amplification
+  // of tiered designs. The remote tier takes the frame's image itself.
+  dram_->Stream(ctx, FrameAddr(block), kPageSize, /*write=*/false);
+  EnsureWalDurable(ctx, FrameData(block));
+  bool remote_ok = false;
+  if (remote_ != nullptr) {
+    // A dirty frame was cloned at write-fix time, so it cannot be the
+    // image the remote tier holds (it may still share it with a world
+    // snapshot, which is fine: nothing writes it from here on).
+    POLAR_CHECK_MSG(remote_->Peek(opt_.tenant, m.page_id) != images_[block],
+                    "dirty LBP frame aliases the remote tier's image");
+    remote_ok = RemoteWriteRetry(ctx, m.page_id, images_[block]).ok();
+  }
+  if (!remote_ok) {
+    // No remote tier, remote pool full, or NIC still down after retries:
+    // storage keeps the dirty page from being lost.
+    store_->WritePage(ctx, m.page_id, FrameData(block));
+  }
+  stats_.dirty_writebacks++;
+  m.dirty = false;
+}
+
 uint32_t TieredRdmaBufferPool::AllocBlock(sim::ExecContext& ctx) {
   if (!free_list_.empty()) {
     const uint32_t b = free_list_.back();
@@ -89,25 +115,7 @@ uint32_t TieredRdmaBufferPool::AllocBlock(sim::ExecContext& ctx) {
   for (uint32_t b = lru_.tail(); b != kInvalidBlock; b = lru_.prev(b)) {
     BlockMeta& m = meta_[b];
     if (m.fix_count > 0) continue;
-    if (m.dirty) {
-      // Write-back is a full-page RDMA WRITE even if one row changed:
-      // the write amplification of tiered designs. The remote tier takes
-      // the frame's image itself.
-      dram_->Stream(ctx, FrameAddr(b), kPageSize, /*write=*/false);
-      EnsureWalDurable(ctx, FrameData(b));
-      // A dirty frame was cloned at write-fix time, so it cannot be the
-      // image the remote tier holds (it may still share it with a world
-      // snapshot, which is fine: nothing writes it from here on).
-      POLAR_CHECK_MSG(remote_->Peek(opt_.tenant, m.page_id) != images_[b],
-                      "dirty LBP frame aliases the remote tier's image");
-      const Status s = RemoteWriteRetry(ctx, m.page_id, images_[b]);
-      if (!s.ok()) {
-        // Remote pool full or NIC still down after retries: fall back to
-        // storage so the dirty page is never lost.
-        store_->WritePage(ctx, m.page_id, FrameData(b));
-      }
-      stats_.dirty_writebacks++;
-    }
+    if (m.dirty) WriteBack(ctx, b);
     lru_.Remove(b);
     page_table_.Erase(m.page_id);
     images_[b].reset();
@@ -116,6 +124,33 @@ uint32_t TieredRdmaBufferPool::AllocBlock(sim::ExecContext& ctx) {
     return b;
   }
   return kInvalidBlock;
+}
+
+PageImageRef TieredRdmaBufferPool::LoadImage(sim::ExecContext& ctx,
+                                             PageId page_id) {
+  bool populate = remote_ != nullptr;
+  if (remote_ != nullptr) {
+    // Full 16 KB RDMA READ; the frame then aliases the remote image.
+    Result<PageImageRef> remote = RemoteReadRetry(ctx, page_id);
+    if (remote.ok()) {
+      remote_hits_++;
+      return std::move(*remote);
+    }
+    const Status& s = remote.status();
+    if (s.IsIOError() || s.IsUnavailable()) {
+      // NIC still down after the per-op retries — or the total retry
+      // budget is spent: serve from storage and skip the remote populate
+      // (it would only burn more retries).
+      stats_.degraded_fetches++;
+      populate = false;
+    }
+  }
+  auto fresh = std::make_shared_for_overwrite<PageImage>();
+  store_->ReadPage(ctx, page_id, fresh->data());
+  PageImageRef image = std::move(fresh);
+  // Populate the remote tier so the next crash/miss finds it there.
+  if (populate) RemoteWriteRetry(ctx, page_id, image).ok();
+  return image;
 }
 
 Result<PageRef> TieredRdmaBufferPool::FetchImpl(sim::ExecContext& ctx,
@@ -134,28 +169,8 @@ Result<PageRef> TieredRdmaBufferPool::FetchImpl(sim::ExecContext& ctx,
   stats_.misses++;
   const uint32_t b = AllocBlock(ctx);
   if (b == kInvalidBlock) return Status::Busy("all LBP frames fixed");
-
-  // Miss path: remote memory first (full 16 KB RDMA READ; the frame then
-  // aliases the remote image), then storage into a fresh image.
-  Result<PageImageRef> remote = RemoteReadRetry(ctx, page_id);
-  const Status& s = remote.status();
-  if (s.ok()) {
-    remote_hits_++;
-    images_[b] = std::move(*remote);
-  } else {
-    auto fresh = std::make_shared_for_overwrite<PageImage>();
-    store_->ReadPage(ctx, page_id, fresh->data());
-    images_[b] = std::move(fresh);
-    if (s.IsIOError() || s.IsUnavailable()) {
-      // NIC still down after the per-op retries — or the total retry
-      // budget is spent: serve from storage and skip the remote populate
-      // (it would only burn more retries).
-      stats_.degraded_fetches++;
-    } else {
-      // Populate the remote tier so the next crash/miss finds it there.
-      RemoteWriteRetry(ctx, page_id, images_[b]).ok();
-    }
-  }
+  images_[b] = LoadImage(ctx, page_id);
+  // Installing the image streams it into local DRAM.
   dram_->Stream(ctx, FrameAddr(b), kPageSize, /*write=*/true);
 
   BlockMeta& m = meta_[b];
@@ -203,7 +218,9 @@ void TieredRdmaBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
       // Keep the remote tier coherent with the checkpoint (by reference:
       // the frame's next write fix clones). Storage already holds the
       // page, so giving up after the retry budget is safe.
-      RemoteWriteRetry(ctx, m.page_id, images_[b]).ok();
+      if (remote_ != nullptr) {
+        RemoteWriteRetry(ctx, m.page_id, images_[b]).ok();
+      }
       m.dirty = false;
     }
   }
@@ -213,9 +230,21 @@ bool TieredRdmaBufferPool::Cached(PageId page_id) const {
   return page_table_.Contains(page_id);
 }
 
+bool TieredRdmaBufferPool::Drop(PageId page_id) {
+  const uint32_t b = page_table_.Find(page_id);
+  if (b == PageMap::kNotFound) return false;
+  POLAR_CHECK(meta_[b].fix_count == 0);
+  lru_.Remove(b);
+  page_table_.Erase(page_id);
+  images_[b].reset();
+  meta_[b] = BlockMeta{};
+  free_list_.push_back(b);
+  return true;
+}
+
 /// The LBP's state. Frames are captured as image handles, not bytes: a
 /// frame written after the capture clones first, so the snapshot's images
-/// never change. (The remote tier snapshots itself via
+/// never change. (A remote tier snapshots itself via
 /// RemoteMemoryPool::Capture.)
 struct TieredPoolSnapshot : PoolSnapshot {
   std::vector<PageImageRef> images;

@@ -1,20 +1,28 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
-// The RDMA baseline (LegoBase / PolarDB Serverless style, Section 2.2): a
-// local DRAM buffer pool (LBP) tiered over an RDMA-attached remote memory
-// pool. Data moves between tiers at whole-page granularity — the source of
-// the read/write amplification the paper measures — and everything local is
-// lost on a crash, while the remote pool survives.
+// The local buffer pool (LBP): page frames in local DRAM under an LRU and a
+// page table, optionally tiered over an RDMA-attached remote memory pool.
+// It is the one DRAM-frame store of the code base:
+//  - with a remote tier it is the RDMA baseline (LegoBase / PolarDB
+//    Serverless style, Section 2.2). Data moves between tiers at whole-page
+//    granularity — the source of the read/write amplification the paper
+//    measures — and everything local is lost on a crash, while the remote
+//    pool survives;
+//  - with a null remote tier it is the DRAM-BP of Figure 3: a miss reads
+//    storage, and dirty evictions and checkpoints write storage;
+//  - the RDMA multi-primary sharing pool (sharing/rdma_sharing.h) owns one
+//    as its frame store, tiered over the group's distributed buffer pool,
+//    and adds its page-lock and invalidation protocol on top.
 //
 // Every transfer is charged in full (NIC verbs op, DRAM stream), but the
 // host moves no bytes: an LBP frame holds a handle to an immutable page
 // image, which it shares with the remote tier after a remote hit, a
-// populate or a write-back. A frame clones its image only when it is fixed
-// for write while someone else still holds the image (WritableImage), so
-// the one copy left costs once per write fix, never per access. The
-// clone's `use_count() > 1` test is race-free: images are keyed by tenant,
-// and under epoch-parallel execution only the shard thread that owns this
-// instance takes or drops references to them (snapshots capture and
-// restore between epochs).
+// populate or a write-back, and with a world snapshot after a capture. A
+// frame clones its image only when it is fixed for write while someone
+// else still holds the image (WritableImage), so the one copy left costs
+// once per write fix, never per access. The clone's `use_count() > 1` test
+// is race-free: images are keyed by tenant, and under epoch-parallel
+// execution only the shard thread that owns this instance takes or drops
+// references to them (snapshots capture and restore between epochs).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +41,7 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
  public:
   struct Options {
     /// Local buffer pool capacity (the paper sweeps 10%..100% of the
-    /// disaggregated memory size).
+    /// disaggregated memory size; a DRAM-BP holds the whole dataset).
     uint64_t lbp_capacity_pages = 512;
     NodeId node = 0;    // this host's NIC identity
     NodeId tenant = 0;  // tenant key in the remote pool
@@ -47,6 +55,8 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
     Nanos retry_budget = 0;
   };
 
+  /// `dram` models the host's local memory, `remote` the far tier (null:
+  /// none, the DRAM-BP) and `store` the durable backing.
   TieredRdmaBufferPool(Options options, sim::MemorySpace* dram,
                        rdma::RemoteMemoryPool* remote,
                        storage::PageStore* store);
@@ -81,6 +91,15 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
   /// Remote-tier hit statistics (misses that avoided storage I/O).
   uint64_t remote_hits() const { return remote_hits_; }
   rdma::RemoteMemoryPool* remote() { return remote_; }
+
+  /// Writes a dirty frame back and marks it clean: the frame streams out
+  /// of DRAM, the WAL rule holds, and the page goes to the remote tier as a
+  /// full-page RDMA WRITE, or to storage without a remote tier or when the
+  /// remote write fails. Eviction calls it on a dirty victim.
+  void WriteBack(sim::ExecContext& ctx, uint32_t block);
+  /// Drops an unfixed page's frame without writing it back (its copy is
+  /// stale elsewhere). Returns whether the page was cached.
+  bool Drop(PageId page_id);
 
   std::unique_ptr<PoolSnapshot> CaptureState() const override;
   void RestoreState(const PoolSnapshot& s) override;
@@ -122,10 +141,13 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
     return opt_.phys_base + static_cast<uint64_t>(block) * kPageSize;
   }
   uint32_t AllocBlock(sim::ExecContext& ctx);
+  /// The miss path's image: the remote tier's own (the frame aliases it),
+  /// else a fresh one read from storage, which populates the remote tier.
+  PageImageRef LoadImage(sim::ExecContext& ctx, PageId page_id);
 
   Options opt_;
   sim::MemorySpace* dram_;
-  rdma::RemoteMemoryPool* remote_;
+  rdma::RemoteMemoryPool* remote_;  // null: no far tier (the DRAM-BP)
   storage::PageStore* store_;
   std::vector<PageImageRef> images_;  // per block; null while free
   std::vector<BlockMeta> meta_;

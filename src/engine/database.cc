@@ -44,11 +44,12 @@ Result<std::unique_ptr<bufferpool::BufferPool>> Database::BuildFreshPool(
     sim::ExecContext& ctx) {
   switch (opt_.pool_kind) {
     case BufferPoolKind::kDram: {
-      bufferpool::DramBufferPool::Options o;
-      o.capacity_pages = opt_.pool_pages;
+      // The DRAM-BP: the local buffer pool with no remote tier.
+      bufferpool::TieredRdmaBufferPool::Options o;
+      o.lbp_capacity_pages = opt_.pool_pages;
       o.phys_base = (1ULL << 44) + (static_cast<uint64_t>(opt_.node) << 38);
-      return {std::make_unique<bufferpool::DramBufferPool>(
-          o, dram_space_.get(), env_.store)};
+      return {std::make_unique<bufferpool::TieredRdmaBufferPool>(
+          o, dram_space_.get(), /*remote=*/nullptr, env_.store)};
     }
     case BufferPoolKind::kCxl: {
       POLAR_CHECK_MSG(env_.cxl != nullptr && env_.cxl_manager != nullptr,

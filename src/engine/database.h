@@ -13,7 +13,6 @@
 
 #include "bufferpool/buffer_pool.h"
 #include "bufferpool/cxl_buffer_pool.h"
-#include "bufferpool/dram_buffer_pool.h"
 #include "bufferpool/tiered_rdma_buffer_pool.h"
 #include "common/status.h"
 #include "cxl/cxl_fabric.h"
@@ -30,7 +29,7 @@
 namespace polarcxl::engine {
 
 enum class BufferPoolKind {
-  kDram,       // conventional local buffer pool
+  kDram,       // conventional local buffer pool (the LBP, no remote tier)
   kCxl,        // PolarCXLMem: everything on switch-attached CXL memory
   kTieredRdma  // LBP + RDMA remote memory (the baseline)
 };

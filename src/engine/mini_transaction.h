@@ -12,7 +12,6 @@
 
 #include "bufferpool/buffer_pool.h"
 #include "bufferpool/cxl_buffer_pool.h"
-#include "bufferpool/dram_buffer_pool.h"
 #include "bufferpool/tiered_rdma_buffer_pool.h"
 #include "common/arena.h"
 #include "common/status.h"
@@ -180,9 +179,6 @@ class MiniTransaction {
       case bufferpool::PoolKind::kCxl:
         return static_cast<bufferpool::CxlBufferPool*>(pool_)->FetchImpl(
             ctx_, page_id, for_write);
-      case bufferpool::PoolKind::kDram:
-        return static_cast<bufferpool::DramBufferPool*>(pool_)->FetchImpl(
-            ctx_, page_id, for_write);
       case bufferpool::PoolKind::kTieredRdma:
         return static_cast<bufferpool::TieredRdmaBufferPool*>(pool_)
             ->FetchImpl(ctx_, page_id, for_write);
@@ -199,10 +195,6 @@ class MiniTransaction {
         static_cast<bufferpool::CxlBufferPool*>(pool_)->UnfixImpl(
             ctx_, ref, page_id, dirty, new_lsn);
         return;
-      case bufferpool::PoolKind::kDram:
-        static_cast<bufferpool::DramBufferPool*>(pool_)->UnfixImpl(
-            ctx_, ref, page_id, dirty, new_lsn);
-        return;
       case bufferpool::PoolKind::kTieredRdma:
         static_cast<bufferpool::TieredRdmaBufferPool*>(pool_)->UnfixImpl(
             ctx_, ref, page_id, dirty, new_lsn);
@@ -217,9 +209,6 @@ class MiniTransaction {
     switch (pool_->kind()) {
       case bufferpool::PoolKind::kCxl:
         return static_cast<bufferpool::CxlBufferPool*>(pool_)
-            ->UpgradeToWriteImpl(ctx_, ref, page_id);
-      case bufferpool::PoolKind::kDram:
-        return static_cast<bufferpool::DramBufferPool*>(pool_)
             ->UpgradeToWriteImpl(ctx_, ref, page_id);
       case bufferpool::PoolKind::kTieredRdma:
         return static_cast<bufferpool::TieredRdmaBufferPool*>(pool_)

@@ -46,7 +46,8 @@ struct UndoOp {
     std::memcpy(d + 1, &table, sizeof(table));
     std::memcpy(d + 3, &off, sizeof(off));
     std::memcpy(d + 7, &key, sizeof(key));
-    std::memcpy(d + 15, bytes.data(), bytes.size());
+    // An empty payload's data() may be null, which memcpy must not see.
+    if (!bytes.empty()) std::memcpy(d + 15, bytes.data(), bytes.size());
   }
   static UndoOp Deserialize(const uint8_t* data, size_t len);
   template <typename Buf>

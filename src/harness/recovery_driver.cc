@@ -12,6 +12,9 @@ namespace polarcxl::harness {
 namespace {
 using engine::BufferPoolKind;
 
+/// The RDMA-based scheme's LBP holds this fraction of the dataset.
+constexpr double kRecoveryLbpFraction = 0.3;
+
 BufferPoolKind KindFor(RecoveryScheme scheme) {
   switch (scheme) {
     case RecoveryScheme::kVanilla:
@@ -76,7 +79,7 @@ RecoveryResult RunRecoveryExperiment(const RecoveryConfig& config) {
       kind == BufferPoolKind::kTieredRdma
           ? std::max<uint64_t>(
                 64, static_cast<uint64_t>(static_cast<double>(dataset_pages) *
-                                          config.lbp_fraction))
+                                          kRecoveryLbpFraction))
           : dataset_pages;
 
   // ---- durable world ----
@@ -205,23 +208,19 @@ RecoveryResult RunRecoveryExperiment(const RecoveryConfig& config) {
   sim::MemorySpace recover_dram(mo);
 
   switch (config.scheme) {
-    case RecoveryScheme::kVanilla: {
-      bufferpool::DramBufferPool::Options po;
-      po.capacity_pages = pool_pages;
-      pool = std::make_unique<bufferpool::DramBufferPool>(po, &recover_dram,
-                                                          &store);
-      pool->SetWal(&log);
-      result.aries = recovery::RecoverAries(rctx, pool.get(), &log,
-                                            sim::CpuCostModel{});
-      break;
-    }
+    case RecoveryScheme::kVanilla:
     case RecoveryScheme::kRdmaBased: {
+      // A cold local buffer pool: the vanilla restart's DRAM-BP has no
+      // remote tier; the RDMA-based one reads bases from the surviving
+      // remote pool.
+      const bool vanilla = config.scheme == RecoveryScheme::kVanilla;
       bufferpool::TieredRdmaBufferPool::Options po;
       po.lbp_capacity_pages = pool_pages;
       po.node = 0;
       po.tenant = 1;
+      po.phys_base = vanilla ? 1ULL << 44 : 1ULL << 45;
       pool = std::make_unique<bufferpool::TieredRdmaBufferPool>(
-          po, &recover_dram, &remote, &store);
+          po, &recover_dram, vanilla ? nullptr : &remote, &store);
       pool->SetWal(&log);
       result.aries = recovery::RecoverAries(rctx, pool.get(), &log,
                                             sim::CpuCostModel{});

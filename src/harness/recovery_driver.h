@@ -27,7 +27,6 @@ struct RecoveryConfig {
   workload::SysbenchOp op = workload::SysbenchOp::kReadWrite;
   workload::SysbenchConfig sysbench;
   uint32_t lanes = 16;
-  double lbp_fraction = 0.3;       // RDMA baseline LBP size
   Nanos crash_at = Secs(6);
   Nanos total = Secs(18);
   Nanos bucket = Secs(0.25);       // throughput time-series resolution

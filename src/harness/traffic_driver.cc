@@ -14,6 +14,16 @@ namespace polarcxl::harness {
 
 namespace {
 
+/// Retries per admitted op: total attempts = 1 + kOpRetries.
+constexpr int kOpRetries = 1;
+/// Virtual cost of shedding one op at the deadline check (routing +
+/// rejection write). Being positive, it also keeps a backlog of expired ops
+/// that drains at one timestamp advancing.
+constexpr Nanos kShedCost = 200;
+/// A run meets the SLO only if shed plus failed ops stay within this
+/// fraction of the offered ones.
+constexpr double kMaxLossFraction = 0.05;
+
 /// Per-instance run state: the admission queue, the merged arrival
 /// schedule (client-lane cursor), instance-local timelines and the
 /// closed-loop op counts. Owned by the cached world via unique_ptr so lane
@@ -50,8 +60,6 @@ struct OpenLoopShared {
   Nanos t1 = -1;
   Nanos slo_latency = 0;
   Nanos deadline[kNumQosClasses] = {0, 0};
-  int op_retries = 0;
-  Nanos shed_cost = 200;
   Nanos error_backoff = 0;
 };
 
@@ -222,14 +230,14 @@ std::unique_ptr<CachedWorld> BuildOpenLoopWorld(const OpenLoopConfig& config,
               // backlog of expired ops drains at one timestamp).
               tr.stats.shed_deadline++;
               if (ctx.now <= sh.t1) inst.shed.Add(ctx.now - sh.t0);
-              ctx.Advance(sh.shed_cost);
+              ctx.Advance(kShedCost);
               return true;
             }
             tr.stats.queue_wait.Add(wait);
             Status s;
             for (int attempt = 0;; attempt++) {
               s = raw->op.Run(ctx, tr.write_fraction);
-              if (s.ok() || attempt >= sh.op_retries) break;
+              if (s.ok() || attempt >= kOpRetries) break;
               tr.stats.retried_ops++;
               ctx.Advance(sh.error_backoff);
             }
@@ -272,7 +280,6 @@ void MergeSeries(TimeSeries* dst, const TimeSeries& src) {
 }  // namespace
 
 OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
-  POLAR_CHECK_MSG(config.shed_cost > 0, "shed_cost must advance time");
   for (const TenantSpec& t : config.tenants) {
     POLAR_CHECK_MSG(t.instance < config.instances,
                     "tenant routed to a nonexistent instance");
@@ -303,8 +310,6 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
   sh.deadline[static_cast<int>(QosClass::kGold)] = config.gold_deadline;
   sh.deadline[static_cast<int>(QosClass::kBestEffort)] =
       config.best_effort_deadline;
-  sh.op_retries = config.op_retries;
-  sh.shed_cost = config.shed_cost;
   sh.error_backoff = config.error_backoff;
 
   for (uint32_t i = 0; i < config.instances; i++) {
@@ -377,7 +382,7 @@ OpenLoopResult RunOpenLoop(const OpenLoopConfig& config, WorldCache* cache) {
                 static_cast<double>(result.offered);
   result.slo_met = !config.tenants.empty() &&
                    result.p99 <= config.slo_latency &&
-                   result.loss_fraction <= config.max_loss_fraction;
+                   result.loss_fraction <= kMaxLossFraction;
   return result;
 }
 

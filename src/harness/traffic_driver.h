@@ -62,9 +62,8 @@ struct OpenLoopConfig {
   /// The SLO: an op counts toward goodput iff its client latency (queue
   /// wait + service) is within slo_latency, and the run meets the SLO iff
   /// merged p99 <= slo_latency and the lost fraction (shed + failed over
-  /// offered) stays within max_loss_fraction.
+  /// offered) stays within 5 %.
   Nanos slo_latency = Micros(500);
-  double max_loss_fraction = 0.05;
   /// Update fraction of the closed-loop mix: the warm-up of an open-loop
   /// run (tenant write fractions apply only in its window) and the whole of
   /// a closed-loop run.
@@ -76,14 +75,9 @@ struct OpenLoopConfig {
   Nanos bucket = Millis(10);
   /// Virtual think-time a server lane spends after a failed attempt before
   /// retrying or reporting failure (a real client backs off instead of
-  /// hammering a dead device).
+  /// hammering a dead device). An admitted op gets one retry; its second
+  /// failure surfaces to the client as Unavailable.
   Nanos error_backoff = Micros(50);
-  /// Bounded retries per admitted op: total attempts = 1 + op_retries;
-  /// the final failure surfaces to the client as Unavailable.
-  int op_retries = 1;
-  /// Virtual cost of shedding one op at the deadline check (routing +
-  /// rejection write; also keeps same-timestamp shed loops advancing).
-  Nanos shed_cost = 200;
   /// TieredRdma verbs retry budget (satellite: bounded total backoff,
   /// exhaustion -> Status::Unavailable; 0 = unlimited legacy behavior).
   Nanos verbs_retry_budget = 0;
@@ -112,7 +106,7 @@ struct TenantStats {
   uint64_t shed_deadline = 0;  // dropped after queue wait blew the deadline
   uint64_t ok_ops = 0;         // completed successfully in the window
   uint64_t ok_in_slo = 0;      // ... within slo_latency of arrival
-  uint64_t failed_ops = 0;     // exhausted op_retries (client saw an error)
+  uint64_t failed_ops = 0;     // failed its retry too (client saw an error)
   uint64_t retried_ops = 0;    // individual retry attempts
   Histogram latency;           // arrival -> completion (ok ops)
   Histogram queue_wait;        // arrival -> service start (served ops)

@@ -24,14 +24,8 @@ cxl::CxlFabric::Options FabricOptionsFor(const SimWorld::Spec& spec) {
   const FabricWorldSpec& f = spec.fabric;
   if (f.TopologyActive()) {
     cxl::CxlSwitch::Options sw;
-    if (f.port_bps > 0) sw.port_bps = f.port_bps;
     sw.device_port_bps = f.device_port_bps;
-    o.topology = f.ring ? fabric::TopologySpec::Ring(f.switches, sw,
-                                                     f.uplink_bps,
-                                                     f.uplink_latency)
-                        : fabric::TopologySpec::Chain(f.switches, sw,
-                                                      f.uplink_bps,
-                                                      f.uplink_latency);
+    o.topology = fabric::TopologySpec::Ring(f.switches, sw, f.uplink_bps);
     o.interleave = f.interleave;
   }
   // Inactive topology leaves Options at its legacy one-switch default:
@@ -68,11 +62,9 @@ std::string WorldKey(const std::string& lanes_key, const SimWorld::Spec& s,
      << (s.wire_faults ? 1 : 0);
   const FabricWorldSpec& f = s.fabric;
   os << ":f" << f.switches << ':' << f.devices_per_switch << ':'
-     << (f.ring ? 1 : 0) << ':' << f.uplink_bps << ':' << f.uplink_latency
-     << ':' << static_cast<int>(f.interleave.mode) << ':'
+     << f.uplink_bps << ':' << static_cast<int>(f.interleave.mode) << ':'
      << f.interleave.granule << ':' << f.interleave.ways << ':'
-     << static_cast<int>(f.placement) << ':' << f.port_bps << ':'
-     << f.device_port_bps;
+     << static_cast<int>(f.placement) << ':' << f.device_port_bps;
   return os.str();
 }
 }  // namespace

@@ -83,19 +83,15 @@ inline double ThreadCpuSeconds() {
 /// bit-identical to the pre-topology driver. More than one switch or more
 /// than one device per switch activates per-address routing: every access
 /// additionally charges its route's uplinks, entered switch fabrics, and
-/// destination device port.
+/// destination device port. The switches form a ring (a chain below three)
+/// of uplinks with the default hop latency, and their ports have the model
+/// width (x16, 56 GB/s).
 struct FabricWorldSpec {
   uint32_t switches = 1;
   uint32_t devices_per_switch = 1;
-  /// Ring topology when true, chain otherwise (same graph below 3).
-  bool ring = true;
   uint64_t uplink_bps = 56ULL * 1000 * 1000 * 1000;
-  Nanos uplink_latency = 100;
-  /// Port-width overrides for every switch (0 = the model defaults: x16
-  /// 56 GB/s ports). `device_port_bps` narrows only the memory-device
-  /// ports — x8/x4 expanders or oversubscribed trunks behind full-width
-  /// host links.
-  uint64_t port_bps = 0;
+  /// Narrows only the memory-device ports (0 = full width) — x8/x4
+  /// expanders or oversubscribed trunks behind full-width host links.
   uint64_t device_port_bps = 0;
   fabric::InterleaveSpec interleave;
   fabric::PlacementMode placement = fabric::PlacementMode::kLocalFirst;

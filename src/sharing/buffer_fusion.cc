@@ -14,6 +14,9 @@ Result<std::unique_ptr<BufferFusionServer>> BufferFusionServer::Create(
     sim::ExecContext& ctx, Options options, cxl::CxlAccessor* server_acc,
     cxl::CxlMemoryManager* manager, storage::PageStore* store,
     DistLockManager* locks) {
+  if (options.max_nodes > kMaxNodes) {
+    return Status::InvalidArgument("active masks hold at most 64 nodes");
+  }
   std::unique_ptr<BufferFusionServer> server(
       new BufferFusionServer(options, server_acc, store, locks));
   const uint64_t flag_bytes =

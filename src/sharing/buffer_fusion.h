@@ -24,14 +24,18 @@ namespace polarcxl::sharing {
 
 class BufferFusionServer {
  public:
+  /// Nodes are bits of a slot's 64-bit active mask.
+  static constexpr uint32_t kMaxNodes = 64;
+
   struct Options {
     uint32_t dbp_pages = 4096;     // shared frame slots in CXL
-    uint32_t max_nodes = 64;
+    uint32_t max_nodes = kMaxNodes;
     NodeId server_tenant = 0xFFFF;  // CXL memory manager tenant id
     Nanos rpc_round_trip = 2600;    // CXL mailbox RPC
   };
 
   /// Allocates the DBP region (flag table + frames) from the fabric.
+  /// InvalidArgument if `max_nodes` exceeds kMaxNodes.
   static Result<std::unique_ptr<BufferFusionServer>> Create(
       sim::ExecContext& ctx, Options options, cxl::CxlAccessor* server_acc,
       cxl::CxlMemoryManager* manager, storage::PageStore* store,

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "bufferpool/cxl_buffer_pool.h"
-#include "bufferpool/dram_buffer_pool.h"
 #include "bufferpool/tiered_rdma_buffer_pool.h"
 #include "cxl/cxl_fabric.h"
 #include "cxl/cxl_memory_manager.h"
@@ -42,9 +41,13 @@ class PoolEnv {
                                        uint64_t capacity_pages = kPoolPages) {
     ExecContext ctx;
     if (kind == "dram") {
-      DramBufferPool::Options o;
-      o.capacity_pages = capacity_pages;
-      return std::make_unique<DramBufferPool>(o, dram_.get(), &store_);
+      // The DRAM-BP: the local buffer pool with no remote tier.
+      TieredRdmaBufferPool::Options o;
+      o.lbp_capacity_pages = capacity_pages;
+      o.phys_base = 1ULL << 44;
+      return std::make_unique<TieredRdmaBufferPool>(o, dram_.get(),
+                                                    /*remote=*/nullptr,
+                                                    &store_);
     }
     if (kind == "cxl") {
       CxlBufferPool::Options o;

@@ -4,6 +4,8 @@
 // meaningful — any drift is a real behavioural change, never noise.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "bench/pins.h"
@@ -11,6 +13,9 @@
 #include "harness/recovery_driver.h"
 #include "harness/sharing_driver.h"
 #include "harness/sweep_runner.h"
+#include "sim/executor.h"
+#include "storage/disk.h"
+#include "workload/sysbench.h"
 
 namespace polarcxl::harness {
 namespace {
@@ -28,17 +33,86 @@ PoolingConfig SmallPooling(engine::BufferPoolKind kind) {
 }
 
 TEST(DeterminismTest, PoolingRunsAreBitIdentical) {
-  for (auto kind :
-       {engine::BufferPoolKind::kDram, engine::BufferPoolKind::kCxl,
-        engine::BufferPoolKind::kTieredRdma}) {
-    PoolingResult a = RunPooling(SmallPooling(kind));
-    PoolingResult b = RunPooling(SmallPooling(kind));
+  // Absolute pins beside the run-to-run equality (see the sharing pins).
+  // The DRAM and tiered configurations run one local buffer pool, with and
+  // without a remote tier. The dataset fits each instance's LLC share, so
+  // no line misses after warm-up.
+  struct Pin {
+    engine::BufferPoolKind kind;
+    uint64_t lane_steps, queries, line_misses;
+  };
+  for (const Pin& pin :
+       {Pin{engine::BufferPoolKind::kDram, 10944, 8202, 0},
+        Pin{engine::BufferPoolKind::kCxl, 10890, 8160, 0},
+        Pin{engine::BufferPoolKind::kTieredRdma, 10297, 7719, 0}}) {
+    SCOPED_TRACE(engine::PoolKindName(pin.kind));
+    PoolingResult a = RunPooling(SmallPooling(pin.kind));
+    PoolingResult b = RunPooling(SmallPooling(pin.kind));
     EXPECT_EQ(a.metrics.queries, b.metrics.queries);
     EXPECT_EQ(a.metrics.events, b.metrics.events);
     EXPECT_EQ(a.metrics.latency.max(), b.metrics.latency.max());
     EXPECT_DOUBLE_EQ(a.interconnect_gbps, b.interconnect_gbps);
     EXPECT_EQ(a.line_misses, b.line_misses);
+    EXPECT_EQ(a.lane_steps, pin.lane_steps);
+    EXPECT_EQ(a.metrics.queries, pin.queries);
+    EXPECT_EQ(a.line_misses, pin.line_misses);
   }
+}
+
+TEST(DeterminismTest, SmallDramPoolEvictionIsPinned) {
+  // SimWorld sizes a DRAM-BP at the whole dataset, so the pooling pins
+  // barely evict. Here a 64-page DRAM-BP holds a fraction of the dataset
+  // under write-only sysbench and a checkpoint lane: every miss evicts, and
+  // dirty victims and checkpoints write pages back to storage.
+  storage::SimDisk disk("disk");
+  storage::PageStore store(&disk);
+  storage::RedoLog log(&disk);
+  engine::DatabaseEnv env;
+  env.store = &store;
+  env.log = &log;
+  engine::DatabaseOptions opt;
+  opt.pool_kind = engine::BufferPoolKind::kDram;
+  opt.pool_pages = 64;
+  WorkloadSpec spec;
+  spec.sysbench.tables = 2;
+  spec.sysbench.rows_per_table = 4000;
+  sim::ExecContext setup;
+  auto created = CreateAndLoad(setup, env, opt, spec);
+  ASSERT_TRUE(created.ok());
+  engine::Database* db = created->get();
+
+  sim::Executor executor;
+  std::vector<std::unique_ptr<workload::SysbenchWorkload>> workloads;
+  std::vector<uint32_t> writers;
+  for (uint64_t seed : {7, 8}) {
+    workloads.push_back(std::make_unique<workload::SysbenchWorkload>(
+        db, spec.sysbench, 0, seed));
+    workload::SysbenchWorkload* wl = workloads.back().get();
+    writers.push_back(executor.AddLane(
+        [wl](sim::ExecContext& ctx) {
+          wl->RunEvent(ctx, workload::SysbenchOp::kWriteOnly);
+          return true;
+        },
+        0, db->cache(), setup.now));
+  }
+  executor.AddLane(
+      [db](sim::ExecContext& ctx) {
+        db->Checkpoint(ctx);
+        ctx.now += Millis(5);
+        return true;
+      },
+      0, nullptr, setup.now + Millis(5));
+  executor.RunUntil(setup.now + Millis(40));
+
+  Nanos end = 0;
+  for (uint32_t id : writers) {
+    end = std::max(end, executor.context(id).now);
+  }
+  const bufferpool::BufferPoolStats& s = db->pool()->stats();
+  EXPECT_EQ(s.evictions, 475u);
+  EXPECT_EQ(s.dirty_writebacks, 197u);
+  EXPECT_EQ(disk.write_bytes(), 12708943u);
+  EXPECT_EQ(end, 85759853);
 }
 
 TEST(DeterminismTest, SharingRunsAreBitIdentical) {
@@ -46,19 +120,26 @@ TEST(DeterminismTest, SharingRunsAreBitIdentical) {
   // invalidations per mode (same virtual-time purity as the lane_steps
   // pins in bench/pins.h; update only alongside an explanation of what
   // changed the simulated execution).
+  // The third point's 64-page LBPs hold a fraction of what each node
+  // touches, so its RDMA-sharing nodes evict.
   struct Pin {
     SharingMode mode;
+    uint32_t rows_per_table;
+    double lbp_fraction;
     uint64_t queries, lock_waits, invalidations;
   };
-  for (const Pin& pin : {Pin{SharingMode::kCxl, 3460, 238, 1448},
-                         Pin{SharingMode::kRdma, 2200, 169, 959}}) {
+  for (const Pin& pin : {Pin{SharingMode::kCxl, 1500, 0.3, 3460, 238, 1448},
+                         Pin{SharingMode::kRdma, 1500, 0.3, 2200, 169, 959},
+                         Pin{SharingMode::kRdma, 6000, 0.1, 2650, 50, 629}}) {
     const SharingMode mode = pin.mode;
+    SCOPED_TRACE(::testing::Message() << "rows=" << pin.rows_per_table);
     SharingConfig c;
     c.mode = mode;
     c.nodes = 3;
     c.lanes_per_node = 2;
+    c.lbp_fraction = pin.lbp_fraction;
     c.sysbench.tables = 1;
-    c.sysbench.rows_per_table = 1500;
+    c.sysbench.rows_per_table = pin.rows_per_table;
     c.sysbench.num_nodes = 3;
     c.sysbench.shared_fraction = 0.5;
     c.warmup = Millis(20);
@@ -75,9 +156,9 @@ TEST(DeterminismTest, SharingRunsAreBitIdentical) {
   }
 }
 
-TEST(DeterminismTest, RecoveryTimelinesAreBitIdentical) {
+RecoveryConfig SmallRecovery(RecoveryScheme scheme) {
   RecoveryConfig c;
-  c.scheme = RecoveryScheme::kPolarRecv;
+  c.scheme = scheme;
   c.sysbench.tables = 2;
   c.sysbench.rows_per_table = 3000;
   c.lanes = 4;
@@ -86,6 +167,11 @@ TEST(DeterminismTest, RecoveryTimelinesAreBitIdentical) {
   c.bucket = Millis(25);
   c.checkpoint_interval = Millis(150);
   c.process_restart = Millis(50);
+  return c;
+}
+
+TEST(DeterminismTest, RecoveryTimelinesAreBitIdentical) {
+  const RecoveryConfig c = SmallRecovery(RecoveryScheme::kPolarRecv);
   RecoveryResult a = RunRecoveryExperiment(c);
   RecoveryResult b = RunRecoveryExperiment(c);
   EXPECT_EQ(a.serving_at, b.serving_at);
@@ -99,6 +185,27 @@ TEST(DeterminismTest, RecoveryTimelinesAreBitIdentical) {
   EXPECT_EQ(a.serving_at, 354667317);
   EXPECT_EQ(a.warmed_at, 375000000);
   EXPECT_EQ(a.polar.records_applied, 633u);
+}
+
+TEST(DeterminismTest, AriesRecoveryTimelinesArePinned) {
+  // The vanilla restart replays redo into a cold DRAM-BP; the RDMA-based
+  // one into a cold LBP that reads page bases from the surviving remote
+  // tier. Both run on the same local buffer pool.
+  struct Pin {
+    RecoveryScheme scheme;
+    Nanos serving_at, warmed_at;
+    uint64_t records_applied, pages_rebuilt;
+  };
+  for (const Pin& pin :
+       {Pin{RecoveryScheme::kVanilla, 367519411, 375000000, 2880, 142},
+        Pin{RecoveryScheme::kRdmaBased, 351838817, 375000000, 27, 142}}) {
+    SCOPED_TRACE(RecoverySchemeName(pin.scheme));
+    const RecoveryResult r = RunRecoveryExperiment(SmallRecovery(pin.scheme));
+    EXPECT_EQ(r.serving_at, pin.serving_at);
+    EXPECT_EQ(r.warmed_at, pin.warmed_at);
+    EXPECT_EQ(r.aries.records_applied, pin.records_applied);
+    EXPECT_EQ(r.aries.pages_rebuilt, pin.pages_rebuilt);
+  }
 }
 
 TEST(DeterminismTest, SerialLoopMatchesParallelSweepAtAnyThreadCount) {

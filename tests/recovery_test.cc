@@ -242,10 +242,11 @@ TEST(AriesRecoveryTest, VanillaEndToEnd) {
   sim::MemorySpace::Options mo;
   mo.name = "dram-recover";
   auto dram = std::make_unique<sim::MemorySpace>(mo);
-  bufferpool::DramBufferPool::Options po;
-  po.capacity_pages = 256;
-  auto pool = std::make_unique<bufferpool::DramBufferPool>(
-      po, dram.get(), &s.world_.store);
+  bufferpool::TieredRdmaBufferPool::Options po;
+  po.lbp_capacity_pages = 256;
+  po.phys_base = 1ULL << 44;
+  auto pool = std::make_unique<bufferpool::TieredRdmaBufferPool>(
+      po, dram.get(), /*remote=*/nullptr, &s.world_.store);
   pool->SetWal(&s.world_.log);
 
   auto stats = RecoverAries(ctx, pool.get(), &s.world_.log, opt.costs);
@@ -381,10 +382,11 @@ TEST_F(PolarRecvTest, MuchCheaperThanAriesOnSameCrash) {
   ctx.now = dram_s.CrashTime();
   sim::MemorySpace::Options mo;
   auto dram = std::make_unique<sim::MemorySpace>(mo);
-  bufferpool::DramBufferPool::Options po;
-  po.capacity_pages = 256;
-  auto pool = std::make_unique<bufferpool::DramBufferPool>(
-      po, dram.get(), &dram_s.world_.store);
+  bufferpool::TieredRdmaBufferPool::Options po;
+  po.lbp_capacity_pages = 256;
+  po.phys_base = 1ULL << 44;
+  auto pool = std::make_unique<bufferpool::TieredRdmaBufferPool>(
+      po, dram.get(), /*remote=*/nullptr, &dram_s.world_.store);
   pool->SetWal(&dram_s.world_.log);
   auto aries_stats =
       RecoverAries(ctx, pool.get(), &dram_s.world_.log, sim::CpuCostModel{});
@@ -422,10 +424,11 @@ TEST(RecoveryEquivalenceTest, PolarRecvMatchesAriesByteForByte) {
   dctx.now = dram_s.CrashTime();
   sim::MemorySpace::Options mo;
   auto dram = std::make_unique<sim::MemorySpace>(mo);
-  bufferpool::DramBufferPool::Options dpo;
-  dpo.capacity_pages = 256;
-  auto dpool = std::make_unique<bufferpool::DramBufferPool>(
-      dpo, dram.get(), &dram_s.world_.store);
+  bufferpool::TieredRdmaBufferPool::Options dpo;
+  dpo.lbp_capacity_pages = 256;
+  dpo.phys_base = 1ULL << 44;
+  auto dpool = std::make_unique<bufferpool::TieredRdmaBufferPool>(
+      dpo, dram.get(), /*remote=*/nullptr, &dram_s.world_.store);
   dpool->SetWal(&dram_s.world_.log);
   RecoverAries(dctx, dpool.get(), &dram_s.world_.log, sim::CpuCostModel{});
   auto dram_db = Database::OpenWithPool(

@@ -194,6 +194,18 @@ TEST_F(BufferFusionTest, RpcCostCharged) {
   EXPECT_GE(ctx.now, 2600);
 }
 
+TEST_F(BufferFusionTest, CreateRejectsMoreNodesThanMaskBits) {
+  // A slot's active mask has one bit per node.
+  BufferFusionServer::Options so;
+  so.dbp_pages = 8;
+  so.max_nodes = 65;
+  ExecContext ctx;
+  auto server = BufferFusionServer::Create(ctx, so, server_acc_,
+                                           world_.manager.get(),
+                                           &world_.store, locks_.get());
+  EXPECT_TRUE(server.status().IsInvalidArgument());
+}
+
 // ---------- two real nodes sharing one dataset (CXL protocol) ----------
 
 class CxlSharingIntegrationTest : public ::testing::Test {
@@ -460,6 +472,41 @@ TEST_F(RdmaSharingIntegrationTest, WriteUnlockShipsImageByReference) {
   EXPECT_NE(r->data, shipped2);
   EXPECT_EQ(r->data[kPageSize - 1], 0x6F);
   pools_[1]->Unfix(b, *r, kPage, /*dirty=*/false, 0);
+}
+
+TEST(RdmaSharingGroupTest, InvalidationReachesNodeIdsPast64) {
+  MpWorld world;
+  world.net.RegisterHost(70);
+  world.net.RegisterHost(71);
+  RdmaSharingGroup group(&world.net, 200, 64, &world.store);
+  sim::MemorySpace dram70{sim::MemorySpace::Options{}};
+  sim::MemorySpace dram71{sim::MemorySpace::Options{}};
+  RdmaSharedBufferPool::Options po;
+  po.lbp_capacity_pages = 8;
+  po.node = 70;
+  RdmaSharedBufferPool reader(po, &dram70, &group);
+  po.node = 71;
+  po.phys_base += 1ULL << 38;
+  RdmaSharedBufferPool writer(po, &dram71, &group);
+  constexpr PageId kPage = 5;
+
+  ExecContext a;
+  auto r = reader.Fetch(a, kPage, /*for_write=*/false);
+  ASSERT_TRUE(r.ok());
+  reader.Unfix(a, *r, kPage, /*dirty=*/false, 0);
+  ASSERT_TRUE(reader.Cached(kPage));
+
+  // A dirty write unlock by node 71 drops node 70's copy.
+  ExecContext b;
+  b.now = Millis(1);
+  auto w = writer.Fetch(b, kPage, /*for_write=*/true);
+  ASSERT_TRUE(w.ok());
+  w->data[kPageSize - 1] = 0x71;
+  writer.Unfix(b, *w, kPage, /*dirty=*/true, 0);
+  EXPECT_FALSE(reader.Cached(kPage));
+  EXPECT_EQ(reader.invalidations_received(), 1u);
+  EXPECT_EQ(writer.invalidations_received(), 0u);
+  EXPECT_TRUE(writer.Cached(kPage));
 }
 
 }  // namespace

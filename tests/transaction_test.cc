@@ -159,6 +159,7 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
   rctx.now = crash_time;
   DatabaseOptions opt;
   opt.pool_pages = 512;
+  sim::MemorySpace dram{sim::MemorySpace::Options{}};  // outlives db2's pool
   std::unique_ptr<Database> db2;
   if (use_polar_recv) {
     opt.pool_kind = BufferPoolKind::kCxl;
@@ -172,18 +173,16 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
         *Database::OpenWithPool(rctx, world.Env(), opt, std::move(pool)));
   } else {
     opt.pool_kind = BufferPoolKind::kDram;
-    sim::MemorySpace::Options mo;
-    auto dram = std::make_unique<sim::MemorySpace>(mo);
-    bufferpool::DramBufferPool::Options po;
-    po.capacity_pages = 512;
-    auto pool = std::make_unique<bufferpool::DramBufferPool>(po, dram.get(),
-                                                             &world.store);
+    bufferpool::TieredRdmaBufferPool::Options po;
+    po.lbp_capacity_pages = 512;
+    po.phys_base = 1ULL << 44;
+    auto pool = std::make_unique<bufferpool::TieredRdmaBufferPool>(
+        po, &dram, /*remote=*/nullptr, &world.store);
     pool->SetWal(&world.log);
     recovery::RecoverAries(rctx, pool.get(), &world.log,
                            sim::CpuCostModel{});
     db2 = std::move(
         *Database::OpenWithPool(rctx, world.Env(), opt, std::move(pool)));
-    (void)dram.release();  // keep alive for the test's lifetime (leak OK)
   }
 
   // Undo pass.

@@ -5,7 +5,8 @@
 # bench gates run a bench at the pin scale; the bench checks itself against
 # the pins manifest, bench/pins.h, and exits 1 naming any value that drifts.
 #
-#   tools/check.sh            # tier-1 + sanitizer pass
+#   tools/check.sh            # tier-1 + sanitized sim core, sweep runner
+#                             #   and determinism (pins) suites
 #   tools/check.sh --fast     # tier-1 only
 #   tools/check.sh --bench    # tier-1 + fig7 pins, also on a POLAR_NO_SIMD
 #                             #   build and on a POLAR_PROF build (which adds
@@ -16,8 +17,9 @@
 #   tools/check.sh --parallel # tier-1 + fig7 epoch pins at
 #                             #   POLAR_WORLD_THREADS 1/2/4 + TSan leg over
 #                             #   the executor/snapshot/faults suites
-#   tools/check.sh --slo      # tier-1 + sanitized open-loop and RDMA-tier
-#                             #   suites + SLO pins across sweep/world
+#   tools/check.sh --slo      # tier-1 + sanitized open-loop suite and the
+#                             #   suites whose buffer-pool frames alias
+#                             #   page images + SLO pins across sweep/world
 #                             #   thread counts
 #   tools/check.sh --fabric   # tier-1 + sanitized fabric suite + 2-switch
 #                             #   serial and epoch pins
@@ -160,10 +162,13 @@ if [[ "${1:-}" == "--parallel" ]]; then
 fi
 
 if [[ "${1:-}" == "--slo" ]]; then
-  echo "==> slo: ASan+UBSan build of the open-loop and RDMA-tier suites"
-  # The RDMA tier's frames alias remote page images, so an image released
-  # while a PageRef still points into it is a use-after-free ASan catches.
-  sanitized open_loop_test rdma_test bufferpool_test sharing_test
+  echo "==> slo: ASan+UBSan build of the open-loop and page-image suites"
+  # Local buffer pool frames (the DRAM-BP, the tiered LBP and the RDMA
+  # sharing pool's frames) alias page images shared with a remote tier or a
+  # world snapshot, so an image released while a PageRef still points into
+  # it is a use-after-free ASan catches.
+  sanitized open_loop_test rdma_test bufferpool_test sharing_test \
+    engine_test transaction_test recovery_test coherency_property_test
   echo "==> slo: quick-scale capacity bit-identity gate (thread sweep)"
   # Open-loop arrival schedules are counter-mode (a pure function of seed,
   # tenant, and index) and all serving runs on the virtual clock, so the
