@@ -120,7 +120,9 @@ class BufferPool {
   }
 
   /// Writes every dirty page back to the page store (checkpoint path).
-  virtual void FlushDirtyPages(sim::ExecContext& ctx) = 0;
+  /// Returns whether every dirty page reached storage; a pool that had to
+  /// defer the flush returns false, and the checkpoint must not advance.
+  virtual bool FlushDirtyPages(sim::ExecContext& ctx) = 0;
 
   /// Whether the pool currently holds the page (uncharged introspection).
   virtual bool Cached(PageId page_id) const = 0;

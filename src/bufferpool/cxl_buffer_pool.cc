@@ -348,11 +348,12 @@ void CxlBufferPool::TouchRangeImpl(sim::ExecContext& ctx,
   acc_->Touch(ctx, FrameOff(ref.block) + off, len, write);
 }
 
-void CxlBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
+bool CxlBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
   if (acc_->HasFaultInjector() && !acc_->CheckFault(ctx).ok()) {
     // Checkpoint deferred: the frames are unreachable mid-fault. The redo
-    // for every dirty page stays in the WAL, so durability is unaffected.
-    return;
+    // for every dirty page stays in the WAL, and the checkpoint stays put,
+    // so recovery still replays it.
+    return false;
   }
   for (uint32_t b = 0; b < num_blocks(); b++) {
     if (dirty_[b] == 0) continue;
@@ -363,6 +364,7 @@ void CxlBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
     store_->WritePage(ctx, m.id, FrameRaw(b));
     dirty_[b] = 0;
   }
+  return true;
 }
 
 bool CxlBufferPool::Cached(PageId page_id) const {

@@ -84,7 +84,7 @@ class CxlBufferPool final : public StaticDispatchPool<CxlBufferPool> {
                             PageId page_id);
   void TouchRangeImpl(sim::ExecContext& ctx, const PageRef& ref, uint32_t off,
                       uint32_t len, bool write);
-  void FlushDirtyPages(sim::ExecContext& ctx) override;
+  bool FlushDirtyPages(sim::ExecContext& ctx) override;
   bool Cached(PageId page_id) const override;
   uint64_t capacity_pages() const override { return opt_.capacity_pages; }
   const BufferPoolStats& stats() const override { return stats_; }

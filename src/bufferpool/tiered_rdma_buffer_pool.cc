@@ -208,7 +208,7 @@ void TieredRdmaBufferPool::TouchRangeImpl(sim::ExecContext& ctx,
   dram_->Touch(ctx, FrameAddr(ref.block) + off, len, write);
 }
 
-void TieredRdmaBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
+bool TieredRdmaBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
   for (uint32_t b = 0; b < meta_.size(); b++) {
     BlockMeta& m = meta_[b];
     if (m.in_use && m.dirty) {
@@ -224,6 +224,7 @@ void TieredRdmaBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
       m.dirty = false;
     }
   }
+  return true;
 }
 
 bool TieredRdmaBufferPool::Cached(PageId page_id) const {

@@ -79,7 +79,7 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
     ref.data = WritableImage(images_[ref.block]);
     return Status::OK();
   }
-  void FlushDirtyPages(sim::ExecContext& ctx) override;
+  bool FlushDirtyPages(sim::ExecContext& ctx) override;
   bool Cached(PageId page_id) const override;
   uint64_t capacity_pages() const override { return opt_.lbp_capacity_pages; }
   const BufferPoolStats& stats() const override { return stats_; }

@@ -268,11 +268,13 @@ Result<PageId> Database::AllocPage(MiniTransaction& mtr) {
 }
 
 void Database::Checkpoint(sim::ExecContext& ctx) {
-  pool_->FlushDirtyPages(ctx);
+  const bool flushed = pool_->FlushDirtyPages(ctx);
   env_.log->Flush(ctx);
-  // Nothing runs concurrently within a lane step, so every durable record
-  // is now reflected in the flushed pages.
-  env_.log->Checkpoint(env_.log->flushed_lsn());
+  // Nothing runs concurrently within a lane step, so once every dirty page
+  // reached storage every durable record is reflected in the page store. A
+  // deferred page flush leaves the checkpoint where it was: recovery must
+  // still replay the redo of the pages storage never received.
+  if (flushed) env_.log->Checkpoint(env_.log->flushed_lsn());
 }
 
 MemOffset Database::cxl_region() const {

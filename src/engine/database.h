@@ -110,7 +110,9 @@ class Database : public PageAllocator {
   Result<PageId> AllocPage(MiniTransaction& mtr) override;
 
   /// Flushes dirty pages and the log, then advances the checkpoint so
-  /// recovery scans only the tail.
+  /// recovery scans only the tail (which lets the log release the redo
+  /// behind it). If the pool deferred its page flush, the log still flushes
+  /// but the checkpoint stays put.
   void Checkpoint(sim::ExecContext& ctx);
 
   /// Durably flush the redo log (transaction commit), honoring the

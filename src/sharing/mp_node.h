@@ -52,7 +52,10 @@ class CxlSharedBufferPool final : public bufferpool::BufferPool {
                   uint32_t off, uint32_t len, bool write) override;
   /// The DBP in CXL is authoritative (writers clflush on unlock); the
   /// server persists frames on recycle, so there is nothing to flush here.
-  void FlushDirtyPages(sim::ExecContext& ctx) override { (void)ctx; }
+  bool FlushDirtyPages(sim::ExecContext& ctx) override {
+    (void)ctx;
+    return true;
+  }
   bool Cached(PageId page_id) const override {
     return local_.count(page_id) > 0;
   }

@@ -86,7 +86,10 @@ class RdmaSharedBufferPool final : public bufferpool::BufferPool {
   }
   /// Local copies are clean outside write fixes (a dirty write unlock
   /// ships the page), so there is nothing to flush; the DBP persists.
-  void FlushDirtyPages(sim::ExecContext& ctx) override { (void)ctx; }
+  bool FlushDirtyPages(sim::ExecContext& ctx) override {
+    (void)ctx;
+    return true;
+  }
   bool Cached(PageId page_id) const override { return lbp_.Cached(page_id); }
   uint64_t capacity_pages() const override { return lbp_.capacity_pages(); }
   const bufferpool::BufferPoolStats& stats() const override {

@@ -1,13 +1,17 @@
 // Failure-injection tests: crash the database at many different points and
 // verify recovery invariants every time; exercise capacity-exhaustion and
-// fallback paths; verify the WAL rule at the pool boundary.
+// fallback paths; verify the WAL rule at the pool boundary and that a
+// checkpoint deferred by a CXL outage does not advance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 
 #include "common/rng.h"
 #include "engine/database.h"
+#include "faults/fault_injector.h"
 #include "recovery/polar_recv.h"
 #include "recovery/recovery.h"
 #include "tests/test_world.h"
@@ -290,6 +294,62 @@ TEST(WalRuleTest, PageNeverReachesStorageAheadOfItsRedo) {
     std::memcpy(&page_lsn, img + 8, sizeof(page_lsn));
     EXPECT_LE(page_lsn, world.log.flushed_lsn()) << "page " << p;
   }
+}
+
+// ---------- deferred checkpoint ----------
+
+/// Highest page LSN among the first 64 page ids of the page store.
+Lsn MaxStoredPageLsn(const storage::PageStore& store) {
+  Lsn max = 0;
+  for (PageId p = 0; p < 64; p++) {
+    const uint8_t* img = store.RawPage(p);
+    if (img == nullptr) continue;
+    Lsn page_lsn = 0;
+    std::memcpy(&page_lsn, img + 8, sizeof(page_lsn));
+    max = std::max(max, page_lsn);
+  }
+  return max;
+}
+
+TEST(DeferredCheckpointTest, CxlOutageKeepsTheCheckpointUntilPagesFlush) {
+  TestWorld world;
+  faults::FaultInjector injector;
+  world.fabric.set_fault_injector(&injector);
+  DatabaseOptions opt;
+  opt.pool_kind = BufferPoolKind::kCxl;
+  opt.pool_pages = 512;
+  ExecContext ctx;
+  auto db = std::move(*Database::Create(ctx, world.Env(), opt));
+  auto table = *db->CreateTable(ctx, "t", 48);
+  for (uint64_t k = 1; k <= 20; k++) {
+    ASSERT_TRUE(table->Insert(ctx, k, std::string(48, 'a')).ok());
+  }
+  db->CommitTransaction(ctx);
+  db->Checkpoint(ctx);
+  const Lsn base = world.log.checkpoint_lsn();
+  ASSERT_EQ(MaxStoredPageLsn(world.store), base);
+
+  // A committed update whose page is dirty only in the CXL pool.
+  ASSERT_TRUE(table->Update(ctx, 7, std::string(48, 'u')).ok());
+  db->CommitTransaction(ctx);
+  const Lsn committed = world.log.flushed_lsn();
+  ASSERT_GT(committed, base);
+
+  // A checkpoint inside an outage cannot reach the frames: the page store
+  // still lacks the update, so the checkpoint must not pass its redo.
+  faults::FaultPlan plan;
+  plan.Add({faults::FaultKind::kCxlDown, ctx.now, ctx.now + Millis(1)});
+  ASSERT_TRUE(injector.Arm(plan).ok());
+  db->Checkpoint(ctx);
+  EXPECT_LT(MaxStoredPageLsn(world.store), committed);
+  EXPECT_EQ(world.log.checkpoint_lsn(), base);
+  EXPECT_FALSE(world.log.DurableRecordsFrom(base).empty());
+
+  // After the outage the next checkpoint writes the page and advances.
+  ctx.now += Millis(1);
+  db->Checkpoint(ctx);
+  EXPECT_EQ(MaxStoredPageLsn(world.store), committed);
+  EXPECT_EQ(world.log.checkpoint_lsn(), committed);
 }
 
 // ---------- wrong-region / corruption paths ----------

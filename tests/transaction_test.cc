@@ -5,6 +5,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "common/rng.h"
 #include "engine/database.h"
@@ -122,11 +124,14 @@ TEST(TransactionTest, FailedStatementDoesNotPoisonUndo) {
 
 /// Crash with a transaction in flight: redo restores its writes (they were
 /// durable), the undo pass rolls them back. Parameterized over PolarRecv
-/// and the vanilla ARIES path.
-class LoserTxnTest : public ::testing::TestWithParam<bool> {};
+/// and the vanilla ARIES path, and over a checkpoint taken while the loser
+/// is in flight: the log then releases the winner's records but must keep
+/// the loser's undo info, which lies below the checkpoint.
+class LoserTxnTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
 TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
-  const bool use_polar_recv = GetParam();
+  const auto [use_polar_recv, checkpoint_mid_loser] = GetParam();
   TxnWorld world;
   auto db = world.MakeDb(use_polar_recv ? BufferPoolKind::kCxl
                                         : BufferPoolKind::kDram);
@@ -145,6 +150,16 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
       txns.Update(ctx, loser.get(), 0, 20, std::string(32, 'L')).ok());
   ASSERT_TRUE(
       txns.Insert(ctx, loser.get(), 0, 600, std::string(32, 'L')).ok());
+  if (checkpoint_mid_loser) {
+    db->Checkpoint(ctx);
+    size_t undo_below = 0;
+    for (const storage::RedoRecord* rec : world.log.DurableRecordsFrom(0)) {
+      if (rec->kind != storage::RedoKind::kUndoInfo) continue;
+      EXPECT_EQ(rec->txn_id, loser->id());  // the winner's were released
+      if (rec->end_lsn() <= world.log.checkpoint_lsn()) undo_below++;
+    }
+    EXPECT_EQ(undo_below, 2u);
+  }
   ASSERT_TRUE(txns.Delete(ctx, loser.get(), 0, 30).ok());
   world.log.Flush(ctx);  // the loser's writes and undo info ARE durable
 
@@ -202,10 +217,14 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
   EXPECT_EQ(again.undo_ops_applied, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Schemes, LoserTxnTest, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "polar_recv" : "vanilla";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, LoserTxnTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "polar_recv"
+                                                 : "vanilla") +
+             (std::get<1>(info.param) ? "_checkpoint_mid_loser" : "");
+    });
 
 TEST(TransactionTest, RandomizedAtomicityProperty) {
   TxnWorld world;

@@ -17,10 +17,11 @@
 #   tools/check.sh --parallel # tier-1 + fig7 epoch pins at
 #                             #   POLAR_WORLD_THREADS 1/2/4 + TSan leg over
 #                             #   the executor/snapshot/faults suites
-#   tools/check.sh --slo      # tier-1 + sanitized open-loop suite and the
+#   tools/check.sh --slo      # tier-1 + sanitized open-loop suite, the
 #                             #   suites whose buffer-pool frames alias
-#                             #   page images + SLO pins across sweep/world
-#                             #   thread counts
+#                             #   page images and the storage suite (redo
+#                             #   segments released at checkpoints) + SLO
+#                             #   pins across sweep/world thread counts
 #   tools/check.sh --fabric   # tier-1 + sanitized fabric suite + 2-switch
 #                             #   serial and epoch pins
 #   tools/check.sh --scale    # tier-1 + scheduler suite + 64-instance pins
@@ -162,13 +163,16 @@ if [[ "${1:-}" == "--parallel" ]]; then
 fi
 
 if [[ "${1:-}" == "--slo" ]]; then
-  echo "==> slo: ASan+UBSan build of the open-loop and page-image suites"
+  echo "==> slo: ASan+UBSan build of the open-loop, page-image and storage suites"
   # Local buffer pool frames (the DRAM-BP, the tiered LBP and the RDMA
   # sharing pool's frames) alias page images shared with a remote tier or a
   # world snapshot, so an image released while a PageRef still points into
-  # it is a use-after-free ASan catches.
+  # it is a use-after-free ASan catches. The same holds for redo records: a
+  # checkpoint releases the log segments behind it (storage suite), and the
+  # recovery passes hold record pointers (transaction and recovery suites).
   sanitized open_loop_test rdma_test bufferpool_test sharing_test \
-    engine_test transaction_test recovery_test coherency_property_test
+    engine_test transaction_test recovery_test coherency_property_test \
+    storage_test
   echo "==> slo: quick-scale capacity bit-identity gate (thread sweep)"
   # Open-loop arrival schedules are counter-mode (a pure function of seed,
   # tenant, and index) and all serving runs on the virtual clock, so the
