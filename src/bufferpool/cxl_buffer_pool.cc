@@ -371,16 +371,6 @@ bool CxlBufferPool::Cached(PageId page_id) const {
   return page_table_.Contains(page_id);
 }
 
-void CxlBufferPool::FinishRecovery(sim::ExecContext& ctx,
-                                   bool rebuild_lists) {
-  std::vector<std::pair<uint32_t, CxlBlockMeta>> metas;
-  metas.reserve(num_blocks());
-  for (uint32_t b = 0; b < num_blocks(); b++) {
-    metas.emplace_back(b, LoadMeta(ctx, b));
-  }
-  FinishRecoveryScanned(ctx, metas, rebuild_lists);
-}
-
 void CxlBufferPool::FinishRecoveryScanned(
     sim::ExecContext& ctx,
     const std::vector<std::pair<uint32_t, CxlBlockMeta>>& metas,

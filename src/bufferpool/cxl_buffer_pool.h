@@ -106,15 +106,12 @@ class CxlBufferPool final : public StaticDispatchPool<CxlBufferPool> {
                         uint32_t len, bool write);
 
   /// After PolarRecv has validated/repaired blocks: rebuild the DRAM page
-  /// table from CXL metadata; when `rebuild_lists` is set, also rewrite the
-  /// free/in-use lists (LRU recency order is lost in a crash — the paper
-  /// accepts this). All in-use pages are conservatively marked dirty so the
-  /// next checkpoint persists them.
-  void FinishRecovery(sim::ExecContext& ctx, bool rebuild_lists);
-
-  /// Like FinishRecovery, but reuses the metadata the caller already
-  /// scanned (PolarRecv reads every block meta exactly once); only list
-  /// rebuilding incurs further CXL stores.
+  /// table from the block metadata the caller already scanned (`metas`;
+  /// PolarRecv reads every block meta exactly once); when `rebuild_lists`
+  /// is set, also rewrite the free/in-use lists (LRU recency order is lost
+  /// in a crash — the paper accepts this), the only step that incurs
+  /// further CXL stores. All in-use pages are conservatively marked dirty
+  /// so the next checkpoint persists them.
   void FinishRecoveryScanned(
       sim::ExecContext& ctx,
       const std::vector<std::pair<uint32_t, CxlBlockMeta>>& metas,

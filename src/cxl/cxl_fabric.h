@@ -227,11 +227,6 @@ class CxlFabric {
   uint32_t num_switches() const { return topo_.num_switches(); }
   /// Whether per-address routing is active (explicit topology spec).
   bool routing_enabled() const { return routed_; }
-  /// Switch a device hangs off.
-  uint32_t device_switch(uint32_t device) const {
-    POLAR_CHECK(device < device_switch_.size());
-    return device_switch_[device];
-  }
   const sim::LatencyModel& latency() const { return lat_; }
 
   /// Route table entry for an access from `home_switch` to the device
@@ -282,7 +277,6 @@ class CxlFabric {
   }
   faults::FaultInjector* fault_injector() { return faults_; }
   size_t num_devices() const { return devices_.size(); }
-  size_t num_hosts() const { return hosts_.size(); }
   CxlAccessor* host(size_t i) { return hosts_[i].get(); }
 
   /// Simulated physical address base of the fabric window.

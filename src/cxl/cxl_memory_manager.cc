@@ -8,10 +8,10 @@ namespace polarcxl::cxl {
 
 namespace {
 uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) / a * a; }
+constexpr Nanos kRpcRoundTrip = sim::LatencyModel{}.cxl_rpc_round_trip;
 }  // namespace
 
-CxlMemoryManager::CxlMemoryManager(uint64_t capacity, Nanos rpc_round_trip)
-    : capacity_(capacity), rpc_round_trip_(rpc_round_trip) {
+CxlMemoryManager::CxlMemoryManager(uint64_t capacity) : capacity_(capacity) {
   // Unpartitioned default: one group spanning the whole space. First fit
   // over its single free span reproduces the historical gap scan exactly.
   groups_.push_back({0, capacity_, 0});
@@ -55,7 +55,7 @@ uint32_t CxlMemoryManager::GroupIndexOf(MemOffset offset) const {
 
 Result<MemOffset> CxlMemoryManager::Allocate(sim::ExecContext& ctx,
                                              NodeId client, uint64_t size) {
-  ctx.Advance(rpc_round_trip_);
+  ctx.Advance(kRpcRoundTrip);
   if (faults_ != nullptr && faults_->AllocShouldFail(ctx.now)) {
     return Status::OutOfMemory("allocation failed (injected fault window)");
   }
@@ -129,7 +129,7 @@ void CxlMemoryManager::FreeSpan(MemOffset offset, uint64_t size) {
 
 Status CxlMemoryManager::Release(sim::ExecContext& ctx, NodeId client,
                                  MemOffset offset) {
-  ctx.Advance(rpc_round_trip_);
+  ctx.Advance(kRpcRoundTrip);
   auto it = regions_.find(offset);
   if (it == regions_.end()) return Status::NotFound("no region at offset");
   if (it->second.client_id != client) {
@@ -142,7 +142,7 @@ Status CxlMemoryManager::Release(sim::ExecContext& ctx, NodeId client,
 }
 
 void CxlMemoryManager::ReleaseAll(sim::ExecContext& ctx, NodeId client) {
-  ctx.Advance(rpc_round_trip_);
+  ctx.Advance(kRpcRoundTrip);
   for (auto it = regions_.begin(); it != regions_.end();) {
     if (it->second.client_id == client) {
       allocated_ -= it->second.size;

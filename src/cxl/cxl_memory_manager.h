@@ -51,8 +51,9 @@ class CxlMemoryManager {
     uint32_t switch_id = 0;
   };
 
-  /// `rpc_round_trip` is charged on every Allocate/Release call.
-  CxlMemoryManager(uint64_t capacity, Nanos rpc_round_trip = 2600);
+  /// Every Allocate/Release call is charged sim::LatencyModel's
+  /// cxl_rpc_round_trip.
+  explicit CxlMemoryManager(uint64_t capacity);
   POLAR_DISALLOW_COPY(CxlMemoryManager);
 
   /// Partitions the space into placement groups consulted in policy order
@@ -88,10 +89,8 @@ class CxlMemoryManager {
   uint64_t allocated() const { return allocated_; }
   uint64_t free_bytes() const { return capacity_ - allocated_; }
   std::vector<Region> RegionsOf(NodeId client) const;
-  size_t num_regions() const { return regions_.size(); }
   size_t num_free_spans() const { return free_.size(); }
   size_t num_groups() const { return groups_.size(); }
-  fabric::PlacementMode placement_mode() const { return policy_.mode(); }
 
   /// External fragmentation of the free space: 1 - largest_free_span /
   /// total_free. 0 when all free bytes are one span (or none are free).
@@ -110,7 +109,6 @@ class CxlMemoryManager {
   void FreeSpan(MemOffset offset, uint64_t size);
 
   uint64_t capacity_;
-  Nanos rpc_round_trip_;
   faults::FaultInjector* faults_ = nullptr;
   uint64_t allocated_ = 0;
   // Keyed by offset; non-overlapping by construction.

@@ -5,7 +5,8 @@ namespace polarcxl::cxl {
 CxlSwitch::CxlSwitch(std::string name, Options options)
     : name_(std::move(name)),
       opt_(options),
-      fabric_channel_(name_ + ".fabric", opt_.switching_capacity_bps) {
+      fabric_channel_(name_ + ".fabric",
+                      sim::BandwidthModel{}.cxl_switch_bps) {
   POLAR_CHECK(opt_.lanes_per_port > 0 &&
               opt_.total_lanes >= opt_.lanes_per_port);
 }

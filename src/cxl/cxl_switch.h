@@ -12,28 +12,29 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "sim/bandwidth_channel.h"
+#include "sim/latency_model.h"
 
 namespace polarcxl::cxl {
 
 /// Port and capacity model of one CXL switch. The XC50256 supports 256
 /// lanes; with x16 links that is 16 ports shared between hosts and memory
-/// devices, and 2 TB/s of total switching capacity.
+/// devices, and sim::BandwidthModel::cxl_switch_bps (2 TB/s) of total
+/// switching capacity.
 class CxlSwitch {
  public:
   struct Options {
     uint32_t total_lanes = 256;
     uint32_t lanes_per_port = 16;
-    /// Aggregate switching capacity (bytes/sec).
-    uint64_t switching_capacity_bps = 2ULL * 1000 * 1000 * 1000 * 1000;
     /// Per-x16-port usable bandwidth (PCIe 5.0).
-    uint64_t port_bps = 56ULL * 1000 * 1000 * 1000;
+    uint64_t port_bps = sim::BandwidthModel{}.cxl_host_link_bps;
     /// Device-port bandwidth when memory devices attach with narrower links
     /// than hosts (x8/x4 expanders, or oversubscribed rack trunks). 0 keeps
     /// device ports at `port_bps`.
     uint64_t device_port_bps = 0;
     /// Extra one-way latency the switch adds to a line access. Table 1:
     /// 549 ns (switch) - 265 ns (direct) = 284 ns.
-    Nanos traversal_latency = 284;
+    Nanos traversal_latency = sim::LineLatency{}.cxl_switch_local -
+                              sim::LineLatency{}.cxl_direct_local;
   };
 
   explicit CxlSwitch(std::string name) : CxlSwitch(std::move(name), Options()) {}
@@ -69,10 +70,6 @@ class CxlSwitch {
   /// Switch lanes consumed by bound ports / total lanes.
   uint32_t lanes_in_use() const { return num_ports() * opt_.lanes_per_port; }
   uint32_t total_lanes() const { return opt_.total_lanes; }
-  PortKind port_kind(uint32_t port) const {
-    POLAR_CHECK(port < ports_.size());
-    return ports_[port].kind;
-  }
   const std::string& name() const { return name_; }
 
   /// Sum of window_advances over every port channel + the fabric channel

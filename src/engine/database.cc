@@ -30,11 +30,8 @@ Database::Database(DatabaseEnv env, DatabaseOptions options)
   dram_channel_ = std::make_unique<sim::BandwidthChannel>(
       "dram" + std::to_string(opt_.node),
       sim::BandwidthModel{}.dram_bps);
-  sim::MemorySpace::Options mo;
+  sim::MemorySpace::Options mo;  // the local DRAM profile
   mo.name = "dram" + std::to_string(opt_.node);
-  mo.line_latency = opt_.latency.line.dram_local;
-  mo.stream_read = opt_.latency.dram_stream_read;
-  mo.stream_write = opt_.latency.dram_stream_write;
   mo.link = dram_channel_.get();
   dram_space_ = std::make_unique<sim::MemorySpace>(mo);
   cache_ = std::make_unique<sim::CpuCacheSim>(opt_.cpu_cache_bytes);
@@ -170,7 +167,7 @@ Status Database::LoadCatalog(sim::ExecContext& ctx) {
 std::unique_ptr<BTree> Database::MakeTree(uint32_t tree_idx,
                                           uint16_t value_size, PageId root) {
   auto tree = std::make_unique<BTree>(
-      pool_.get(), env_.log, this, &opt_.costs, value_size, root,
+      pool_.get(), env_.log, this, &kCosts, value_size, root,
       [this, tree_idx](MiniTransaction& mtr, PageId new_root) {
         auto h = mtr.GetPage(kSuperblockPage, /*for_write=*/true);
         POLAR_CHECK(h.ok());

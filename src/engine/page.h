@@ -106,7 +106,6 @@ class PageView {
   const uint8_t* ValueAt(uint32_t i) const {
     return d_ + EntryOffset(i) + kKeySize;
   }
-  uint8_t* MutableValueAt(uint32_t i) { return d_ + EntryOffset(i) + kKeySize; }
 
   /// Index of the first entry with key >= `key` (== nkeys() if none).
   /// `probes`, when non-null, receives the byte offset of every key probed

@@ -111,7 +111,7 @@ std::unique_ptr<CachedWorld> BuildPoolingWorld(const PoolingConfig& config,
 }  // namespace
 
 uint64_t SysbenchDatasetPages(const workload::SysbenchConfig& config) {
-  const uint64_t entry = 8 + config.row_size;
+  const uint64_t entry = 8 + workload::SysbenchConfig::kRowSize;
   const uint64_t per_leaf = (kPageSize - 64) / entry;
   // Leaves (with split slack) + internal nodes + catalog margin.
   const uint64_t leaves_per_table =

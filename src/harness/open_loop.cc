@@ -121,8 +121,8 @@ bool AdmissionQueue::Pop(AdmittedOp* out) {
     // refill point is deterministic (no clock involved), so the interleave
     // is a pure function of the Offer/Pop sequence.
     if (credits_[0] == 0 && credits_[1] == 0) {
-      credits_[0] = opt_.gold_weight;
-      credits_[1] = opt_.best_effort_weight;
+      credits_[0] = kGoldWeight;
+      credits_[1] = kBestEffortWeight;
     }
     pick_gold = credits_[0] > 0;
   }

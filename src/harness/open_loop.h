@@ -71,15 +71,16 @@ struct AdmittedOp {
 /// admission decision: a full class queue sheds the arrival immediately
 /// (the client sees Unavailable, the server never spends a cycle on it).
 /// Pop() interleaves classes by deficit credits — with both queues backlogged
-/// gold receives gold_weight pops for every best_effort_weight best-effort
+/// gold receives kGoldWeight pops for every kBestEffortWeight best-effort
 /// pops; an empty class forfeits its share (work-conserving).
 class AdmissionQueue {
  public:
+  static constexpr uint32_t kGoldWeight = 4;
+  static constexpr uint32_t kBestEffortWeight = 1;
+
   struct Options {
     size_t gold_cap = 1024;
     size_t best_effort_cap = 1024;
-    uint32_t gold_weight = 4;
-    uint32_t best_effort_weight = 1;
   };
 
   AdmissionQueue() = default;
@@ -99,15 +100,6 @@ class AdmissionQueue {
   size_t size() const { return queue_[0].size() + queue_[1].size(); }
   size_t size(QosClass qos) const { return queue_[Idx(qos)].size(); }
   bool empty() const { return size() == 0; }
-
-  /// Drops queued ops and resets the round-robin credits (per-run reuse of
-  /// a cached world).
-  void Reset() {
-    queue_[0].clear();
-    queue_[1].clear();
-    credits_[0] = 0;
-    credits_[1] = 0;
-  }
 
   const Options& options() const { return opt_; }
 

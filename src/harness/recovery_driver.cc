@@ -130,7 +130,8 @@ RecoveryResult RunRecoveryExperiment(const RecoveryConfig& config) {
   result.crash_at = config.crash_at;
 
   sim::Executor executor;
-  executor.ReserveLanes(config.lanes + 2);  // + checkpointer + crash lane
+  // The lanes, the checkpointer, and the lanes again after the restart.
+  executor.ReserveLanes(2 * config.lanes + 1);
   std::vector<std::unique_ptr<workload::SysbenchWorkload>> workloads;
   std::vector<uint32_t> lane_ids;
   engine::Database* db_ptr = db.get();

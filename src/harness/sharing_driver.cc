@@ -18,7 +18,7 @@ uint64_t DatasetPagesFor(const SharingConfig& config) {
     case SharingBench::kTpcc: {
       const auto& c = config.tpcc;
       const uint64_t rows =
-          c.warehouses * (1 + c.districts_per_wh *
+          c.warehouses * (1 + workload::TpccConfig::kDistrictsPerWarehouse *
                                   (1 + c.customers_per_district) +
                           c.items) +
           c.items;

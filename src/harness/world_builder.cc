@@ -54,9 +54,8 @@ std::string WorldKey(const std::string& lanes_key, const SimWorld::Spec& s,
   const workload::SysbenchConfig& sb = s.sysbench;
   os << lanes_key << ":e" << (epoch ? 1 : 0) << ':' << warmup << ':'
      << static_cast<int>(s.kind) << ':' << s.instances << ':' << sb.tables
-     << ':' << sb.rows_per_table << ':' << sb.range_size << ':'
-     << sb.row_size << ':' << static_cast<int>(sb.distribution) << ':'
-     << sb.zipf_theta << ':' << sb.num_nodes << ':' << sb.shared_fraction
+     << ':' << sb.rows_per_table << ':' << static_cast<int>(sb.distribution)
+     << ':' << sb.num_nodes << ':' << sb.shared_fraction
      << ':' << s.lbp_fraction << ':' << s.cpu_cache_bytes << ':'
      << s.group_commit_window << ':' << s.verbs_retry_budget << ':'
      << (s.wire_faults ? 1 : 0);
@@ -176,7 +175,7 @@ SimWorld::SimWorld(const Spec& spec)
   // bottleneck.
   rdma::RdmaNic::Options server_nic;
   server_nic.bandwidth_bps = 4 * bw_.rdma_nic_bps;
-  server_nic.iops = 4 * 8ULL * 1000 * 1000;
+  server_nic.iops = 4 * bw_.rdma_nic_iops;
   net_.RegisterHost(kMemoryServerNode, server_nic);
   if (wire_faults_) net_.set_fault_injector(&injector_);
   remote_ = std::make_unique<rdma::RemoteMemoryPool>(

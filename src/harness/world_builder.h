@@ -141,12 +141,6 @@ class SimWorld {
   rdma::RdmaNetwork& net() { return net_; }
   cxl::CxlFabric& fabric() { return fabric_; }
   cxl::CxlMemoryManager& cxl_manager() { return *manager_; }
-  /// Host CXL ports: one accessor per switch in topology mode, the single
-  /// legacy accessor otherwise. Instance i uses port i % num_host_ports().
-  uint32_t num_host_ports() const {
-    return static_cast<uint32_t>(host_accs_.size());
-  }
-  cxl::CxlAccessor* host_port(uint32_t i) { return host_accs_[i]; }
   rdma::RemoteMemoryPool& remote() { return *remote_; }
   sim::BandwidthChannel* client_net() { return &client_net_; }
   storage::SimDisk& disk() { return *disk_; }
@@ -173,7 +167,6 @@ class SimWorld {
   /// effect on virtual time. A second capture replaces the first. Call
   /// after warmup, before the measurement window is armed.
   void CaptureSnapshot();
-  bool has_snapshot() const { return snapshot_ != nullptr; }
   /// Rewinds the world to the captured state (restore-in-place). The fault
   /// injector is disarmed and its stats cleared, matching the cold world's
   /// pre-measure state.
@@ -192,6 +185,8 @@ class SimWorld {
   faults::FaultInjector injector_;
   sim::BandwidthModel bw_;
   cxl::CxlFabric fabric_;
+  // Host CXL ports: one per switch in topology mode, else the single
+  // legacy port. Instance i uses host_accs_[i % host_accs_.size()].
   std::vector<cxl::CxlAccessor*> host_accs_;
   cxl::CxlAccessor* host_acc_ = nullptr;  // == host_accs_[0]
   std::unique_ptr<cxl::CxlMemoryManager> manager_;

@@ -10,14 +10,15 @@
 
 #include "common/types.h"
 #include "sim/bandwidth_channel.h"
+#include "sim/latency_model.h"
 
 namespace polarcxl::rdma {
 
 class RdmaNic {
  public:
   struct Options {
-    uint64_t bandwidth_bps = 12ULL * 1000 * 1000 * 1000;  // 100 Gbps usable
-    uint64_t iops = 8ULL * 1000 * 1000;                   // verbs ops/sec
+    uint64_t bandwidth_bps = sim::BandwidthModel{}.rdma_nic_bps;
+    uint64_t iops = sim::BandwidthModel{}.rdma_nic_iops;  // verbs ops/sec
   };
 
   RdmaNic(std::string name, Options options)

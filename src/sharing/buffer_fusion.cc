@@ -23,7 +23,7 @@ Result<std::unique_ptr<BufferFusionServer>> BufferFusionServer::Create(
       CoherencyFlagTable::RegionBytes(options.dbp_pages, options.max_nodes);
   const uint64_t total =
       flag_bytes + static_cast<uint64_t>(options.dbp_pages) * kPageSize;
-  auto region = manager->Allocate(ctx, options.server_tenant, total);
+  auto region = manager->Allocate(ctx, kServerTenant, total);
   if (!region.ok()) return region.status();
   server->region_ = *region;
   // Flag lines first, then frames (frames stay page-aligned because the
@@ -45,7 +45,7 @@ Result<std::unique_ptr<BufferFusionServer>> BufferFusionServer::Create(
 Result<BufferFusionServer::Grant> BufferFusionServer::GetPage(
     sim::ExecContext& ctx, NodeId node, PageId page_id) {
   POLAR_CHECK(node < opt_.max_nodes);
-  ctx.Advance(opt_.rpc_round_trip);
+  ctx.Advance(sim::LatencyModel{}.cxl_rpc_round_trip);  // CXL mailbox RPC
   rpc_count_++;
   tick_++;
 

@@ -26,12 +26,12 @@ class BufferFusionServer {
  public:
   /// Nodes are bits of a slot's 64-bit active mask.
   static constexpr uint32_t kMaxNodes = 64;
+  /// The server's tenant id at the CXL memory manager.
+  static constexpr NodeId kServerTenant = 0xFFFF;
 
   struct Options {
-    uint32_t dbp_pages = 4096;     // shared frame slots in CXL
+    uint32_t dbp_pages = 4096;  // shared frame slots in CXL
     uint32_t max_nodes = kMaxNodes;
-    NodeId server_tenant = 0xFFFF;  // CXL memory manager tenant id
-    Nanos rpc_round_trip = 2600;    // CXL mailbox RPC
   };
 
   /// Allocates the DBP region (flag table + frames) from the fabric.

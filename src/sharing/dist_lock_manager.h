@@ -158,16 +158,11 @@ class DistLockManager {
   uint64_t fenced() const { return fenced_; }
 
   const sim::VirtualLockTable& table() const { return table_; }
-  uint64_t sleeps() const { return sleeps_; }
-  void ResetStats() {
-    table_.ResetStats();
-    sleeps_ = 0;
-  }
+  void ResetStats() { table_.ResetStats(); }
 
  private:
   void Granted(sim::ExecContext& ctx, Nanos grant) {
     if (grant > ctx.now + kSpinThreshold) {
-      sleeps_++;
       ctx.now = grant + kContextSwitchCost;
     } else {
       ctx.now = grant;
@@ -189,7 +184,6 @@ class DistLockManager {
 
   std::unique_ptr<LockTransport> transport_;
   sim::VirtualLockTable table_;
-  uint64_t sleeps_ = 0;
   bool fencing_ = false;
   uint64_t fenced_ = 0;
   std::unordered_map<NodeId, std::vector<std::pair<uint64_t, bool>>> holds_;

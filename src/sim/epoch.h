@@ -9,12 +9,14 @@
 //      plus the group's private ChannelOverlay (TransferDeferred), and
 //   2. records the charge as an ordered effect {chan, at, bytes} keyed by
 //      {step_start, lane, seq}.
-// The epoch barrier replays all frames' effects through the real
+// The epoch barrier replays all frames' charges through the real
 // Transfer in that global key order — the same order a serial run
 // interleaves instances — so the post-barrier ledger state is independent
 // of the thread count. A divergence counter tracks how often the replayed
 // completion differs from the one observed against the frozen view (i.e.
 // how often cross-group contention *within* one epoch would have mattered).
+// Charges are the only deferred effect: lane park/resume happens between
+// RunUntil calls, never inside a step (Executor::ParkLane).
 #pragma once
 
 #include <cstdint>
@@ -43,16 +45,6 @@ class EpochFrame {
     Nanos observed;    // completion computed against frozen state + overlay
   };
 
-  /// One deferred cross-group park/resume (takes effect at the barrier).
-  struct ControlOp {
-    Nanos step_start;
-    uint32_t lane;  // posting lane
-    uint32_t seq;
-    enum class Kind : uint8_t { kPark, kResume } kind;
-    uint32_t target;  // lane being parked/resumed
-    Nanos at;         // resume time (unused for park)
-  };
-
   /// Stamps the sort key for effects posted by the step about to run.
   void BeginStep(Nanos step_start, uint32_t lane) {
     step_start_ = step_start;
@@ -72,23 +64,12 @@ class EpochFrame {
     return done;
   }
 
-  void DeferPark(uint32_t target) {
-    control_ops_.push_back({step_start_, lane_, seq_++,
-                            ControlOp::Kind::kPark, target, 0});
-  }
-  void DeferResume(uint32_t target, Nanos at) {
-    control_ops_.push_back({step_start_, lane_, seq_++,
-                            ControlOp::Kind::kResume, target, at});
-  }
-
   // ---- barrier side (main thread, workers quiescent) ----
   std::vector<SharedOp>& shared_ops() { return shared_ops_; }
-  std::vector<ControlOp>& control_ops() { return control_ops_; }
-  bool empty() const { return shared_ops_.empty() && control_ops_.empty(); }
+  bool empty() const { return shared_ops_.empty(); }
 
   void ClearEpoch() {
     shared_ops_.clear();
-    control_ops_.clear();
     for (auto& [chan, ov] : overlays_) ov.Clear();
   }
 
@@ -104,7 +85,6 @@ class EpochFrame {
   // A group touches a handful of shared channels; linear scan beats hashing.
   std::vector<std::pair<BandwidthChannel*, ChannelOverlay>> overlays_;
   std::vector<SharedOp> shared_ops_;
-  std::vector<ControlOp> control_ops_;
   Nanos step_start_ = 0;
   uint32_t lane_ = 0;
   uint32_t seq_ = 0;

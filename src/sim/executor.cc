@@ -12,17 +12,6 @@ namespace polarcxl::sim {
 
 namespace {
 
-// Identity of the step currently executing on this thread (null when the
-// thread is not inside Lane::Step). Park/resume calls made from lane code
-// consult it to decide between immediate effect (own instance group — same
-// semantics at every thread count) and barrier deferral (another group).
-struct StepIdentity {
-  const Executor* exec = nullptr;
-  uint32_t group = 0;
-  EpochFrame* frame = nullptr;
-};
-thread_local StepIdentity tl_step;
-
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -76,6 +65,9 @@ struct Executor::WorkerPool {
   }
 };
 
+// Epoch length: the BandwidthChannel default window, so epochs and channel
+// windows share one grid aligned to absolute time 0.
+constexpr Nanos kEpochNs = 10'000;
 // Exit sentinel for the epoch loop (virtual clocks are never negative).
 constexpr Nanos kEpochLoopExit = -1;
 
@@ -118,27 +110,18 @@ bool Executor::StepOne(Shard& sh) {
   sh.sched.PopTop();
   LaneRec& rec = lanes_[top.id];
   const Nanos before = rec.ctx.now;
-  if (parallel_) {
-    rec.ctx.frame->BeginStep(before, top.id);
-    tl_step = {this, rec.group, rec.ctx.frame};
-  }
+  if (parallel_) rec.ctx.frame->BeginStep(before, top.id);
   const bool keep = rec.lane->Step(rec.ctx);
-  if (parallel_) tl_step = {};
   sh.steps++;
   // A step that does not advance time would live-lock the scheduler.
   if (rec.ctx.now <= before) rec.ctx.now = before + 1;
   LaneHot& hot = hot_[top.id];
   hot.clock = rec.ctx.now;  // the lane is off-CPU again; refresh the mirror
-  // Bumping the epoch invalidates any entry pushed for this lane while it
-  // was on-CPU (e.g. a same-group resume targeting the running lane).
+  // Every push carries a fresh epoch, so a lane's only live entry is the
+  // one pushed last.
   hot.epoch++;
   if (keep) {
-    // A lane parked mid-step (by itself or a same-group peer) is not
-    // re-queued; the eventual resume pushes the fresh entry. Equivalent to
-    // the old push-then-drop-stale sequence with one fewer entry touch.
-    if (hot.parked == 0) {
-      sh.sched.Push({rec.ctx.now, top.id, hot.epoch});
-    }
+    sh.sched.Push({rec.ctx.now, top.id, hot.epoch});
   } else {
     hot.parked = 1;
   }
@@ -153,11 +136,13 @@ void Executor::RunShardUntil(Shard& sh, Nanos t) {
 }
 
 void Executor::RunUntil(Nanos t) {
+  running_ = true;
   if (parallel_) {
     RunUntilParallel(t);
-    return;
+  } else {
+    RunShardUntil(shards_[0], t);
   }
-  RunShardUntil(shards_[0], t);
+  running_ = false;
 }
 
 bool Executor::SettledMin(SchedEntry* out) {
@@ -175,18 +160,6 @@ bool Executor::SettledMin(SchedEntry* out) {
 }
 
 void Executor::RunUntilParallel(Nanos t) {
-  if (num_threads_ <= 1 || pool_ == nullptr) {
-    // Single-thread epoch mode: same epoch discipline, no synchronization.
-    for (;;) {
-      SchedEntry m;
-      if (!SettledMin(&m)) return;
-      if (m.at >= t) return;
-      const Nanos epoch_end = std::min(t, (m.at / epoch_ns_ + 1) * epoch_ns_);
-      for (Shard& sh : shards_) RunShardUntil(sh, epoch_end);
-      DrainBarrier();
-      epochs_run_++;
-    }
-  }
   WorkerPool& p = *pool_;
   p.target = t;
   p.done.store(0, std::memory_order_relaxed);
@@ -198,7 +171,8 @@ void Executor::RunUntilParallel(Nanos t) {
   EpochLoop(0);
   // The loop exit travelled through the barrier, but a worker still has to
   // read it and step out; wait so the caller may immediately mutate lanes
-  // (park/resume/Restore) or issue the next RunUntil.
+  // (park/resume/Restore) or issue the next RunUntil. A one-thread pool has
+  // no worker to wait for.
   while (p.done.load(std::memory_order_acquire) != num_threads_ - 1) {
     std::this_thread::yield();
   }
@@ -217,7 +191,7 @@ void Executor::EpochLoop(uint32_t shard_idx) {
       Nanos next = kEpochLoopExit;
       SchedEntry m;
       if (SettledMin(&m) && m.at < p.target) {
-        next = std::min(p.target, (m.at / epoch_ns_ + 1) * epoch_ns_);
+        next = std::min(p.target, (m.at / kEpochNs + 1) * kEpochNs);
       }
       p.epoch_end = next;
     }
@@ -236,19 +210,16 @@ void Executor::EpochLoop(uint32_t shard_idx) {
 }
 
 void Executor::DrainBarrier() {
-  // Gather every frame's deferred effects and replay them in the global
+  // Gather every frame's deferred charges and replay them in the global
   // {step_start, lane, seq} order — the order in which a serial run would
   // have interleaved the instances. The key triple is unique (a lane's
   // clock strictly increases between steps), so the sort is a total order
   // and the replay is independent of both gather order and thread count.
   drain_shared_.clear();
-  drain_control_.clear();
   for (auto& f : frames_) {
     if (f->empty()) continue;
     drain_shared_.insert(drain_shared_.end(), f->shared_ops().begin(),
                          f->shared_ops().end());
-    drain_control_.insert(drain_control_.end(), f->control_ops().begin(),
-                          f->control_ops().end());
     f->ClearEpoch();
   }
   std::sort(drain_shared_.begin(), drain_shared_.end(),
@@ -262,69 +233,11 @@ void Executor::DrainBarrier() {
     const Nanos committed = op.chan->Transfer(op.at, op.bytes);
     if (committed != op.observed) drain_divergence_++;
   }
-  std::sort(
-      drain_control_.begin(), drain_control_.end(),
-      [](const EpochFrame::ControlOp& a, const EpochFrame::ControlOp& b) {
-        if (a.step_start != b.step_start) return a.step_start < b.step_start;
-        if (a.lane != b.lane) return a.lane < b.lane;
-        return a.seq < b.seq;
-      });
-  for (const EpochFrame::ControlOp& op : drain_control_) {
-    if (op.kind == EpochFrame::ControlOp::Kind::kPark) {
-      ParkImmediate(op.target);
-    } else {
-      ResumeImmediate(op.target, op.at);
-    }
-  }
-}
-
-bool Executor::StepOneGlobal() {
-  // Single-step path for epoch-parallel executors: pick the globally
-  // minimal runnable lane (same {clock, id} order a one-shard run uses),
-  // step it on the main thread, and drain its effects immediately — the
-  // replay order of a one-op barrier is trivially the posting order, so
-  // this is exactly serial semantics.
-  Shard* best = nullptr;
-  for (Shard& sh : shards_) {
-    sh.sched_ops++;  // global-min shard-top probe
-    if (!sh.sched.Settle()) continue;
-    if (best == nullptr || sh.sched.Top().Before(best->sched.Top())) {
-      best = &sh;
-    }
-  }
-  if (best == nullptr) return false;
-  const bool stepped = StepOne(*best);
-  DrainBarrier();
-  return stepped;
-}
-
-void Executor::RunSteps(uint64_t n) {
-  for (uint64_t i = 0; i < n; i++) {
-    if (parallel_ ? !StepOneGlobal() : !StepOne(shards_[0])) return;
-  }
-}
-
-void Executor::RunToCompletion() {
-  if (parallel_) {
-    SchedEntry m;
-    while (SettledMin(&m)) RunUntilParallel(m.at + epoch_ns_);
-    return;
-  }
-  while (StepOne(shards_[0])) {
-  }
 }
 
 void Executor::ParkLane(uint32_t lane_id) {
   POLAR_CHECK(lane_id < lanes_.size());
-  if (parallel_ && tl_step.exec == this &&
-      tl_step.group != lanes_[lane_id].group) {
-    tl_step.frame->DeferPark(lane_id);
-    return;
-  }
-  ParkImmediate(lane_id);
-}
-
-void Executor::ParkImmediate(uint32_t lane_id) {
+  POLAR_CHECK_MSG(!running_, "ParkLane called while RunUntil runs");
   LaneHot& hot = hot_[lane_id];
   if (hot.parked == 0) {
     hot.parked = 1;
@@ -334,23 +247,15 @@ void Executor::ParkImmediate(uint32_t lane_id) {
 
 void Executor::ResumeLane(uint32_t lane_id, Nanos at) {
   POLAR_CHECK(lane_id < lanes_.size());
-  if (parallel_ && tl_step.exec == this &&
-      tl_step.group != lanes_[lane_id].group) {
-    tl_step.frame->DeferResume(lane_id, at);
-    return;
-  }
-  ResumeImmediate(lane_id, at);
-}
-
-void Executor::ResumeImmediate(uint32_t lane_id, Nanos at) {
+  POLAR_CHECK_MSG(!running_, "ResumeLane called while RunUntil runs");
   LaneRec& rec = lanes_[lane_id];
   LaneHot& hot = hot_[lane_id];
   hot.parked = 0;
   rec.ctx.now = std::max(rec.ctx.now, at);
   hot.clock = rec.ctx.now;
   // The epoch bump invalidates any entry the lane left behind (a resume of
-  // a running or never-parked lane strands a duplicate, which Settle drops
-  // or a rebuild sweeps — the scheduler owns the compaction threshold).
+  // a never-parked lane strands a duplicate, which Settle drops or a
+  // rebuild sweeps — the scheduler owns the compaction threshold).
   hot.epoch++;
   shards_[rec.shard].sched.Push({rec.ctx.now, lane_id, hot.epoch});
 }
@@ -364,12 +269,10 @@ uint32_t Executor::GroupFor(NodeId node_id) {
   return static_cast<uint32_t>(group_nodes_.size() - 1);
 }
 
-void Executor::EnableEpochParallel(uint32_t threads, Nanos epoch_ns) {
+void Executor::EnableEpochParallel(uint32_t threads) {
   POLAR_CHECK(threads >= 1);
-  POLAR_CHECK(epoch_ns > 0);
   POLAR_CHECK(!parallel_);
   parallel_ = true;
-  epoch_ns_ = epoch_ns;
   for (LaneRec& rec : lanes_) {
     rec.group = GroupFor(rec.ctx.node_id);
   }
@@ -413,7 +316,8 @@ void Executor::RebuildShardScheds() {
 }
 
 void Executor::StartWorkers() {
-  if (num_threads_ <= 1) return;
+  // Participant 0 is the calling thread, so a one-thread pool starts no
+  // thread and runs the same epoch loop with one-party barriers.
   pool_ = std::make_unique<WorkerPool>();
   WorkerPool& p = *pool_;
   p.parties = num_threads_;
@@ -466,13 +370,6 @@ Nanos Executor::MaxClock() const {
   Nanos best = 0;
   for (const LaneHot& h : hot_) best = std::max(best, h.clock);
   return best;
-}
-
-bool Executor::AnyRunnable() const {
-  for (const LaneHot& h : hot_) {
-    if (h.parked == 0) return true;
-  }
-  return false;
 }
 
 Executor::State Executor::Capture() const {

@@ -20,7 +20,13 @@
 // own lanes against instance-local state; charges to channels marked
 // shared are deferred into the group's EpochFrame (sim/epoch.h) and the
 // barrier replays them in global {step_start, lane, seq} order — so the
-// trajectory is bit-identical for every thread count, including 1.
+// trajectory is bit-identical for every thread count, including 1. One
+// epoch loop serves every thread count: participant 0 is the caller, so a
+// one-thread executor runs it with no worker thread.
+//
+// Park rule: ParkLane/ResumeLane act immediately and only between RunUntil
+// calls (an instance crash, a kill-and-restart); a call from inside a step
+// aborts. Charges are thus the only effect an epoch barrier replays.
 #pragma once
 
 #include <cstdint>
@@ -98,39 +104,26 @@ class Executor {
   /// >= `t` (sim_test RunUntilOvershootContract pins this boundary).
   void RunUntil(Nanos t);
 
-  /// Step at most `n` lane-steps (always in global min-clock order, even in
-  /// epoch-parallel mode — used by tests and single-step drivers).
-  void RunSteps(uint64_t n);
-
-  /// Run until all lanes park.
-  void RunToCompletion();
-
-  /// Parks a lane externally (e.g., instance crash). Under epoch-parallel
-  /// execution, a call made from inside a step targeting a lane of another
-  /// instance group is deferred to the epoch barrier (deterministically,
-  /// independent of the thread count); all other calls take effect
-  /// immediately as in serial mode.
+  /// Parks a lane externally (e.g., instance crash) with immediate effect.
+  /// Only between RunUntil calls: a call from inside a step aborts, so an
+  /// epoch barrier never has a park or resume to order.
   void ParkLane(uint32_t lane_id);
-  /// Re-activates a parked lane at time `at` (same deferral rule).
+  /// Re-activates a parked lane at time `at` (same rule as ParkLane).
   void ResumeLane(uint32_t lane_id, Nanos at);
 
   /// Switches the executor into epoch-parallel mode: lanes are grouped by
   /// node id (first-seen order), groups map onto `threads` shards, and
   /// RunUntil advances shards concurrently between effect-queue barriers
-  /// every `epoch_ns` of virtual time (aligned to absolute time 0; keep it
-  /// <= the fast channels' window, the default matches both). Call after
-  /// lane registration and only while quiescent. Results are bit-identical
-  /// for every `threads` value.
-  void EnableEpochParallel(uint32_t threads, Nanos epoch_ns = 10'000);
+  /// every 10 µs of virtual time (kEpochNs, the fast channels' window;
+  /// aligned to absolute time 0). Call after lane registration and only
+  /// while quiescent. Results are bit-identical for every `threads` value.
+  void EnableEpochParallel(uint32_t threads);
 
   /// Re-shards an epoch-parallel executor onto `threads` workers (e.g. a
   /// cached world re-run under a different POLAR_WORLD_THREADS). Quiescent
   /// calls only.
   void SetThreads(uint32_t threads);
 
-  bool epoch_parallel() const { return parallel_; }
-  uint32_t num_threads() const { return num_threads_; }
-  Nanos epoch_ns() const { return epoch_ns_; }
   /// Barriers drained so far (diagnostics).
   uint64_t epochs_run() const { return epochs_run_; }
   /// Number of replayed shared-channel charges whose committed completion
@@ -164,7 +157,6 @@ class Executor {
   Nanos MinClock(Nanos fallback = 0) const;
   /// Largest clock reached by any lane (runnable or parked).
   Nanos MaxClock() const;
-  bool AnyRunnable() const;
 
   /// Scheduler state for world snapshot/restore: per-lane contexts + parked
   /// flags + the step counter. The scheduler structure is not captured —
@@ -205,21 +197,17 @@ class Executor {
   bool StepOne(Shard& sh);  // returns false if no runnable lane in shard
 
   /// Settles every shard and returns the globally minimal live entry
-  /// (false if all drained). Replaces the O(lanes) AnyRunnable+MinClock
-  /// scans in the epoch loops with O(shards) probes of settled tops.
-  /// Non-const (settling drops stale entries); only call while the
-  /// workers are quiescent or parked at a barrier.
+  /// (false if all drained): O(shards) probes of settled tops instead of
+  /// an O(lanes) scan. Non-const (settling drops stale entries); only call
+  /// while the workers are quiescent or parked at a barrier.
   bool SettledMin(SchedEntry* out);
-
-  void ParkImmediate(uint32_t lane_id);
-  void ResumeImmediate(uint32_t lane_id, Nanos at);
 
   uint32_t GroupFor(NodeId node_id);
   void RebuildShardScheds();
   /// Runs one shard until its min clock reaches `t` (same loop as serial
   /// RunUntil, scoped to the shard).
   void RunShardUntil(Shard& sh, Nanos t);
-  /// Replays all frames' deferred effects in global order; workers must be
+  /// Replays all frames' deferred charges in global order; workers must be
   /// quiescent.
   void DrainBarrier();
   void RunUntilParallel(Nanos t);
@@ -227,9 +215,6 @@ class Executor {
   /// main thread) decides each epoch's end and drains the barrier, everyone
   /// steps their own shard between the two spin barriers.
   void EpochLoop(uint32_t shard_idx);
-  /// Steps the globally-min lane once (epoch-parallel single-step path);
-  /// drains its effects immediately so semantics match serial execution.
-  bool StepOneGlobal();
   void StartWorkers();
   void StopWorkers();
 
@@ -245,16 +230,17 @@ class Executor {
   uint64_t total_steps_base_ = 0;  // restored baseline under shard counters
   uint64_t sched_ops_base_ = 0;    // folded on re-shard/restore
 
+  /// Set while RunUntil runs; backs the park rule's check.
+  bool running_ = false;
+
   // ---- epoch-parallel state ----
   bool parallel_ = false;
   uint32_t num_threads_ = 1;
-  Nanos epoch_ns_ = 10'000;
   std::vector<NodeId> group_nodes_;  // group id -> node id (first-seen)
   std::vector<std::unique_ptr<EpochFrame>> frames_;  // one per group
   uint64_t epochs_run_ = 0;
   uint64_t drain_divergence_ = 0;
-  std::vector<EpochFrame::SharedOp> drain_shared_;    // barrier scratch
-  std::vector<EpochFrame::ControlOp> drain_control_;  // barrier scratch
+  std::vector<EpochFrame::SharedOp> drain_shared_;  // barrier scratch
   std::unique_ptr<WorkerPool> pool_;
 };
 

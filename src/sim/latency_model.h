@@ -22,8 +22,9 @@ struct LineLatency {
 
   /// Cost of an access served by the CPU cache hierarchy (hit). A blended
   /// L1/L2/LLC figure; kept small because per-query compute is modelled
-  /// separately as a base CPU cost.
-  Nanos cpu_cache_hit = 4;
+  /// separately as a base CPU cost. A compile-time constant: the cache-hit
+  /// path charges it without a load.
+  static constexpr Nanos kCpuCacheHit = 4;
 };
 
 /// Streaming (multi-line) transfer cost: latency(n_lines) = base +
@@ -95,8 +96,8 @@ struct BandwidthModel {
   /// Host CXL x16 PCIe 5.0 link through the switch (~64 GB/s raw; usable
   /// load/store bandwidth is lower; paper's switch never saturates).
   uint64_t cxl_host_link_bps = 56ULL * 1000 * 1000 * 1000;
-  /// Switch-to-memory-box aggregate (2 TB/s switching capacity; per pool).
-  uint64_t cxl_pool_bps = 400ULL * 1000 * 1000 * 1000;
+  /// Aggregate switching capacity of one CXL switch (XConn XC50256).
+  uint64_t cxl_switch_bps = 2ULL * 1000 * 1000 * 1000 * 1000;
   /// Host local DRAM bandwidth (8-channel DDR5 per socket).
   uint64_t dram_bps = 200ULL * 1000 * 1000 * 1000;
   /// Client-facing Ethernet for query results (shared per host).

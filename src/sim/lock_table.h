@@ -1,9 +1,9 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
 // Virtual-time reader/writer lock table. Lock *contention* is simulated in
 // virtual time: a transaction registers its hold interval as it executes,
-// and later (virtual-time-wise) requesters are granted after it. Used for
-// page latches within an instance and distributed page locks across
-// multi-primary nodes.
+// and later (virtual-time-wise) requesters are granted after it. Its one
+// user is DistLockManager: distributed page locks across multi-primary
+// nodes.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,6 @@ class VirtualLockTable {
   Nanos total_wait() const { return total_wait_; }
   uint64_t contended_acquisitions() const { return contended_; }
   uint64_t acquisitions() const { return acquisitions_; }
-  size_t num_keys() const { return locks_.size(); }
 
   void Clear() { locks_.clear(); }
 

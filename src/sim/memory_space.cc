@@ -92,8 +92,8 @@ void MemorySpace::TouchMulti(ExecContext& ctx, uint64_t first, uint64_t last,
   }
   // Let the cache sim classify up to 64 lines per call, then replay the
   // timing charges in the original line order. Hits only advance the clock
-  // (+4 ns each, no channel traffic), so a run of consecutive hits is
-  // applied as one multiplication; misses and dirty evictions must replay
+  // (+kCpuCacheHit each, no channel traffic), so a run of consecutive hits
+  // is applied as one multiplication; misses and dirty evictions must replay
   // one by one because each channel Transfer both depends on and advances
   // ctx.now.
   CpuCacheSim::RangeResult rr;
@@ -111,7 +111,7 @@ void MemorySpace::TouchMulti(ExecContext& ctx, uint64_t first, uint64_t last,
             ~rest == 0 ? 64 - i
                        : static_cast<uint32_t>(__builtin_ctzll(~rest));
         ctx.mem_line_hits += run;
-        ctx.now += 4 * static_cast<Nanos>(run);
+        ctx.now += LineLatency::kCpuCacheHit * static_cast<Nanos>(run);
         i += run;
         continue;
       }

@@ -25,13 +25,14 @@ namespace polarcxl::sim {
 /// and bandwidth.
 class MemorySpace {
  public:
+  /// Latency defaults are LatencyModel's local DRAM profile.
   struct Options {
     std::string name = "mem";
     /// Latency of one uncached line access.
-    Nanos line_latency = 146;
+    Nanos line_latency = LatencyModel{}.line.dram_local;
     /// Streaming (multi-line pipelined) profile.
-    StreamCost stream_read{100, 4.0};
-    StreamCost stream_write{100, 3.0};
+    StreamCost stream_read = LatencyModel{}.dram_stream_read;
+    StreamCost stream_write = LatencyModel{}.dram_stream_write;
     /// Link between the accessing host and this memory (nullable). All
     /// traffic — demand misses, streams, writebacks — occupies it.
     BandwidthChannel* link = nullptr;
@@ -46,8 +47,8 @@ class MemorySpace {
     /// Whether the CPU cache may hold lines of this domain.
     bool cacheable = true;
     /// clflush cost per dirty line and invalidate cost per clean line.
-    Nanos clflush_line = 120;
-    Nanos invalidate_line = 20;
+    Nanos clflush_line = LatencyModel{}.cxl_clflush_line;
+    Nanos invalidate_line = LatencyModel{}.invalidate_line;
   };
 
   explicit MemorySpace(Options options) : opt_(std::move(options)) {}
@@ -170,15 +171,15 @@ class MemorySpace {
       // the hot repeating lines.
       if (ctx.cache->AccessFastLine(first, write)) {
         ctx.mem_line_hits++;
-        ctx.now += 4;  // blended CPU cache hit cost
-        ctx.t_mem += 4;
+        ctx.now += LineLatency::kCpuCacheHit;
+        ctx.t_mem += LineLatency::kCpuCacheHit;
         return;
       }
       const auto r = ctx.cache->AccessProbeLine(first, write, this);
       if (r.hit) {
         ctx.mem_line_hits++;
-        ctx.now += 4;  // blended CPU cache hit cost
-        ctx.t_mem += 4;
+        ctx.now += LineLatency::kCpuCacheHit;
+        ctx.t_mem += LineLatency::kCpuCacheHit;
         return;
       }
       TouchSingleMiss(ctx, r, write, first * kCacheLineSize);

@@ -6,6 +6,11 @@
 
 namespace polarcxl::storage {
 
+namespace {
+constexpr Nanos kReadLatency = sim::LatencyModel{}.disk_read_latency;
+constexpr Nanos kWriteLatency = sim::LatencyModel{}.disk_write_latency;
+}  // namespace
+
 Nanos SimDisk::Read(sim::ExecContext& ctx, uint64_t bytes) {
   read_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   read_ops_.fetch_add(1, std::memory_order_relaxed);
@@ -14,7 +19,7 @@ Nanos SimDisk::Read(sim::ExecContext& ctx, uint64_t bytes) {
   const Nanos queued =
       std::max(sim::ChargeChannel(ctx, channel_, ctx.now, bytes),
                sim::ChargeChannel(ctx, ops_, ctx.now, 1));
-  ctx.now = std::max(ctx.now + opt_.read_latency, queued + opt_.read_latency / 2);
+  ctx.now = std::max(ctx.now + kReadLatency, queued + kReadLatency / 2);
   ctx.t_io += ctx.now - entry;
   return ctx.now;
 }
@@ -27,8 +32,7 @@ Nanos SimDisk::Write(sim::ExecContext& ctx, uint64_t bytes) {
   const Nanos queued =
       std::max(sim::ChargeChannel(ctx, channel_, ctx.now, bytes),
                sim::ChargeChannel(ctx, ops_, ctx.now, 1));
-  ctx.now =
-      std::max(ctx.now + opt_.write_latency, queued + opt_.write_latency / 2);
+  ctx.now = std::max(ctx.now + kWriteLatency, queued + kWriteLatency / 2);
   ctx.t_io += ctx.now - entry;
   return ctx.now;
 }

@@ -12,15 +12,16 @@
 #include "faults/fault_injector.h"
 #include "sim/bandwidth_channel.h"
 #include "sim/exec_context.h"
+#include "sim/latency_model.h"
 
 namespace polarcxl::storage {
 
 class SimDisk {
  public:
+  /// Access latencies come from sim::LatencyModel (disk_read_latency,
+  /// disk_write_latency).
   struct Options {
-    Nanos read_latency = 90'000;   // 90 us to first byte
-    Nanos write_latency = 50'000;  // 50 us append ack (log path is tuned)
-    uint64_t bandwidth_bps = 2ULL * 1000 * 1000 * 1000;  // 2 GB/s per host
+    uint64_t bandwidth_bps = sim::BandwidthModel{}.storage_bps;
     /// I/O operation ceiling (0 = unlimited). Shared PolarFS-style volumes
     /// saturate on IOPS under many small WAL appends — the paper's "WAL
     /// persistency bottleneck" at high instance counts.

@@ -19,7 +19,7 @@ constexpr uint32_t kCLen = 120;
 // delete/insert loops reuse one allocation instead of one per row.
 void FillRow(const SysbenchConfig& config, uint64_t id, Rng* rng,
              std::string* row) {
-  row->assign(config.row_size, '\0');
+  row->assign(SysbenchConfig::kRowSize, '\0');
   const uint32_t k = static_cast<uint32_t>(rng->Uniform(config.rows_per_table));
   std::memcpy(row->data() + kKOff, &k, sizeof(k));
   std::snprintf(row->data() + kCOff, kCLen, "%llu-sysbench-c-pad",
@@ -50,8 +50,8 @@ Status LoadSysbenchTables(sim::ExecContext& ctx, engine::Database* db,
   Rng rng(0xB0B0);
   std::string row;
   for (uint32_t t = 0; t < config.TotalTables(); t++) {
-    auto table =
-        db->CreateTable(ctx, "sbtest" + std::to_string(t), config.row_size);
+    auto table = db->CreateTable(ctx, "sbtest" + std::to_string(t),
+                                 SysbenchConfig::kRowSize);
     if (!table.ok()) return table.status();
     for (uint64_t id = 1; id <= config.rows_per_table; id++) {
       FillRow(config, id, &rng, &row);
@@ -75,11 +75,11 @@ SysbenchWorkload::SysbenchWorkload(engine::Database* db,
       fd_rows_(config_.rows_per_table),
       fd_tables_(config_.tables),
       fd_range_start_(std::max<uint64_t>(
-          1, config_.rows_per_table - config_.range_size)) {
+          1, config_.rows_per_table - SysbenchConfig::kRangeSize)) {
   if (config_.distribution == KeyDistribution::kZipfian) {
     zipf_ = std::make_unique<ZipfRng>(seed ^ 0x21Full,
                                       config_.rows_per_table,
-                                      config_.zipf_theta);
+                                      SysbenchConfig::kZipfTheta);
   }
 }
 
@@ -118,7 +118,7 @@ void SysbenchWorkload::PointSelect(sim::ExecContext& ctx) {
   ctx.Advance(db_->costs().point_query_base);
   const Status got = t->GetTo(ctx, PickRow(), &row_scratch_);
   POLAR_CHECK_MSG(got.ok(), "sysbench row missing");
-  ChargeClient(ctx, 64 + config_.row_size);
+  ChargeClient(ctx, 64 + SysbenchConfig::kRowSize);
   total_queries_++;
 }
 
@@ -126,9 +126,9 @@ void SysbenchWorkload::RangeSelect(sim::ExecContext& ctx) {
   engine::Table* t = PickTable(nullptr);
   ctx.Advance(db_->costs().range_query_base);
   const uint64_t from = 1 + fd_range_start_.Mod(rng_.Next());
-  auto n = t->Scan(ctx, from, config_.range_size, nullptr);
+  auto n = t->Scan(ctx, from, SysbenchConfig::kRangeSize, nullptr);
   POLAR_CHECK(n.ok());
-  ChargeClient(ctx, 64 + *n * config_.row_size);
+  ChargeClient(ctx, 64 + *n * SysbenchConfig::kRowSize);
   total_queries_++;
 }
 
@@ -169,17 +169,6 @@ void SysbenchWorkload::DeleteInsert(sim::ExecContext& ctx) {
   ChargeClient(ctx, 128);
 }
 
-void SysbenchWorkload::PointUpdate(sim::ExecContext& ctx) {
-  engine::Table* t = PickTable(nullptr);
-  ctx.Advance(db_->costs().write_query_base);
-  const uint32_t k = static_cast<uint32_t>(rng_.Next());
-  POLAR_CHECK(t->UpdateColumn(ctx, PickRow(), kKOff,
-                              Slice(reinterpret_cast<const char*>(&k), kKLen))
-                  .ok());
-  ChargeClient(ctx, 128);
-  total_queries_++;
-}
-
 uint32_t SysbenchWorkload::RunEvent(sim::ExecContext& ctx, SysbenchOp op) {
   POLAR_PROF_SCOPE(kWorkload);
   const uint64_t before = total_queries_;
@@ -210,7 +199,7 @@ uint32_t SysbenchWorkload::RunEvent(sim::ExecContext& ctx, SysbenchOp op) {
       db_->CommitTransaction(ctx);
       break;
     case SysbenchOp::kPointUpdate:
-      for (int i = 0; i < 10; i++) PointUpdate(ctx);
+      for (int i = 0; i < 10; i++) IndexUpdate(ctx);
       db_->CommitTransaction(ctx);
       break;
   }

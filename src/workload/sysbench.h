@@ -19,7 +19,7 @@ namespace polarcxl::workload {
 /// Sysbench oltp_* flavors used in the paper.
 enum class SysbenchOp {
   kPointSelect,  // 1 point SELECT per event
-  kRangeSelect,  // 1 range SELECT (range_size rows) per event
+  kRangeSelect,  // 1 range SELECT (kRangeSize rows) per event
   kReadOnly,     // 10 point selects + 1 range per transaction
   kReadWrite,    // reads + index/non-index update + delete/insert
   kWriteOnly,    // index/non-index update + delete/insert
@@ -33,14 +33,16 @@ const char* SysbenchOpName(SysbenchOp op);
 enum class KeyDistribution { kUniform, kZipfian };
 
 struct SysbenchConfig {
+  /// Rows per range SELECT, sbtest row bytes, and the zipfian skew.
+  static constexpr uint32_t kRangeSize = 100;
+  static constexpr uint16_t kRowSize = 184;
+  static constexpr double kZipfTheta = 0.99;
+
   uint32_t tables = 8;
   uint32_t rows_per_table = 25000;
-  uint32_t range_size = 100;
-  uint16_t row_size = 184;
   /// Key skew: uniform (sysbench default) or zipfian (hot rows, like
   /// sysbench's rand-type=zipfian).
   KeyDistribution distribution = KeyDistribution::kUniform;
-  double zipf_theta = 0.99;
 
   // Multi-primary sharing adaptation (Section 4.4): with `num_nodes` = N,
   // tables form N+1 groups of `tables` each; group i is private to node i
@@ -107,7 +109,6 @@ class SysbenchWorkload {
   void IndexUpdate(sim::ExecContext& ctx);
   void NonIndexUpdate(sim::ExecContext& ctx);
   void DeleteInsert(sim::ExecContext& ctx);
-  void PointUpdate(sim::ExecContext& ctx);
 
   engine::Database* db_;
   SysbenchConfig config_;

@@ -86,7 +86,7 @@ Status LoadTpccTables(sim::ExecContext& ctx, engine::Database* db,
 
   for (uint64_t w = 1; w <= config.warehouses; w++) {
     POLAR_RETURN_IF_ERROR(warehouse->Insert(ctx, w, Filled(kWarehouseRow, 'w')));
-    for (uint64_t d = 1; d <= config.districts_per_wh; d++) {
+    for (uint64_t d = 1; d <= TpccConfig::kDistrictsPerWarehouse; d++) {
       POLAR_RETURN_IF_ERROR(
           district->Insert(ctx, DistrictKey(w, d), Filled(kDistrictRow, 'd')));
       for (uint64_t c = 1; c <= config.customers_per_district; c++) {
@@ -117,7 +117,6 @@ TpccWorkload::TpccWorkload(engine::Database* db, TpccConfig config,
                      ((seed * 0x9E3779B97F4A7C15ULL >> 44) << 24) + 1),
       fd_warehouses_(config_.warehouses),
       fd_per_node_(std::max(1u, config_.WarehousesPerNode())),
-      fd_districts_(config_.districts_per_wh),
       fd_customers_(config_.customers_per_district),
       fd_items_(config_.items) {}
 
@@ -129,7 +128,7 @@ uint64_t TpccWorkload::HomeWarehouse() {
 
 void TpccWorkload::NewOrder(sim::ExecContext& ctx) {
   const uint64_t w = HomeWarehouse();
-  const uint64_t d = 1 + fd_districts_.Mod(rng_.Next());
+  const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
   const uint64_t c = 1 + fd_customers_.Mod(rng_.Next());
   const auto& costs = db_->costs();
 
@@ -185,7 +184,7 @@ void TpccWorkload::NewOrder(sim::ExecContext& ctx) {
 
 void TpccWorkload::Payment(sim::ExecContext& ctx) {
   const uint64_t w = HomeWarehouse();
-  const uint64_t d = 1 + fd_districts_.Mod(rng_.Next());
+  const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
   const auto& costs = db_->costs();
 
   ctx.Advance(costs.write_query_base);
@@ -224,7 +223,7 @@ void TpccWorkload::Payment(sim::ExecContext& ctx) {
 
 void TpccWorkload::OrderStatus(sim::ExecContext& ctx) {
   const uint64_t w = HomeWarehouse();
-  const uint64_t d = 1 + fd_districts_.Mod(rng_.Next());
+  const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
   const uint64_t c = 1 + fd_customers_.Mod(rng_.Next());
   const auto& costs = db_->costs();
   ctx.Advance(costs.point_query_base);
@@ -261,7 +260,7 @@ void TpccWorkload::Delivery(sim::ExecContext& ctx) {
         .ok();
   }
   const uint64_t w = HomeWarehouse();
-  const uint64_t d = 1 + fd_districts_.Mod(rng_.Next());
+  const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
   const uint64_t c = 1 + fd_customers_.Mod(rng_.Next());
   ctx.Advance(costs.write_query_base);
   const uint32_t bump = 1;
@@ -278,9 +277,9 @@ void TpccWorkload::StockLevel(sim::ExecContext& ctx) {
   const uint64_t w = HomeWarehouse();
   const auto& costs = db_->costs();
   ctx.Advance(costs.point_query_base);
+  const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
   POLAR_CHECK(db_->table(TpccTables::kDistrict)
-                  ->GetTo(ctx, DistrictKey(w, 1 + fd_districts_.Mod(rng_.Next())),
-                          &row_scratch_)
+                  ->GetTo(ctx, DistrictKey(w, d), &row_scratch_)
                   .ok());
   // Examine the stock of ~20 consecutive items.
   ctx.Advance(costs.range_query_base);

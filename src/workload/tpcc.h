@@ -17,8 +17,10 @@
 namespace polarcxl::workload {
 
 struct TpccConfig {
+  /// Fixed by the TPC-C specification.
+  static constexpr uint32_t kDistrictsPerWarehouse = 10;
+
   uint32_t warehouses = 4;
-  uint32_t districts_per_wh = 10;
   uint32_t customers_per_district = 120;  // scaled down from 3000
   uint32_t items = 1000;                  // scaled down from 100000
   /// Warehouses are range-partitioned over nodes.
@@ -89,7 +91,6 @@ class TpccWorkload {
   // Draw-for-draw identical to Rng::Uniform on the same divisor.
   FastDiv64 fd_warehouses_;
   FastDiv64 fd_per_node_;
-  FastDiv64 fd_districts_;
   FastDiv64 fd_customers_;
   FastDiv64 fd_items_;
   // Point-select scratch: Get results in TPC-C are existence checks, so

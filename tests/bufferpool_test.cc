@@ -7,6 +7,8 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bufferpool/cxl_buffer_pool.h"
 #include "bufferpool/tiered_rdma_buffer_pool.h"
@@ -232,7 +234,12 @@ TEST(CxlPoolTest, MetadataAndPagesSurviveCrashAndReattach) {
       CxlBufferPool::Attach(ctx2, o, region, env.acc_, &env.store_);
   ASSERT_TRUE(attached.ok());
   auto& repool = *attached;
-  repool->FinishRecovery(ctx2, /*rebuild_lists=*/true);
+  // PolarRecv's finish step, over every block's metadata.
+  std::vector<std::pair<uint32_t, CxlBlockMeta>> metas;
+  for (uint32_t b = 0; b < repool->num_blocks(); b++) {
+    metas.emplace_back(b, repool->LoadMeta(ctx2, b));
+  }
+  repool->FinishRecoveryScanned(ctx2, metas, /*rebuild_lists=*/true);
 
   EXPECT_TRUE(repool->Cached(11));
   EXPECT_TRUE(repool->Cached(12));

@@ -154,7 +154,7 @@ TEST(CxlSwitchTest, PortChannelsAreIndependent) {
 // ---------- CxlMemoryManager ----------
 
 TEST(CxlMemoryManagerTest, AllocateChargesRpcAndAligns) {
-  CxlMemoryManager mgr(1 << 24, /*rpc_round_trip=*/2600);
+  CxlMemoryManager mgr(1 << 24);
   ExecContext ctx;
   auto r = mgr.Allocate(ctx, 1, 1000);
   ASSERT_TRUE(r.ok());

@@ -615,5 +615,40 @@ TEST(ChaosDriverTest, NodeCrashFreezesLanesThenRecovers) {
   ExpectIdentical(crashed, RunOpenLoop(config));
 }
 
+// The crash freeze parks and resumes lanes between RunUntil calls; on an
+// epoch-parallel executor the result must not depend on the thread count.
+TEST(ChaosDriverTest, NodeCrashUnderEpochExecutionIsThreadCountInvariant) {
+  OpenLoopConfig config = QuickChaos(engine::BufferPoolKind::kCxl);
+  config.instances = 2;
+  config.plan = faults::FaultPlan{};
+  config.plan.seed = 7;
+  {
+    FaultEvent e{FaultKind::kNodeCrash, Millis(60), Millis(100)};
+    e.target = 1;  // the node of instance 0
+    config.plan.Add(e);
+  }
+  OpenLoopConfig baseline = config;
+  baseline.plan = faults::FaultPlan{};
+  baseline.world_threads = 1;
+  const OpenLoopResult healthy = RunOpenLoop(baseline);
+
+  std::vector<OpenLoopResult> runs;
+  for (int threads : {1, 2, 4}) {
+    config.world_threads = threads;
+    runs.push_back(RunOpenLoop(config));
+  }
+  EXPECT_GT(runs[0].epochs, 0u);
+  for (size_t i = 1; i < runs.size(); i++) {
+    SCOPED_TRACE(i);
+    ExpectIdentical(runs[0], runs[i]);
+    EXPECT_EQ(runs[0].epochs, runs[i].epochs);
+  }
+  // One of the two instances is frozen at 70 ms.
+  const size_t frozen_bucket =
+      static_cast<size_t>(Millis(70) / runs[0].ok.bucket_width());
+  EXPECT_LT(runs[0].ok.bucket(frozen_bucket) * 4,
+            healthy.ok.bucket(frozen_bucket) * 3);
+}
+
 }  // namespace
 }  // namespace polarcxl::faults

@@ -79,7 +79,6 @@ TEST(GroupCommitTest, EmptyBufferIsFree) {
 TEST(DiskIopsTest, OperationRateIsCapped) {
   storage::SimDisk::Options o;
   o.iops = 10000;  // 10K ops/s
-  o.write_latency = 1000;
   storage::SimDisk disk("d", o);
   // 5000 tiny writes offered at t~0 must stretch to ~0.5 s.
   Nanos last = 0;

@@ -109,10 +109,7 @@ TEST(AdmissionQueueTest, CapsShedAtAdmissionAndFifoWithinClass) {
 }
 
 TEST(AdmissionQueueTest, WeightedRoundRobinInterleavesClasses) {
-  AdmissionQueue::Options opt;
-  opt.gold_weight = 4;
-  opt.best_effort_weight = 1;
-  AdmissionQueue q(opt);
+  AdmissionQueue q;
   for (int i = 0; i < 8; i++) {
     ASSERT_TRUE(q.Offer(QosClass::kGold, {i, 0}));
     ASSERT_TRUE(q.Offer(QosClass::kBestEffort, {i, 1}));

@@ -5,16 +5,20 @@
 // worlds (both pool kinds), a closed-loop traffic world with an armed fault
 // plan (single group: must also match the serial executor exactly,
 // divergence 0),
-// snapshot forks and cached-world re-sharding, and cross-group park/resume
-// deferral at the raw executor level.
+// snapshot forks and cached-world re-sharding, and, at the raw executor
+// level, the park rule: park/resume between RunUntil calls is immediate
+// and thread-count invariant, and a park from inside a step aborts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "harness/instance_driver.h"
 #include "harness/traffic_driver.h"
 #include "harness/world_builder.h"
+#include "sim/bandwidth_channel.h"
+#include "sim/epoch.h"
 #include "sim/executor.h"
 
 namespace polarcxl::harness {
@@ -128,68 +132,89 @@ TEST(ParallelWorldTest, ChaosWithArmedPlanMatchesSerialExactly) {
   }
 }
 
-// Raw-executor cross-group control deferral: a lane that parks/resumes a
-// lane of ANOTHER group mid-step defers the effect to the epoch barrier
-// (applied in {step_start, lane, seq} order), so the victim's trajectory is
-// identical at every thread count; external park/resume stays immediate.
-TEST(ParallelWorldTest, CrossGroupParkResumeIsDeferredDeterministically) {
+// Raw-executor park rule: a park and a resume issued between RunUntil
+// calls take effect immediately, so on a two-group epoch executor whose
+// lanes share a channel the victim's trajectory is identical at every
+// thread count, and a parked lane is never stepped.
+TEST(ParallelWorldTest, ExternalParkResumeIsThreadCountInvariant) {
   struct Observation {
     uint64_t victim_steps = 0;
+    Nanos parked_at = 0;
     Nanos victim_end = 0;
-    Nanos largest_jump = 0;  // resume-at target shows up as a clock jump
+    Nanos largest_jump = 0;  // the parked span shows up as a clock jump
   };
   auto run = [](uint32_t threads) {
     sim::Executor ex;
+    sim::BandwidthChannel link("link", 1'000'000'000);
+    link.set_shared(true);
     Observation obs;
-    uint32_t victim = 0;
     Nanos last = 0;
-    // Victim in group/node 2: fine-grained stepper.
-    victim = ex.AddLane(
+    // Victim in group/node 2: a fine-grained stepper on the shared link.
+    const uint32_t victim = ex.AddLane(
         [&](sim::ExecContext& ctx) {
           obs.victim_steps++;
-          if (ctx.now - last > obs.largest_jump) {
-            obs.largest_jump = ctx.now - last;
-          }
+          obs.largest_jump = std::max(obs.largest_jump, ctx.now - last);
           last = ctx.now;
+          ctx.now = sim::ChargeChannel(ctx, link, ctx.now, 64);
           ctx.Advance(100);
           return true;
         },
         2, nullptr, 0);
-    // Controller in group/node 1: parks the victim at its third step and
-    // resumes it far in the future three steps later — both cross-group,
-    // both deferred to the barrier.
-    int steps = 0;
+    // Group/node 1 loads the same link, so the victim's clock depends on
+    // the barrier's replay of both groups' charges.
     ex.AddLane(
-        [&, victim](sim::ExecContext& ctx) {
-          steps++;
-          if (steps == 3) ex.ParkLane(victim);
-          if (steps == 6) ex.ResumeLane(victim, 200000);
+        [&](sim::ExecContext& ctx) {
+          ctx.now = sim::ChargeChannel(ctx, link, ctx.now, 4096);
           ctx.Advance(1000);
           return true;
         },
         1, nullptr, 0);
     ex.EnableEpochParallel(threads);
-    ex.RunUntil(300000);
-    obs.victim_end = ex.context(victim).now;
-    // External (main-thread) park takes effect immediately even on an
-    // epoch-parallel executor.
+    ex.RunUntil(50'000);
     ex.ParkLane(victim);
-    ex.RunUntil(400000);
-    EXPECT_EQ(ex.context(victim).now, obs.victim_end);
+    obs.parked_at = ex.context(victim).now;
+    ex.RunUntil(150'000);
+    EXPECT_EQ(ex.context(victim).now, obs.parked_at);
+    ex.ResumeLane(victim, 200'000);
+    EXPECT_EQ(ex.context(victim).now, 200'000);
+    ex.RunUntil(300'000);
+    obs.victim_end = ex.context(victim).now;
     return obs;
   };
   const Observation base = run(1);
-  EXPECT_GE(base.victim_end, 300000);
-  // The resume target is visible as a virtual-time jump across the parked
-  // span (park applies at an epoch barrier before 200000).
-  EXPECT_GE(base.largest_jump, 100000);
+  EXPECT_GE(base.parked_at, 50'000);
+  EXPECT_GE(base.victim_end, 300'000);
+  EXPECT_GE(base.largest_jump, 200'000 - base.parked_at);
   for (uint32_t threads : {2u, 4u}) {
     SCOPED_TRACE(threads);
     const Observation r = run(threads);
     EXPECT_EQ(r.victim_steps, base.victim_steps);
+    EXPECT_EQ(r.parked_at, base.parked_at);
     EXPECT_EQ(r.victim_end, base.victim_end);
     EXPECT_EQ(r.largest_jump, base.largest_jump);
   }
+}
+
+// A park from inside a step has no defined order against the other groups'
+// steps, so the executor refuses it. The executor is serial so the death
+// test's child process starts no thread.
+TEST(ParallelWorldDeathTest, InStepParkAborts) {
+  sim::Executor ex;
+  uint32_t other = 0;
+  ex.AddLane(
+      [&](sim::ExecContext& ctx) {
+        ex.ParkLane(other);
+        ctx.Advance(100);
+        return true;
+      },
+      1, nullptr, 0);
+  other = ex.AddLane(
+      [](sim::ExecContext& ctx) {
+        ctx.Advance(100);
+        return true;
+      },
+      2, nullptr, 0);
+  EXPECT_DEATH(ex.RunUntil(1000), "ParkLane called while RunUntil runs");
 }
 
 }  // namespace

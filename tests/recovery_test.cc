@@ -249,7 +249,8 @@ TEST(AriesRecoveryTest, VanillaEndToEnd) {
       po, dram.get(), /*remote=*/nullptr, &s.world_.store);
   pool->SetWal(&s.world_.log);
 
-  auto stats = RecoverAries(ctx, pool.get(), &s.world_.log, opt.costs);
+  auto stats =
+      RecoverAries(ctx, pool.get(), &s.world_.log, sim::CpuCostModel{});
   EXPECT_GT(stats.records_applied, 0u);
 
   auto db = Database::OpenWithPool(ctx, s.world_.Env(), opt,
@@ -278,7 +279,7 @@ TEST(AriesRecoveryTest, TieredPoolUsesSurvivingRemoteMemory) {
   pool->SetWal(&s.world_.log);
 
   const uint64_t disk_reads_before = s.world_.disk.read_ops();
-  RecoverAries(ctx, pool.get(), &s.world_.log, opt.costs);
+  RecoverAries(ctx, pool.get(), &s.world_.log, sim::CpuCostModel{});
   const uint64_t remote_hits = pool->remote_hits();
   EXPECT_GT(remote_hits, 0u);  // bases came over RDMA, not storage
   (void)disk_reads_before;

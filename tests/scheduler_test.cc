@@ -67,7 +67,7 @@ class DualSched {
   }
 
   // Schedules lane `id` at time `at` under a fresh epoch, mirroring
-  // Executor::ResumeImmediate / AddLane: the sidecar and the pushed entry
+  // Executor::ResumeLane / AddLane: the sidecar and the pushed entry
   // must agree or the entry is stale on arrival.
   void Schedule(uint32_t id, Nanos at) {
     LaneHot& h = hot_[id];
@@ -79,7 +79,7 @@ class DualSched {
     oracle_.Push(e);
   }
 
-  // Parks a lane that currently has a live entry (Executor::ParkImmediate).
+  // Parks a lane that currently has a live entry (Executor::ParkLane).
   void Park(uint32_t id) {
     hot_[id].parked = 1;
     wheel_.NoteStale();

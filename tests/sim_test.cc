@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -449,6 +450,9 @@ TEST(LockTableTest, WaitStatsAccumulate) {
 
 // ---------- Executor ----------
 
+// RunUntil with no boundary: runs until every lane parks.
+constexpr Nanos kForever = std::numeric_limits<Nanos>::max();
+
 TEST(ExecutorTest, StepsLanesInClockOrder) {
   Executor ex;
   std::vector<int> order;
@@ -466,7 +470,7 @@ TEST(ExecutorTest, StepsLanesInClockOrder) {
         return order.size() < 10;
       },
       0, nullptr, 0);
-  ex.RunToCompletion();
+  ex.RunUntil(kForever);
   // Lane 1 advances 100/step, lane 2 250/step: pattern ~ 1,2,1,1,2,1,1,(2|1)...
   ASSERT_GE(order.size(), 6u);
   EXPECT_EQ(order[0], 1);  // tie at 0 broken by id
@@ -528,9 +532,9 @@ TEST(ExecutorTest, ParkedLaneStops) {
         return steps < 3;
       },
       0, nullptr, 0);
-  ex.RunToCompletion();
+  ex.RunUntil(kForever);
   EXPECT_EQ(steps, 3);
-  EXPECT_FALSE(ex.AnyRunnable());
+  EXPECT_EQ(ex.MinClock(-1), -1);  // no runnable lane left
 }
 
 TEST(ExecutorTest, ExternalParkAndResume) {
@@ -543,14 +547,14 @@ TEST(ExecutorTest, ExternalParkAndResume) {
         return true;
       },
       0, nullptr, 0);
-  ex.RunSteps(2);
+  ex.RunUntil(20);  // steps at t=0 and t=10
   ex.ParkLane(id);
-  ex.RunSteps(5);
+  ex.RunUntil(70);
   EXPECT_EQ(steps, 2);
   ex.ResumeLane(id, 1000);
-  ex.RunSteps(1);
+  ex.RunUntil(1001);  // one step, from the resume time
   EXPECT_EQ(steps, 3);
-  EXPECT_GE(ex.context(id).now, 1000);
+  EXPECT_EQ(ex.context(id).now, 1010);
 }
 
 TEST(ExecutorTest, ZeroAdvanceStepStillProgresses) {
@@ -562,7 +566,7 @@ TEST(ExecutorTest, ZeroAdvanceStepStillProgresses) {
         return steps < 100;  // never advances the clock itself
       },
       0, nullptr, 0);
-  ex.RunToCompletion();  // must not live-lock
+  ex.RunUntil(kForever);  // must not live-lock
   EXPECT_EQ(steps, 100);
 }
 
@@ -580,7 +584,7 @@ TEST(ExecutorTest, DeterministicAcrossRuns) {
           },
           0, nullptr, 0);
     }
-    ex.RunToCompletion();
+    ex.RunUntil(kForever);
     return completions;
   };
   EXPECT_EQ(run(), run());

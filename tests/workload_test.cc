@@ -143,7 +143,6 @@ TEST(SysbenchTest, ZipfianDistributionSkewsRows) {
   ExecContext ctx;
   SysbenchConfig c = SmallSysbench();
   c.distribution = KeyDistribution::kZipfian;
-  c.zipf_theta = 0.99;
   ASSERT_TRUE(LoadSysbenchTables(ctx, db.get(), c).ok());
   SysbenchWorkload wl(db.get(), c, 0, 5);
   // With strong skew, updates concentrate on few rows: the k column of the

@@ -5,8 +5,9 @@
 # bench gates run a bench at the pin scale; the bench checks itself against
 # the pins manifest, bench/pins.h, and exits 1 naming any value that drifts.
 #
-#   tools/check.sh            # tier-1 + sanitized sim core, sweep runner
-#                             #   and determinism (pins) suites
+#   tools/check.sh            # tier-1 + sanitized sim core, executor
+#                             #   (epoch-parallel and scheduler), sweep
+#                             #   runner and determinism (pins) suites
 #   tools/check.sh --fast     # tier-1 only
 #   tools/check.sh --bench    # tier-1 + fig7 pins, also on a POLAR_NO_SIMD
 #                             #   build and on a POLAR_PROF build (which adds
@@ -207,7 +208,10 @@ if [[ "${1:-}" == "--scale" ]]; then
   exit 0
 fi
 
-echo "==> sanitizer: ASan+UBSan build of sim core + determinism tests"
-sanitized sim_test sweep_runner_test determinism_test
+echo "==> sanitizer: ASan+UBSan build of sim core, executor + determinism tests"
+# parallel_world_test and scheduler_test drive the executor: its epoch
+# loop, park rule and worker pool, and the timing-wheel scheduler.
+sanitized sim_test parallel_world_test scheduler_test sweep_runner_test \
+  determinism_test
 
 echo "==> OK"
