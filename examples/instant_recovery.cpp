@@ -75,8 +75,7 @@ int main() {
   auto pool = std::move(
       *bufferpool::CxlBufferPool::Attach(rctx, po, region, host, &store));
   pool->SetWal(&log);
-  auto stats = recovery::PolarRecv(rctx, pool.get(), &log,
-                                   sim::CpuCostModel{});
+  auto stats = recovery::PolarRecv(rctx, pool.get(), &log);
   auto db2 = std::move(
       *engine::Database::OpenWithPool(rctx, env, opt, std::move(pool)));
 

@@ -1,9 +1,9 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
 // Bump allocator for transaction-scoped scratch memory. The steady-state
 // step path (one query / one mini-transaction) allocates handle overflow
-// blocks, undo byte buffers and workload row scratch from an arena that is
-// reset when the transaction finishes, so the hot loop performs no malloc
-// after warm-up: Reset() just rewinds a pointer and keeps the chunk.
+// blocks and workload row scratch from an arena that is reset when the
+// transaction finishes, so the hot loop performs no malloc after warm-up:
+// Reset() just rewinds a pointer and keeps the chunk.
 #pragma once
 
 #include <cstddef>

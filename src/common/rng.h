@@ -8,18 +8,30 @@
 
 namespace polarcxl {
 
+/// The splitmix64 golden-ratio increment.
+inline constexpr uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ULL;
+
+/// splitmix64 output of the state after `x`: steps `x` by the gamma and
+/// finalizes it. Also a stateless hash for counter-mode draws (hash the
+/// counter, never advance a stream).
+inline uint64_t Mix64(uint64_t x) {
+  x += kSplitMixGamma;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// splitmix64 — used for seeding and as a cheap general-purpose PRNG.
 /// Deterministic across platforms; never seeded from wall-clock time so that
 /// every simulation run is exactly reproducible.
 class Rng {
  public:
-  explicit Rng(uint64_t seed) : state_(seed + 0x9E3779B97F4A7C15ULL) {}
+  explicit Rng(uint64_t seed) : state_(seed + kSplitMixGamma) {}
 
   uint64_t Next() {
-    uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    const uint64_t z = Mix64(state_);
+    state_ += kSplitMixGamma;
+    return z;
   }
 
   /// Uniform integer in [0, n). n must be > 0.

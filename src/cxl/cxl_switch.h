@@ -22,14 +22,15 @@ namespace polarcxl::cxl {
 /// switching capacity.
 class CxlSwitch {
  public:
+  static constexpr uint32_t kTotalLanes = 256;
+
   struct Options {
-    uint32_t total_lanes = 256;
+    /// Port width. A port's usable bandwidth scales with its lanes from the
+    /// model's x16 host link (sim::BandwidthModel::cxl_host_link_bps).
     uint32_t lanes_per_port = 16;
-    /// Per-x16-port usable bandwidth (PCIe 5.0).
-    uint64_t port_bps = sim::BandwidthModel{}.cxl_host_link_bps;
     /// Device-port bandwidth when memory devices attach with narrower links
     /// than hosts (x8/x4 expanders, or oversubscribed rack trunks). 0 keeps
-    /// device ports at `port_bps`.
+    /// device ports at the port width's bandwidth.
     uint64_t device_port_bps = 0;
     /// Extra one-way latency the switch adds to a line access. Table 1:
     /// 549 ns (switch) - 265 ns (direct) = 284 ns.
@@ -57,7 +58,7 @@ class CxlSwitch {
 
   Nanos traversal_latency() const { return opt_.traversal_latency; }
   uint32_t num_ports() const { return static_cast<uint32_t>(ports_.size()); }
-  uint32_t max_ports() const { return opt_.total_lanes / opt_.lanes_per_port; }
+  uint32_t max_ports() const { return kTotalLanes / opt_.lanes_per_port; }
   /// Ports currently bound (all kinds) — topology validation peeks at this
   /// before wiring hosts/devices into a switch.
   uint32_t ports_bound() const { return num_ports(); }
@@ -69,7 +70,6 @@ class CxlSwitch {
   }
   /// Switch lanes consumed by bound ports / total lanes.
   uint32_t lanes_in_use() const { return num_ports() * opt_.lanes_per_port; }
-  uint32_t total_lanes() const { return opt_.total_lanes; }
   const std::string& name() const { return name_; }
 
   /// Sum of window_advances over every port channel + the fabric channel

@@ -11,12 +11,11 @@ constexpr uint16_t kInternalValueSize = 4;  // child PageId
 }  // namespace
 
 BTree::BTree(bufferpool::BufferPool* pool, storage::RedoLog* log,
-             PageAllocator* alloc, const sim::CpuCostModel* costs,
-             uint16_t value_size, PageId root, RootChangeFn on_root_change)
+             PageAllocator* alloc, uint16_t value_size, PageId root,
+             RootChangeFn on_root_change)
     : pool_(pool),
       log_(log),
       alloc_(alloc),
-      costs_(costs),
       value_size_(value_size),
       root_(root),
       on_root_change_(std::move(on_root_change)) {}
@@ -56,7 +55,7 @@ Result<MiniTransaction::Handle*> BTree::DescendToLeaf(MiniTransaction& mtr,
     PageView page = mtr.View(*h);
     if (!page.IsFormatted()) return Status::Corruption("unformatted page");
     mtr.ChargeRead(*h, 0, kPageHeaderSize);
-    mtr.ctx().Advance(costs_->btree_level_cpu);
+    mtr.ctx().Advance(sim::kCpuCosts.btree_level_cpu);
     if (page.is_leaf()) {
       if (leaf_for_write) {
         auto wh = mtr.GetPage(current, /*for_write=*/true);
@@ -207,7 +206,7 @@ Status BTree::SplitPathTo(sim::ExecContext& ctx, uint64_t key) {
       return ph.status();
     }
     PageView ppage = mtr.View(*ph);
-    mtr.ctx().Advance(costs_->btree_level_cpu);
+    mtr.ctx().Advance(sim::kCpuCosts.btree_level_cpu);
     if (ppage.is_leaf()) break;
 
     ProbeList probes;
@@ -406,7 +405,7 @@ Result<size_t> BTree::ScanCore(sim::ExecContext& ctx, uint64_t start_key,
     mtr.ChargeRead(h, page.EntryOffset(i),
                    take * page.entry_size());
     for (uint16_t e = 0; e < take; e++) {
-      mtr.ctx().Advance(costs_->per_row_cpu);
+      mtr.ctx().Advance(sim::kCpuCosts.per_row_cpu);
       emit(page.KeyAt(i + e),
            reinterpret_cast<const char*>(page.ValueAt(i + e)));
     }

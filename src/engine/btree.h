@@ -71,8 +71,8 @@ class BTree {
   using RootProviderFn = std::function<PageId(MiniTransaction&)>;
 
   BTree(bufferpool::BufferPool* pool, storage::RedoLog* log,
-        PageAllocator* alloc, const sim::CpuCostModel* costs,
-        uint16_t value_size, PageId root, RootChangeFn on_root_change);
+        PageAllocator* alloc, uint16_t value_size, PageId root,
+        RootChangeFn on_root_change);
 
   /// Creates an empty tree: allocates + formats the root leaf.
   static Result<PageId> CreateRoot(sim::ExecContext& ctx,
@@ -157,7 +157,6 @@ class BTree {
   bufferpool::BufferPool* pool_;
   storage::RedoLog* log_;
   PageAllocator* alloc_;
-  const sim::CpuCostModel* costs_;
   uint16_t value_size_;
   PageId root_;
   RootChangeFn on_root_change_;

@@ -167,7 +167,7 @@ Status Database::LoadCatalog(sim::ExecContext& ctx) {
 std::unique_ptr<BTree> Database::MakeTree(uint32_t tree_idx,
                                           uint16_t value_size, PageId root) {
   auto tree = std::make_unique<BTree>(
-      pool_.get(), env_.log, this, &kCosts, value_size, root,
+      pool_.get(), env_.log, this, value_size, root,
       [this, tree_idx](MiniTransaction& mtr, PageId new_root) {
         auto h = mtr.GetPage(kSuperblockPage, /*for_write=*/true);
         POLAR_CHECK(h.ok());

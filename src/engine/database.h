@@ -71,8 +71,6 @@ class Database : public PageAllocator {
  public:
   static constexpr PageId kSuperblockPage = 0;
   static constexpr uint32_t kMaxTrees = 512;
-  /// CPU service costs of every instance.
-  static constexpr sim::CpuCostModel kCosts{};
 
   /// Fresh instance: builds the pool and formats the superblock.
   static Result<std::unique_ptr<Database>> Create(sim::ExecContext& ctx,
@@ -119,18 +117,17 @@ class Database : public PageAllocator {
   /// group-commit policy. (GroupCommit/Flush attribute their own time.)
   void CommitTransaction(sim::ExecContext& ctx) {
     env_.log->GroupCommit(ctx, opt_.group_commit_window);
-    ctx.Advance(kCosts.txn_overhead);
+    ctx.Advance(sim::kCpuCosts.txn_overhead);
   }
   /// End a read-only transaction (no log flush).
   void FinishReadOnly(sim::ExecContext& ctx) {
-    ctx.Advance(kCosts.txn_overhead / 2);
+    ctx.Advance(sim::kCpuCosts.txn_overhead / 2);
   }
 
   bufferpool::BufferPool* pool() { return pool_.get(); }
   storage::RedoLog* log() { return env_.log; }
   storage::PageStore* store() { return env_.store; }
   sim::CpuCacheSim* cache() { return cache_.get(); }
-  const sim::CpuCostModel& costs() const { return kCosts; }
   const DatabaseOptions& options() const { return opt_; }
   NodeId node() const { return opt_.node; }
 

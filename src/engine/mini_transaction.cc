@@ -53,7 +53,6 @@ MiniTransaction::MiniTransaction(sim::ExecContext& ctx,
     : ctx_(ctx),
       pool_(pool),
       log_(log),
-      mtr_id_(log->NewMtrId()),
       scratch_(AcquireScratch()) {}
 
 MiniTransaction::~MiniTransaction() {
@@ -99,8 +98,6 @@ storage::RedoRecord& MiniTransaction::NewRecord(Handle* h,
   storage::RedoRecord rec;
   rec.page_id = h->id;
   rec.kind = kind;
-  rec.mtr_id = mtr_id_;
-  rec.txn_id = ctx_.txn_id;
   scratch_->records.push_back(std::move(rec));
   // Handle pointers are stable until clear(), so the back-link is direct.
   scratch_->record_handle.push_back(h);

@@ -236,7 +236,6 @@ class MiniTransaction {
   sim::ExecContext& ctx_;
   bufferpool::BufferPool* pool_;
   storage::RedoLog* log_;
-  uint64_t mtr_id_;
   HandleList handles_;
   Scratch* scratch_;
   bool committed_ = false;

@@ -7,8 +7,8 @@ namespace polarcxl::fabric {
 
 namespace {
 TopologySpec LineOrCycle(uint32_t n, bool cycle,
-                         cxl::CxlSwitch::Options options, uint64_t uplink_bps,
-                         Nanos uplink_latency) {
+                         cxl::CxlSwitch::Options options,
+                         uint64_t uplink_bps) {
   POLAR_CHECK(n >= 1);
   TopologySpec spec;
   spec.switches.reserve(n);
@@ -17,22 +17,20 @@ TopologySpec LineOrCycle(uint32_t n, bool cycle,
   }
   const uint32_t links = n < 2 ? 0 : (cycle && n > 2 ? n : n - 1);
   for (uint32_t i = 0; i < links; i++) {
-    spec.uplinks.push_back(
-        {i, (i + 1) % n, uplink_bps, uplink_latency});
+    spec.uplinks.push_back({i, (i + 1) % n, uplink_bps});
   }
   return spec;
 }
 }  // namespace
 
 TopologySpec TopologySpec::Ring(uint32_t n, cxl::CxlSwitch::Options options,
-                                uint64_t uplink_bps, Nanos uplink_latency) {
-  return LineOrCycle(n, /*cycle=*/true, options, uplink_bps, uplink_latency);
+                                uint64_t uplink_bps) {
+  return LineOrCycle(n, /*cycle=*/true, options, uplink_bps);
 }
 
 TopologySpec TopologySpec::Chain(uint32_t n, cxl::CxlSwitch::Options options,
-                                 uint64_t uplink_bps, Nanos uplink_latency) {
-  return LineOrCycle(n, /*cycle=*/false, options, uplink_bps,
-                     uplink_latency);
+                                 uint64_t uplink_bps) {
+  return LineOrCycle(n, /*cycle=*/false, options, uplink_bps);
 }
 
 FabricTopology::FabricTopology(const TopologySpec& spec) {
@@ -48,7 +46,7 @@ FabricTopology::FabricTopology(const TopologySpec& spec) {
     POLAR_CHECK_MSG(u.a < n && u.b < n && u.a != u.b,
                     "uplink endpoints must name two distinct switches");
     uplinks_.push_back(
-        {u.a, u.b, u.latency,
+        {u.a, u.b,
          std::make_unique<sim::BandwidthChannel>(
              "uplink." + std::to_string(u.a) + "-" + std::to_string(u.b),
              u.bps)});
@@ -94,8 +92,8 @@ FabricTopology::FabricTopology(const TopologySpec& spec) {
         route.path.push_back(cur);
         route.channels.push_back(switches_[cur]->fabric_channel());
         route.channels.push_back(up.channel.get());
-        route.extra_latency +=
-            up.latency + switches_[cur]->traversal_latency();
+        route.extra_latency += sim::LatencyModel::kCxlUplinkHop +
+                               switches_[cur]->traversal_latency();
         route.hops++;
       }
       route.path.push_back(src);

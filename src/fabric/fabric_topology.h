@@ -28,13 +28,12 @@ struct TopologySpec {
     std::string name;
     cxl::CxlSwitch::Options options;
   };
+  /// An x16 CXL 2.0 inter-switch link. Every uplink adds
+  /// sim::LatencyModel::kCxlUplinkHop per crossed hop.
   struct UplinkSpec {
     uint32_t a = 0;
     uint32_t b = 0;
-    /// x16 CXL 2.0 inter-switch link by default.
-    uint64_t bps = 56ULL * 1000 * 1000 * 1000;
-    /// One-way propagation + serialization latency of the link.
-    Nanos latency = 100;
+    uint64_t bps = sim::BandwidthModel{}.cxl_host_link_bps;
   };
 
   std::vector<SwitchSpec> switches;
@@ -44,13 +43,13 @@ struct TopologySpec {
 
   /// n switches in a cycle (sw i <-> sw (i+1)%n); n == 1 has no uplinks,
   /// n == 2 a single one.
-  static TopologySpec Ring(uint32_t n, cxl::CxlSwitch::Options options = {},
-                           uint64_t uplink_bps = 56ULL * 1000 * 1000 * 1000,
-                           Nanos uplink_latency = 100);
+  static TopologySpec Ring(
+      uint32_t n, cxl::CxlSwitch::Options options = {},
+      uint64_t uplink_bps = sim::BandwidthModel{}.cxl_host_link_bps);
   /// n switches in a line (sw i <-> sw i+1).
-  static TopologySpec Chain(uint32_t n, cxl::CxlSwitch::Options options = {},
-                            uint64_t uplink_bps = 56ULL * 1000 * 1000 * 1000,
-                            Nanos uplink_latency = 100);
+  static TopologySpec Chain(
+      uint32_t n, cxl::CxlSwitch::Options options = {},
+      uint64_t uplink_bps = sim::BandwidthModel{}.cxl_host_link_bps);
 };
 
 /// The instantiated graph plus the all-pairs route table. Owns the switches
@@ -117,7 +116,6 @@ class FabricTopology {
   struct Uplink {
     uint32_t a;
     uint32_t b;
-    Nanos latency;
     std::unique_ptr<sim::BandwidthChannel> channel;
   };
   struct Route {

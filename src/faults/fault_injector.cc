@@ -2,17 +2,9 @@
 
 #include <algorithm>
 
-namespace polarcxl::faults {
+#include "common/rng.h"
 
-namespace {
-/// splitmix64 finalizer (same mixer as common/rng.h).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
+namespace polarcxl::faults {
 
 void FaultInjector::Domain::Add(const FaultEvent& e) {
   events.push_back(e);

@@ -3,21 +3,14 @@
 #include <cmath>
 
 #include "common/macros.h"
+#include "common/rng.h"
 
 namespace polarcxl::harness {
 
 namespace {
 
-/// splitmix64 finalizer — the same counter-mode idiom as
-/// FaultInjector::Draw: hash the counter, never advance a stream.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Uniform double in [0, 1) from (seed, tenant, draw counter).
+/// Uniform double in [0, 1) from (seed, tenant, draw counter): the same
+/// counter-mode idiom as FaultInjector::Draw.
 double CounterU01(uint64_t seed, uint32_t tenant, uint64_t counter) {
   const uint64_t h =
       Mix64(seed ^ Mix64((static_cast<uint64_t>(tenant) << 40) | counter));

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "harness/instance_driver.h"
-#include "recovery/txn_undo.h"
 #include "sim/executor.h"
 
 namespace polarcxl::harness {
@@ -223,8 +222,7 @@ RecoveryResult RunRecoveryExperiment(const RecoveryConfig& config) {
       pool = std::make_unique<bufferpool::TieredRdmaBufferPool>(
           po, &recover_dram, vanilla ? nullptr : &remote, &store);
       pool->SetWal(&log);
-      result.aries = recovery::RecoverAries(rctx, pool.get(), &log,
-                                            sim::CpuCostModel{});
+      result.aries = recovery::RecoverAries(rctx, pool.get(), &log);
       break;
     }
     case RecoveryScheme::kPolarRecv: {
@@ -235,8 +233,7 @@ RecoveryResult RunRecoveryExperiment(const RecoveryConfig& config) {
                                                         *host, &store);
       POLAR_CHECK(attached.ok());
       (*attached)->SetWal(&log);
-      result.polar = recovery::PolarRecv(rctx, attached->get(), &log,
-                                         sim::CpuCostModel{});
+      result.polar = recovery::PolarRecv(rctx, attached->get(), &log);
       pool = std::move(*attached);
       break;
     }
@@ -247,10 +244,6 @@ RecoveryResult RunRecoveryExperiment(const RecoveryConfig& config) {
   POLAR_CHECK(reopened.ok());
   db = std::move(*reopened);
   db_ptr = db.get();
-  // ARIES undo pass: roll back loser transactions (none in the sysbench
-  // auto-commit workload, so this is cheap — but it is part of the real
-  // restart sequence).
-  recovery::UndoLoserTransactions(rctx, db.get());
   result.serving_at = rctx.now;
 
   // ---- phase 2: resume traffic ----

@@ -45,7 +45,6 @@ SharingResult RunSharing(const SharingConfig& config) {
   // ---- fabric (CXL mode) ----
   cxl::CxlSwitch::Options sw;
   sw.lanes_per_port = 8;  // x8 ports: up to 32 endpoints for big clusters
-  sw.port_bps = 28ULL * 1000 * 1000 * 1000;
   cxl::CxlFabric::Options fo;
   fo.switch_options = sw;
   cxl::CxlFabric fabric(fo);
@@ -62,7 +61,7 @@ SharingResult RunSharing(const SharingConfig& config) {
   rdma::RdmaNic::Options server_nic;
   // PolarDB-MP's DBP is served by a pair of memory nodes: 2x a client NIC.
   server_nic.bandwidth_bps = 2 * bw.rdma_nic_bps;
-  server_nic.iops = 32ULL * 1000 * 1000;
+  server_nic.iops = 4 * bw.rdma_nic_iops;
   net.RegisterHost(kDbpServerNode, server_nic);
   for (uint32_t n = 0; n < config.nodes; n++) net.RegisterHost(n);
 

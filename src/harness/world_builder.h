@@ -84,12 +84,12 @@ inline double ThreadCpuSeconds() {
 /// than one device per switch activates per-address routing: every access
 /// additionally charges its route's uplinks, entered switch fabrics, and
 /// destination device port. The switches form a ring (a chain below three)
-/// of uplinks with the default hop latency, and their ports have the model
+/// of uplinks with the model's hop latency, and their ports have the model
 /// width (x16, 56 GB/s).
 struct FabricWorldSpec {
   uint32_t switches = 1;
   uint32_t devices_per_switch = 1;
-  uint64_t uplink_bps = 56ULL * 1000 * 1000 * 1000;
+  uint64_t uplink_bps = sim::BandwidthModel{}.cxl_host_link_bps;
   /// Narrows only the memory-device ports (0 = full width) — x8/x4
   /// expanders or oversubscribed trunks behind full-width host links.
   uint64_t device_port_bps = 0;

@@ -7,8 +7,7 @@ namespace polarcxl::recovery {
 
 PolarRecvStats PolarRecv(sim::ExecContext& ctx,
                          bufferpool::CxlBufferPool* pool,
-                         storage::RedoLog* log,
-                         const sim::CpuCostModel& costs) {
+                         storage::RedoLog* log) {
   PolarRecvStats stats;
   const Nanos start = ctx.now;
   const Lsn max_persistent = log->flushed_lsn();
@@ -51,8 +50,7 @@ PolarRecvStats PolarRecv(sim::ExecContext& ctx,
     std::map<PageId, std::vector<const storage::RedoRecord*>> by_page;
     for (const storage::RedoRecord* rec :
          log->DurableRecordsFrom(log->checkpoint_lsn())) {
-      ctx.Advance(costs.log_record_parse);
-      if (!IsPageRecord(rec->kind)) continue;
+      ctx.Advance(sim::kCpuCosts.log_record_parse);
       const auto it = repair_pages.find(rec->page_id);
       if (it != repair_pages.end()) by_page[rec->page_id].push_back(rec);
     }
@@ -67,7 +65,7 @@ PolarRecvStats PolarRecv(sim::ExecContext& ctx,
             pool->ChargeFrameTouch(ctx, block, rec->page_off,
                                    std::max<uint32_t>(rec->len, 1),
                                    /*write=*/true);
-            ctx.Advance(costs.log_record_apply);
+            ctx.Advance(sim::kCpuCosts.log_record_apply);
             stats.records_applied++;
           }
         }

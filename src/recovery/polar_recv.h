@@ -33,7 +33,6 @@ struct PolarRecvStats {
 /// table is rebuilt and every surviving page is immediately servable.
 PolarRecvStats PolarRecv(sim::ExecContext& ctx,
                          bufferpool::CxlBufferPool* pool,
-                         storage::RedoLog* log,
-                         const sim::CpuCostModel& costs);
+                         storage::RedoLog* log);
 
 }  // namespace polarcxl::recovery

@@ -7,7 +7,6 @@ namespace polarcxl::recovery {
 
 bool ApplyRecord(engine::PageView& page, const storage::RedoRecord& rec) {
   using storage::RedoKind;
-  if (!IsPageRecord(rec.kind)) return false;  // txn markers / undo info
   if (rec.kind != RedoKind::kFormat && page.lsn() >= rec.end_lsn()) {
     return false;  // already reflected in this image
   }
@@ -36,8 +35,6 @@ bool ApplyRecord(engine::PageView& page, const storage::RedoRecord& rec) {
       if (page.Find(key, &idx)) page.EraseEntryRaw(idx);
       break;
     }
-    default:
-      return false;  // unreachable: filtered above
   }
   page.set_lsn(rec.end_lsn());
   return true;
@@ -45,8 +42,7 @@ bool ApplyRecord(engine::PageView& page, const storage::RedoRecord& rec) {
 
 RecoveryStats RecoverAries(sim::ExecContext& ctx,
                            bufferpool::BufferPool* pool,
-                           storage::RedoLog* log,
-                           const sim::CpuCostModel& costs) {
+                           storage::RedoLog* log) {
   RecoveryStats stats;
   const Nanos start = ctx.now;
   const Lsn from = log->checkpoint_lsn();
@@ -58,9 +54,8 @@ RecoveryStats RecoverAries(sim::ExecContext& ctx,
   // 2. Group records by page, preserving LSN order.
   std::map<PageId, std::vector<const storage::RedoRecord*>> by_page;
   for (const storage::RedoRecord* rec : log->DurableRecordsFrom(from)) {
-    ctx.Advance(costs.log_record_parse);
+    ctx.Advance(sim::kCpuCosts.log_record_parse);
     stats.records_seen++;
-    if (!IsPageRecord(rec->kind)) continue;  // txn markers / undo info
     by_page[rec->page_id].push_back(rec);
   }
 
@@ -76,7 +71,7 @@ RecoveryStats RecoverAries(sim::ExecContext& ctx,
       if (ApplyRecord(page, *rec)) {
         pool->TouchRange(ctx, *ref, rec->page_off,
                          std::max<uint32_t>(rec->len, 1), /*write=*/true);
-        ctx.Advance(costs.log_record_apply);
+        ctx.Advance(sim::kCpuCosts.log_record_apply);
         stats.records_applied++;
         any = true;
         last = rec->end_lsn();

@@ -17,20 +17,6 @@
 
 namespace polarcxl::recovery {
 
-/// True for record kinds that modify a page (transaction markers and undo
-/// info records do not).
-inline bool IsPageRecord(storage::RedoKind kind) {
-  switch (kind) {
-    case storage::RedoKind::kRaw:
-    case storage::RedoKind::kFormat:
-    case storage::RedoKind::kInsertEntry:
-    case storage::RedoKind::kEraseEntry:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Applies one redo record to a page iff the page LSN shows it has not been
 /// applied yet (page_lsn < record end LSN). Updates the page LSN. Returns
 /// whether it applied.
@@ -47,10 +33,9 @@ struct RecoveryStats {
 /// ARIES-style redo pass over `pool` (works for any pool kind). The pool is
 /// expected to be freshly constructed (cold) for the vanilla/RDMA schemes.
 /// Costs charged: log scan, base page reads (through the pool's miss path),
-/// per-record apply CPU, page byte writes.
+/// per-record parse and apply CPU (sim::kCpuCosts), page byte writes.
 RecoveryStats RecoverAries(sim::ExecContext& ctx,
                            bufferpool::BufferPool* pool,
-                           storage::RedoLog* log,
-                           const sim::CpuCostModel& costs);
+                           storage::RedoLog* log);
 
 }  // namespace polarcxl::recovery

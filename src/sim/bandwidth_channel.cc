@@ -51,7 +51,7 @@ uint64_t BandwidthChannel::UsedIn(int64_t w) const {
                ring_mask_];
 }
 
-void BandwidthChannel::RetireTo(int64_t r) const {
+void BandwidthChannel::RetireTo(int64_t r) {
   while (window_count_ > 0 && base_window_ < r) {
     if (ring_[base_slot_] != 0) {
       window_advances_++;   // leftover budget actually forfeited
@@ -68,7 +68,7 @@ void BandwidthChannel::RetireTo(int64_t r) const {
   retired_end_ = std::max(retired_end_, r);
 }
 
-void BandwidthChannel::EnsureWindow(int64_t w) const {
+void BandwidthChannel::EnsureWindow(int64_t w) {
   if (window_count_ == 0) {
     if (ring_.empty()) {
       ring_.assign(64, 0);
@@ -114,7 +114,7 @@ void BandwidthChannel::EnsureWindow(int64_t w) const {
   }
 }
 
-void BandwidthChannel::StoreUsed(int64_t w, uint64_t used) const {
+void BandwidthChannel::StoreUsed(int64_t w, uint64_t used) {
   EnsureWindow(w);
   ring_[(base_slot_ + static_cast<size_t>(w - base_window_)) & ring_mask_] =
       used;
@@ -132,7 +132,7 @@ void BandwidthChannel::StoreUsed(int64_t w, uint64_t used) const {
   }
 }
 
-Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes, bool commit) const {
+Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes) {
   if (bytes_per_sec_ == 0 || bytes == 0) return now;
   int64_t w = static_cast<int64_t>(fd_window_.Div(static_cast<uint64_t>(now)));
   // Capacity is tracked at window granularity: a transfer may use any
@@ -149,7 +149,7 @@ Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes, bool commit) const {
   // fault-wired ones, never arm; see SimWorld). Abort loudly rather
   // than bend a completion.
   POLAR_CHECK(w >= retired_end_);
-  if (commit && w - retire_lag_ > retired_end_) {
+  if (w - retire_lag_ > retired_end_) {
     // Advance the watermark behind the posting frontier. Keyed on the
     // post's own `now` — never on the newest *tracked* window, which on a
     // saturated channel is backlog queued far ahead of virtual time.
@@ -167,7 +167,7 @@ Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes, bool commit) const {
         (base_slot_ + static_cast<size_t>(w - base_window_)) & ring_mask_;
     const uint64_t offset = ring_[slot] + bytes;
     if (offset < bytes_per_window_) {
-      if (commit) ring_[slot] = offset;
+      ring_[slot] = offset;
       return std::max(w * window_ns_ + NsForBytes(offset), now + 1);
     }
   }
@@ -175,36 +175,28 @@ Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes, bool commit) const {
   uint64_t remaining = bytes;
   Nanos completion = now;
   while (true) {
-    // Batched spill: once the cursor is past every tracked window, all
-    // remaining windows are untouched (zero consumed), so the landing
-    // window is one FastDiv64 divide away instead of a per-window walk.
-    // The arithmetic is exactly the loop's fixpoint: `full` windows take
-    // bytes_per_window_ each and the tail lands at offset `t` in window
-    // w + full.
-    if (remaining > bytes_per_window_ && w >= pruned_end_ &&
-        (window_count_ == 0 ||
-         w >= base_window_ + static_cast<int64_t>(window_count_))) {
+    // Batched spill from a clean frontier: nothing is tracked and w is the
+    // first unconsumed window, so every remaining window is untouched and
+    // the landing window is one FastDiv64 divide away instead of a
+    // per-window walk. The arithmetic is exactly the loop's fixpoint:
+    // `full` windows take bytes_per_window_ each and the tail lands at
+    // offset `t` in window w + full. The full windows extend the
+    // implicitly-consumed prefix directly: one charge for the whole skip,
+    // never materialized in the ring. When a gap or partial front precedes
+    // w, the full windows must be materialized so a later out-of-order
+    // post sees them consumed, so the per-window loop below runs (rare: a
+    // saturated channel prunes its front as it fills, landing here).
+    if (remaining > bytes_per_window_ && window_count_ == 0 &&
+        w == pruned_end_) {
       const int64_t full =
           static_cast<int64_t>(fd_bpw_.Div(remaining - 1));
       const uint64_t t =
           remaining - static_cast<uint64_t>(full) * bytes_per_window_;
-      if (!commit) {
-        completion = (w + full) * window_ns_ + NsForBytes(t);
-        break;
-      }
-      if (window_count_ == 0 && w == pruned_end_) {
-        // The full windows extend the implicitly-consumed prefix directly:
-        // one charge for the whole skip, never materialized in the ring.
-        window_advances_++;
-        pruned_end_ = w + full;
-        completion = (w + full) * window_ns_ + NsForBytes(t);
-        StoreUsed(w + full, t);  // prunes immediately if t fills it
-        break;
-      }
-      // A gap or partial front precedes w: the full windows must be
-      // materialized so a later out-of-order post sees them consumed.
-      // Fall through to the per-window loop (rare: a saturated channel
-      // prunes its front as it fills, landing in the branch above).
+      window_advances_++;
+      pruned_end_ = w + full;
+      completion = (w + full) * window_ns_ + NsForBytes(t);
+      StoreUsed(w + full, t);  // prunes immediately if t fills it
+      break;
     }
     uint64_t offset = UsedIn(w);
     const uint64_t free =
@@ -213,12 +205,12 @@ Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes, bool commit) const {
     if (take > 0) {
       offset += take;
       remaining -= take;
-      if (commit) StoreUsed(w, offset);
+      StoreUsed(w, offset);
       completion = w * window_ns_ + NsForBytes(offset);
     }
     if (remaining == 0) break;
     w++;
-    if (commit) window_advances_++;  // spill iteration past the first window
+    window_advances_++;  // spill iteration past the first window
   }
   return std::max(completion, now + 1);
 }
@@ -229,18 +221,14 @@ Nanos BandwidthChannel::Transfer(Nanos now, uint64_t bytes) {
   if (bytes_per_sec_ > 0) {
     busy_time_ += NsForBytes(bytes);
   }
-  const Nanos completion = Place(now, bytes, /*commit=*/true);
+  const Nanos completion = Place(now, bytes);
   last_completion_ = std::max(last_completion_, completion);
   return completion;
 }
 
-Nanos BandwidthChannel::PeekCompletion(Nanos now, uint64_t bytes) const {
-  return Place(now, bytes, /*commit=*/false);
-}
-
 Nanos BandwidthChannel::TransferDeferred(Nanos now, uint64_t bytes,
                                          ChannelOverlay* ov) const {
-  // Mirrors Place(commit=true) exactly, except the consumed bytes land in
+  // Mirrors Place exactly, except the consumed bytes land in
   // the caller's overlay and every budget read is ledger + overlay. With an
   // empty overlay and a quiescent ledger this returns the same completion
   // Transfer would; the divergence counter at the barrier measures how

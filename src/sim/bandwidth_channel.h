@@ -92,9 +92,6 @@ class BandwidthChannel {
   /// time (>= now + 1).
   Nanos Transfer(Nanos now, uint64_t bytes);
 
-  /// Completion time without consuming capacity (capacity probe).
-  Nanos PeekCompletion(Nanos now, uint64_t bytes) const;
-
   /// Epoch-parallel variant of Transfer against a frozen ledger: computes
   /// the completion the transfer *would* get given the channel's committed
   /// state plus the caller's private overlay, commits the consumed bytes
@@ -216,11 +213,12 @@ class BandwidthChannel {
   // signed window arithmetic, so the trigger comparison is branch-free.
   static constexpr int64_t kNeverRetire = INT64_MAX / 4;
 
-  Nanos Place(Nanos now, uint64_t bytes, bool commit) const;
+  /// Consumes `bytes` from `now` on in the ledger; returns the completion.
+  Nanos Place(Nanos now, uint64_t bytes);
   /// Drops tracked windows below `r` off the ring front (zeroing their
   /// slots to keep the outside-span-zero invariant) and raises the
   /// retirement watermark.
-  void RetireTo(int64_t r) const;
+  void RetireTo(int64_t r);
 
   /// Exact link time of `b` bytes (b * 1e9 / rate). Window budgets are a few
   /// hundred KB at realistic rates, so the product almost always fits in 64
@@ -239,9 +237,9 @@ class BandwidthChannel {
   uint64_t UsedIn(int64_t w) const;
   /// Record `used` consumed bytes for window `w`, growing/sliding the ring
   /// as needed, then prune fully-consumed windows off the front.
-  void StoreUsed(int64_t w, uint64_t used) const;
+  void StoreUsed(int64_t w, uint64_t used);
   /// Make window `w` addressable in the ring (grows capacity, zero-fills).
-  void EnsureWindow(int64_t w) const;
+  void EnsureWindow(int64_t w);
 
   std::string name_;
   uint64_t bytes_per_sec_;
@@ -255,17 +253,16 @@ class BandwidthChannel {
   FastDiv64 fd_window_;
   FastDiv64 fd_bpw_;
 
-  // Ring ledger state (mutable: PeekCompletion shares Place with commit
-  // disabled and never mutates observable state).
-  mutable std::vector<uint64_t> ring_;   // power-of-two capacity
-  mutable size_t ring_mask_ = 0;
-  mutable int64_t base_window_ = 0;      // window id of ring_[base_slot_]
-  mutable size_t base_slot_ = 0;
-  mutable size_t window_count_ = 0;      // valid span [base_, base_+count_)
-  mutable int64_t pruned_end_ = INT64_MIN;  // all windows < this are full
-  mutable int64_t retired_end_ = 0;  // all windows < this are forfeited
-  int64_t retire_lag_ = kNeverRetire;       // see set_retire_lag()
-  mutable uint64_t window_advances_ = 0;    // see window_advances()
+  // Ring ledger state.
+  std::vector<uint64_t> ring_;   // power-of-two capacity
+  size_t ring_mask_ = 0;
+  int64_t base_window_ = 0;      // window id of ring_[base_slot_]
+  size_t base_slot_ = 0;
+  size_t window_count_ = 0;      // valid span [base_, base_+count_)
+  int64_t pruned_end_ = INT64_MIN;  // all windows < this are full
+  int64_t retired_end_ = 0;         // all windows < this are forfeited
+  int64_t retire_lag_ = kNeverRetire;  // see set_retire_lag()
+  uint64_t window_advances_ = 0;       // see window_advances()
 
   Nanos last_completion_ = 0;
   Nanos busy_time_ = 0;

@@ -36,11 +36,6 @@ struct ExecContext {
   /// same instance). Null disables cache modelling (every access misses).
   CpuCacheSim* cache = nullptr;
 
-  /// Transaction this lane is currently executing on behalf of (0 = none);
-  /// the mini-transaction layer stamps it into redo records so recovery
-  /// can roll back losers.
-  uint64_t txn_id = 0;
-
   // ---- cumulative per-lane counters (diagnostics) ----
   uint64_t mem_line_hits = 0;
   uint64_t mem_line_misses = 0;

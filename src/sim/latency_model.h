@@ -65,6 +65,10 @@ struct LatencyModel {
   /// Two-sided send/recv RPC round trip (request + response + handler).
   Nanos rdma_rpc_round_trip = 9200;
 
+  /// One-way propagation + serialization latency of one x16 CXL 2.0
+  /// switch-to-switch uplink, added per crossed hop.
+  static constexpr Nanos kCxlUplinkHop = 100;
+
   /// Latency of an RPC carried over the CXL fabric via shared-memory
   /// mailboxes (used by the CXL memory manager / buffer fusion server):
   /// a handful of CXL line accesses each way.
@@ -122,5 +126,8 @@ struct CpuCostModel {
   Nanos log_record_parse = 150;      // per record scanned (parse + LSN check)
   Nanos txn_overhead = 4'000;        // begin/commit bookkeeping
 };
+
+/// The CPU service costs of every instance and recovery pass.
+inline constexpr CpuCostModel kCpuCosts{};
 
 }  // namespace polarcxl::sim

@@ -1,7 +1,6 @@
 #include "storage/redo_log.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "sim/epoch.h"
@@ -78,31 +77,14 @@ void RedoLog::Checkpoint(Lsn lsn) {
   // A checkpoint that does not advance puts no new segment behind it.
   if (lsn <= checkpoint_lsn_) return;
   checkpoint_lsn_ = lsn;
-  // Segments wholly at or below the checkpoint form a prefix. Cut it at the
-  // segment holding the first undo info of the oldest transaction with no
-  // commit or abort marker in the prefix: the undo pass still needs that
-  // transaction's undo info. A resolved transaction wrote its marker after
-  // its undo info, so the kept suffix never holds undo info without the
-  // marker that resolves it.
-  size_t cut = static_cast<size_t>(
+  // Segments wholly at or below the checkpoint form a prefix; no redo pass
+  // reads below the checkpoint, so the whole prefix goes.
+  durable_segs_.erase(
+      durable_segs_.begin(),
       std::partition_point(durable_segs_.begin(), durable_segs_.end(),
                            [lsn](const Segment& s) {
                              return s->back().end_lsn() <= lsn;
-                           }) -
-      durable_segs_.begin());
-  std::unordered_map<uint64_t, size_t> open;  // txn -> segment of first undo
-  for (size_t i = 0; i < cut; i++) {
-    for (const RedoRecord& r : *durable_segs_[i]) {
-      if (r.kind == RedoKind::kUndoInfo) {
-        open.try_emplace(r.txn_id, i);
-      } else if (r.kind == RedoKind::kTxnCommit ||
-                 r.kind == RedoKind::kTxnAbort) {
-        open.erase(r.txn_id);
-      }
-    }
-  }
-  for (const auto& [txn, seg] : open) cut = std::min(cut, seg);
-  durable_segs_.erase(durable_segs_.begin(), durable_segs_.begin() + cut);
+                           }));
 }
 
 std::vector<const RedoRecord*> RedoLog::DurableRecordsFrom(Lsn from) const {

@@ -19,11 +19,11 @@
 namespace polarcxl::storage {
 
 /// Payload bytes of a redo record. Small-buffer container: every hot
-/// payload shape — a row insert (8-byte key + row) and a serialized
-/// one-row undo op — fits in the inline buffer, so building a record and
-/// moving it through the log buffer performs no heap allocation. Oversized
-/// payloads (wide TPC-C warehouse/district rows) spill to the heap. Only
-/// the slice of std::vector<uint8_t>'s surface the log's users need.
+/// payload shape, of which a row insert (8-byte key + row) is the largest,
+/// fits in the inline buffer, so building a record and moving it through
+/// the log buffer performs no heap allocation. Oversized payloads (wide
+/// TPC-C warehouse/district rows) spill to the heap. Only the slice of
+/// std::vector<uint8_t>'s surface the log's users need.
 class PayloadBuf {
  public:
   static constexpr uint32_t kInline = 200;
@@ -112,22 +112,16 @@ enum class RedoKind : uint8_t {
   kFormat = 1,     // format empty page; data = {level u8, value_size u16}
   kInsertEntry = 2,  // sorted insert; data = 8-byte key + value bytes
   kEraseEntry = 3,   // erase by key; data = 8-byte key
-  // Transaction records (page_id unused):
-  kTxnCommit = 4,  // txn_id committed
-  kTxnAbort = 5,   // txn_id rolled back (undo already materialized)
-  kUndoInfo = 6,   // data = serialized logical undo op (see transaction.h)
 };
 
-/// One redo record. Records of one mini-transaction share mtr_id and are
-/// appended atomically.
+/// One redo record. The records of one mini-transaction are appended
+/// atomically, so they sit adjacent in the log.
 struct RedoRecord {
   Lsn lsn = 0;          // start LSN of this record
   PageId page_id = 0;
   RedoKind kind = RedoKind::kRaw;
   uint16_t page_off = 0;
   uint16_t len = 0;
-  uint64_t mtr_id = 0;
-  uint64_t txn_id = 0;  // 0 = auto-commit / non-transactional
   PayloadBuf data;
 
   Lsn end_lsn() const { return lsn + SizeBytes(); }
@@ -143,16 +137,11 @@ struct RedoRecord {
 /// bytes recovery must scan.
 ///
 /// Like InnoDB's, the log reuses the space behind the checkpoint: Checkpoint
-/// cuts the sealed durable segments at min(`checkpoint_lsn`, the oldest
-/// unresolved transaction) and releases every segment before the cut,
-/// keeping only what a reader can still reach. The redo passes
+/// releases every sealed durable segment wholly at or below
+/// `checkpoint_lsn`. Recovery is redo only, and both redo passes
 /// (RecoverAries, PolarRecv) read page records from `checkpoint_lsn` on, so
-/// a segment wholly at or below it is dead to them. The undo pass
-/// (UndoLoserTransactions) scans from LSN 0 for the undo info of
-/// transactions with no commit or abort marker, so the cut stops at the
-/// segment holding the first undo info of the oldest transaction with no
-/// marker at or below the checkpoint. LSNs, log bytes and disk charges are
-/// positions and counts, so a release moves none of them.
+/// no reader reaches a released segment. LSNs, log bytes and disk charges
+/// are positions and counts, so a release moves none of them.
 class RedoLog {
  public:
   /// A sealed durable segment: one flush's records, LSN-ordered and never
@@ -186,9 +175,9 @@ class RedoLog {
   void LoseUnflushedTail();
 
   /// Advances the checkpoint (never backwards) and releases the sealed
-  /// segments behind it that no reader needs (see the class comment):
-  /// whole segments only, so no record is copied. Invalidates every pointer
-  /// DurableRecordsFrom returned.
+  /// segments wholly at or below it: whole segments, found by one binary
+  /// search over the segment ends, so no released record is read or
+  /// copied. Invalidates every pointer DurableRecordsFrom returned.
   void Checkpoint(Lsn lsn);
 
   Lsn current_lsn() const { return next_lsn_; }
@@ -198,12 +187,12 @@ class RedoLog {
     return next_lsn_ - flushed_lsn_;
   }
 
-  /// Durable records with lsn >= `from`, in LSN order. At or above
-  /// `checkpoint_lsn` that is every durable record; below it, only those of
-  /// the segments Checkpoint retained. The pointers are valid until the
-  /// next Checkpoint or Restore, so no caller may hold them across a
-  /// checkpoint. (Recovery drivers charge the disk for the scan themselves
-  /// via ChargeScan.)
+  /// Durable records that end after `from`, in LSN order. From
+  /// `checkpoint_lsn` on that is every durable record; below it, only those
+  /// of the segment the checkpoint falls inside (a checkpoint releases
+  /// whole segments). The pointers are valid until the next Checkpoint or
+  /// Restore, so no caller may hold them across a checkpoint. (Recovery
+  /// drivers charge the disk for the scan themselves via ChargeScan.)
   std::vector<const RedoRecord*> DurableRecordsFrom(Lsn from) const;
 
   /// Charges the disk for scanning the durable log from `from` to the end.
@@ -224,7 +213,6 @@ class RedoLog {
     Lsn flushed_lsn = 0;
     Lsn checkpoint_lsn = 0;
     Nanos last_batch_completion = 0;
-    uint64_t next_mtr_id = 1;
   };
   State Capture() const {
     State s;
@@ -234,7 +222,6 @@ class RedoLog {
     s.flushed_lsn = flushed_lsn_;
     s.checkpoint_lsn = checkpoint_lsn_;
     s.last_batch_completion = last_batch_completion_;
-    s.next_mtr_id = next_mtr_id_;
     return s;
   }
   void Restore(const State& s) {
@@ -244,7 +231,6 @@ class RedoLog {
     flushed_lsn_ = s.flushed_lsn;
     checkpoint_lsn_ = s.checkpoint_lsn;
     last_batch_completion_ = s.last_batch_completion;
-    next_mtr_id_ = s.next_mtr_id;
   }
 
  private:
@@ -267,12 +253,7 @@ class RedoLog {
   Lsn flushed_lsn_ = 0;
   Lsn checkpoint_lsn_ = 0;
   Nanos last_batch_completion_ = 0;
-  uint64_t next_mtr_id_ = 1;
   size_t last_fill_ = 0;  // records in the last sealed segment (sizing hint)
-
- public:
-  /// Allocates a cluster-unique mini-transaction id.
-  uint64_t NewMtrId() { return next_mtr_id_++; }
 };
 
 }  // namespace polarcxl::storage

@@ -115,7 +115,7 @@ void SysbenchWorkload::ChargeClient(sim::ExecContext& ctx, uint64_t bytes) {
 
 void SysbenchWorkload::PointSelect(sim::ExecContext& ctx) {
   engine::Table* t = PickTable(nullptr);
-  ctx.Advance(db_->costs().point_query_base);
+  ctx.Advance(sim::kCpuCosts.point_query_base);
   const Status got = t->GetTo(ctx, PickRow(), &row_scratch_);
   POLAR_CHECK_MSG(got.ok(), "sysbench row missing");
   ChargeClient(ctx, 64 + SysbenchConfig::kRowSize);
@@ -124,7 +124,7 @@ void SysbenchWorkload::PointSelect(sim::ExecContext& ctx) {
 
 void SysbenchWorkload::RangeSelect(sim::ExecContext& ctx) {
   engine::Table* t = PickTable(nullptr);
-  ctx.Advance(db_->costs().range_query_base);
+  ctx.Advance(sim::kCpuCosts.range_query_base);
   const uint64_t from = 1 + fd_range_start_.Mod(rng_.Next());
   auto n = t->Scan(ctx, from, SysbenchConfig::kRangeSize, nullptr);
   POLAR_CHECK(n.ok());
@@ -134,7 +134,7 @@ void SysbenchWorkload::RangeSelect(sim::ExecContext& ctx) {
 
 void SysbenchWorkload::IndexUpdate(sim::ExecContext& ctx) {
   engine::Table* t = PickTable(nullptr);
-  ctx.Advance(db_->costs().write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   const uint32_t k = static_cast<uint32_t>(rng_.Next());
   POLAR_CHECK(t->UpdateColumn(ctx, PickRow(), kKOff,
                               Slice(reinterpret_cast<const char*>(&k), kKLen))
@@ -145,7 +145,7 @@ void SysbenchWorkload::IndexUpdate(sim::ExecContext& ctx) {
 
 void SysbenchWorkload::NonIndexUpdate(sim::ExecContext& ctx) {
   engine::Table* t = PickTable(nullptr);
-  ctx.Advance(db_->costs().write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   char c[kCLen];
   std::memset(c, 'a' + static_cast<char>(rng_.Uniform(26)), sizeof(c));
   POLAR_CHECK(
@@ -157,10 +157,10 @@ void SysbenchWorkload::NonIndexUpdate(sim::ExecContext& ctx) {
 void SysbenchWorkload::DeleteInsert(sim::ExecContext& ctx) {
   engine::Table* t = PickTable(nullptr);
   const uint64_t id = PickRow();
-  ctx.Advance(db_->costs().write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   const Status del = t->Delete(ctx, id);
   total_queries_++;
-  ctx.Advance(db_->costs().write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   if (del.ok()) {
     FillRow(config_, id, &rng_, &row_scratch_);
     POLAR_CHECK(t->Insert(ctx, id, row_scratch_).ok());

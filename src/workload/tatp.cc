@@ -85,13 +85,12 @@ uint64_t TatpWorkload::PickSubscriber() {
 
 uint32_t TatpWorkload::RunTransaction(sim::ExecContext& ctx) {
   POLAR_PROF_SCOPE(kWorkload);
-  const auto& costs = db_->costs();
   const uint64_t sid = PickSubscriber();
   const uint64_t pick = rng_.Uniform(100);
   uint32_t queries = 0;
 
   if (pick < 35) {  // GET_SUBSCRIBER_DATA
-    ctx.Advance(costs.point_query_base);
+    ctx.Advance(sim::kCpuCosts.point_query_base);
     POLAR_CHECK(db_->table(TatpTables::kSubscriber)
                     ->GetTo(ctx, sid, &row_scratch_)
                     .ok());
@@ -99,14 +98,14 @@ uint32_t TatpWorkload::RunTransaction(sim::ExecContext& ctx) {
     queries = 1;
     db_->FinishReadOnly(ctx);
   } else if (pick < 45) {  // GET_NEW_DESTINATION
-    ctx.Advance(costs.point_query_base);
+    ctx.Advance(sim::kCpuCosts.point_query_base);
     const uint64_t sf = rng_.Uniform(4);
     const Status fac = db_->table(TatpTables::kSpecialFacility)
                            ->GetTo(ctx, SpecialFacilityKey(sid, sf),
                                    &row_scratch_);
     queries = 1;
     if (fac.ok()) {
-      ctx.Advance(costs.point_query_base);
+      ctx.Advance(sim::kCpuCosts.point_query_base);
       const Status cf =
           db_->table(TatpTables::kCallForwarding)
               ->GetTo(ctx, CallForwardingKey(sid, sf, rng_.Uniform(24)),
@@ -119,7 +118,7 @@ uint32_t TatpWorkload::RunTransaction(sim::ExecContext& ctx) {
     stats_.reads++;
     db_->FinishReadOnly(ctx);
   } else if (pick < 80) {  // GET_ACCESS_DATA
-    ctx.Advance(costs.point_query_base);
+    ctx.Advance(sim::kCpuCosts.point_query_base);
     const Status ai =
         db_->table(TatpTables::kAccessInfo)
             ->GetTo(ctx, AccessInfoKey(sid, rng_.Uniform(4)), &row_scratch_);
@@ -128,14 +127,14 @@ uint32_t TatpWorkload::RunTransaction(sim::ExecContext& ctx) {
     queries = 1;
     db_->FinishReadOnly(ctx);
   } else if (pick < 82) {  // UPDATE_SUBSCRIBER_DATA
-    ctx.Advance(costs.write_query_base);
+    ctx.Advance(sim::kCpuCosts.write_query_base);
     const uint8_t bit = static_cast<uint8_t>(rng_.Uniform(2));
     POLAR_CHECK(db_->table(TatpTables::kSubscriber)
                     ->UpdateColumn(ctx, sid, 0,
                                    Slice(reinterpret_cast<const char*>(&bit),
                                          1))
                     .ok());
-    ctx.Advance(costs.write_query_base);
+    ctx.Advance(sim::kCpuCosts.write_query_base);
     const uint16_t data_a = static_cast<uint16_t>(rng_.Next());
     auto s = db_->table(TatpTables::kSpecialFacility)
                  ->UpdateColumn(ctx, SpecialFacilityKey(sid, rng_.Uniform(4)),
@@ -147,7 +146,7 @@ uint32_t TatpWorkload::RunTransaction(sim::ExecContext& ctx) {
     queries = 2;
     db_->CommitTransaction(ctx);
   } else if (pick < 96) {  // UPDATE_LOCATION
-    ctx.Advance(costs.write_query_base);
+    ctx.Advance(sim::kCpuCosts.write_query_base);
     const uint32_t vlr = static_cast<uint32_t>(rng_.Next());
     POLAR_CHECK(db_->table(TatpTables::kSubscriber)
                     ->UpdateColumn(ctx, sid, 20,
@@ -158,12 +157,12 @@ uint32_t TatpWorkload::RunTransaction(sim::ExecContext& ctx) {
     queries = 1;
     db_->CommitTransaction(ctx);
   } else if (pick < 98) {  // INSERT_CALL_FORWARDING
-    ctx.Advance(costs.point_query_base);
+    ctx.Advance(sim::kCpuCosts.point_query_base);
     const uint64_t sf = rng_.Uniform(4);
     db_->table(TatpTables::kSpecialFacility)
         ->GetTo(ctx, SpecialFacilityKey(sid, sf), &row_scratch_)
         .ok();
-    ctx.Advance(costs.write_query_base);
+    ctx.Advance(sim::kCpuCosts.write_query_base);
     const Status ins =
         db_->table(TatpTables::kCallForwarding)
             ->Insert(ctx, CallForwardingKey(sid, sf, rng_.Uniform(24)),
@@ -173,7 +172,7 @@ uint32_t TatpWorkload::RunTransaction(sim::ExecContext& ctx) {
     queries = 2;
     db_->CommitTransaction(ctx);
   } else {  // DELETE_CALL_FORWARDING
-    ctx.Advance(costs.write_query_base);
+    ctx.Advance(sim::kCpuCosts.write_query_base);
     const Status del =
         db_->table(TatpTables::kCallForwarding)
             ->Delete(ctx, CallForwardingKey(sid, rng_.Uniform(4),

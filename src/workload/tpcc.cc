@@ -130,18 +130,17 @@ void TpccWorkload::NewOrder(sim::ExecContext& ctx) {
   const uint64_t w = HomeWarehouse();
   const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
   const uint64_t c = 1 + fd_customers_.Mod(rng_.Next());
-  const auto& costs = db_->costs();
 
-  ctx.Advance(costs.point_query_base);
+  ctx.Advance(sim::kCpuCosts.point_query_base);
   POLAR_CHECK(db_->table(TpccTables::kWarehouse)->GetTo(ctx, w, &row_scratch_).ok());
-  ctx.Advance(costs.write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   const uint32_t bump = 1;
   POLAR_CHECK(db_->table(TpccTables::kDistrict)
                   ->UpdateColumn(ctx, DistrictKey(w, d), 0,
                                  Slice(reinterpret_cast<const char*>(&bump),
                                        sizeof(bump)))
                   .ok());
-  ctx.Advance(costs.point_query_base);
+  ctx.Advance(sim::kCpuCosts.point_query_base);
   POLAR_CHECK(
       db_->table(TpccTables::kCustomer)
           ->GetTo(ctx, CustomerKey(w, d, c), &row_scratch_)
@@ -158,22 +157,22 @@ void TpccWorkload::NewOrder(sim::ExecContext& ctx) {
       }
       stats_.remote_accesses++;
     }
-    ctx.Advance(costs.point_query_base);
+    ctx.Advance(sim::kCpuCosts.point_query_base);
     POLAR_CHECK(
         db_->table(TpccTables::kItem)->GetTo(ctx, item, &row_scratch_).ok());
-    ctx.Advance(costs.write_query_base);
+    ctx.Advance(sim::kCpuCosts.write_query_base);
     const uint32_t qty = static_cast<uint32_t>(rng_.Uniform(10)) + 1;
     POLAR_CHECK(db_->table(TpccTables::kStock)
                     ->UpdateColumn(ctx, StockKey(supply_w, item), 0,
                                    Slice(reinterpret_cast<const char*>(&qty),
                                          sizeof(qty)))
                     .ok());
-    ctx.Advance(costs.write_query_base);
+    ctx.Advance(sim::kCpuCosts.write_query_base);
     POLAR_CHECK(db_->table(TpccTables::kOrderLine)
                     ->Insert(ctx, order_id * 16 + l, Filled(kOrderLineRow, 'l'))
                     .ok());
   }
-  ctx.Advance(costs.write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   POLAR_CHECK(db_->table(TpccTables::kOrder)
                   ->Insert(ctx, order_id, Filled(kOrderRow, 'o'))
                   .ok());
@@ -185,16 +184,15 @@ void TpccWorkload::NewOrder(sim::ExecContext& ctx) {
 void TpccWorkload::Payment(sim::ExecContext& ctx) {
   const uint64_t w = HomeWarehouse();
   const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
-  const auto& costs = db_->costs();
 
-  ctx.Advance(costs.write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   const uint32_t amount = static_cast<uint32_t>(rng_.Uniform(5000));
   const Slice amount_slice(reinterpret_cast<const char*>(&amount),
                            sizeof(amount));
   POLAR_CHECK(db_->table(TpccTables::kWarehouse)
                   ->UpdateColumn(ctx, w, 4, amount_slice)
                   .ok());
-  ctx.Advance(costs.write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   POLAR_CHECK(db_->table(TpccTables::kDistrict)
                   ->UpdateColumn(ctx, DistrictKey(w, d), 4, amount_slice)
                   .ok());
@@ -207,12 +205,12 @@ void TpccWorkload::Payment(sim::ExecContext& ctx) {
     stats_.remote_accesses++;
   }
   const uint64_t c = 1 + fd_customers_.Mod(rng_.Next());
-  ctx.Advance(costs.write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   POLAR_CHECK(db_->table(TpccTables::kCustomer)
                   ->UpdateColumn(ctx, CustomerKey(cust_w, d, c), 8,
                                  amount_slice)
                   .ok());
-  ctx.Advance(costs.write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   POLAR_CHECK(db_->table(TpccTables::kHistory)
                   ->Insert(ctx, next_order_id_++ | (1ULL << 60),
                            Filled(kHistoryRow, 'h'))
@@ -225,8 +223,7 @@ void TpccWorkload::OrderStatus(sim::ExecContext& ctx) {
   const uint64_t w = HomeWarehouse();
   const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
   const uint64_t c = 1 + fd_customers_.Mod(rng_.Next());
-  const auto& costs = db_->costs();
-  ctx.Advance(costs.point_query_base);
+  ctx.Advance(sim::kCpuCosts.point_query_base);
   POLAR_CHECK(
       db_->table(TpccTables::kCustomer)
           ->GetTo(ctx, CustomerKey(w, d, c), &row_scratch_)
@@ -234,9 +231,9 @@ void TpccWorkload::OrderStatus(sim::ExecContext& ctx) {
   if (recent_pos_ > 0) {
     const uint64_t order_id =
         recent_orders_[rng_.Uniform(std::min(recent_pos_, kRecentOrders))];
-    ctx.Advance(costs.point_query_base);
+    ctx.Advance(sim::kCpuCosts.point_query_base);
     db_->table(TpccTables::kOrder)->GetTo(ctx, order_id, &row_scratch_).ok();
-    ctx.Advance(costs.range_query_base);
+    ctx.Advance(sim::kCpuCosts.range_query_base);
     db_->table(TpccTables::kOrderLine)
         ->Scan(ctx, order_id * 16, 15, nullptr)
         .ok();
@@ -246,12 +243,11 @@ void TpccWorkload::OrderStatus(sim::ExecContext& ctx) {
 }
 
 void TpccWorkload::Delivery(sim::ExecContext& ctx) {
-  const auto& costs = db_->costs();
   // Deliver up to 10 recent orders (one per district in real TPC-C).
   const uint64_t avail = std::min(recent_pos_, kRecentOrders);
   for (uint64_t i = 0; i < 10 && i < avail; i++) {
     const uint64_t order_id = recent_orders_[rng_.Uniform(avail)];
-    ctx.Advance(costs.write_query_base);
+    ctx.Advance(sim::kCpuCosts.write_query_base);
     const uint32_t carrier = static_cast<uint32_t>(rng_.Uniform(10));
     db_->table(TpccTables::kOrder)
         ->UpdateColumn(ctx, order_id, 0,
@@ -262,7 +258,7 @@ void TpccWorkload::Delivery(sim::ExecContext& ctx) {
   const uint64_t w = HomeWarehouse();
   const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
   const uint64_t c = 1 + fd_customers_.Mod(rng_.Next());
-  ctx.Advance(costs.write_query_base);
+  ctx.Advance(sim::kCpuCosts.write_query_base);
   const uint32_t bump = 1;
   POLAR_CHECK(db_->table(TpccTables::kCustomer)
                   ->UpdateColumn(ctx, CustomerKey(w, d, c), 12,
@@ -275,14 +271,13 @@ void TpccWorkload::Delivery(sim::ExecContext& ctx) {
 
 void TpccWorkload::StockLevel(sim::ExecContext& ctx) {
   const uint64_t w = HomeWarehouse();
-  const auto& costs = db_->costs();
-  ctx.Advance(costs.point_query_base);
+  ctx.Advance(sim::kCpuCosts.point_query_base);
   const uint64_t d = 1 + rng_.Next() % TpccConfig::kDistrictsPerWarehouse;
   POLAR_CHECK(db_->table(TpccTables::kDistrict)
                   ->GetTo(ctx, DistrictKey(w, d), &row_scratch_)
                   .ok());
   // Examine the stock of ~20 consecutive items.
-  ctx.Advance(costs.range_query_base);
+  ctx.Advance(sim::kCpuCosts.range_query_base);
   const uint64_t item = 1 + fd_items_.Mod(rng_.Next());
   db_->table(TpccTables::kStock)->Scan(ctx, StockKey(w, item), 20, nullptr).ok();
   db_->FinishReadOnly(ctx);

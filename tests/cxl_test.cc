@@ -133,13 +133,37 @@ TEST_F(CxlFabricTest, InvalidateForcesRefetchOfRemoteUpdate) {
 
 TEST_F(CxlFabricTest, SwitchPortExhaustion) {
   CxlSwitch::Options so;
-  so.total_lanes = 32;  // two x16 ports only
+  so.lanes_per_port = 128;  // two ports fill the switch's 256 lanes
   CxlFabric::Options fo;
   fo.switch_options = so;
   CxlFabric small(fo);
   ASSERT_TRUE(small.AddDevice(1 << 20).ok());
   ASSERT_TRUE(small.AttachHost(0).ok());
   EXPECT_FALSE(small.AttachHost(1).ok());
+}
+
+TEST(CxlSwitchTest, PortRateScalesWithLanes) {
+  const uint64_t x16 = sim::BandwidthModel{}.cxl_host_link_bps;
+  for (const uint32_t lanes : {16u, 8u, 4u}) {
+    CxlSwitch::Options o;
+    o.lanes_per_port = lanes;
+    CxlSwitch sw("sw", o);
+    auto host = sw.BindPort(CxlSwitch::PortKind::kHost);
+    auto dev = sw.BindPort(CxlSwitch::PortKind::kDevice);
+    ASSERT_TRUE(host.ok() && dev.ok());
+    EXPECT_EQ(sw.port_channel(*host)->bytes_per_sec(), x16 * lanes / 16);
+    EXPECT_EQ(sw.port_channel(*dev)->bytes_per_sec(), x16 * lanes / 16);
+  }
+  EXPECT_EQ(x16 * 8 / 16, 28ULL * 1000 * 1000 * 1000);  // the sharing x8
+  // A narrowed device port keeps its own rate; host ports keep the width's.
+  CxlSwitch::Options o;
+  o.device_port_bps = 1000;
+  CxlSwitch sw("sw", o);
+  auto host = sw.BindPort(CxlSwitch::PortKind::kHost);
+  auto dev = sw.BindPort(CxlSwitch::PortKind::kDevice);
+  ASSERT_TRUE(host.ok() && dev.ok());
+  EXPECT_EQ(sw.port_channel(*host)->bytes_per_sec(), x16);
+  EXPECT_EQ(sw.port_channel(*dev)->bytes_per_sec(), 1000u);
 }
 
 TEST(CxlSwitchTest, PortChannelsAreIndependent) {

@@ -33,8 +33,7 @@ using fabric::TopologySpec;
 
 TEST(FabricTopologyTest, ChainRoutesChargeEveryCrossedHop) {
   cxl::CxlSwitch::Options sw;  // traversal_latency = 284
-  FabricTopology topo(TopologySpec::Chain(3, sw, 56ULL * 1000 * 1000 * 1000,
-                                          /*uplink_latency=*/100));
+  FabricTopology topo(TopologySpec::Chain(3, sw));  // 100 ns per uplink
   ASSERT_EQ(topo.num_switches(), 3u);
   ASSERT_EQ(topo.num_uplinks(), 2u);
 
@@ -335,20 +334,19 @@ TEST(CxlMemoryManagerTest, SpansNeverMergeAcrossGroupBoundaries) {
 
 TEST(CxlSwitchTest, PortExhaustionNamesSwitchAndLanes) {
   cxl::CxlSwitch::Options o;
-  o.total_lanes = 32;
-  o.lanes_per_port = 16;
+  o.lanes_per_port = 128;  // two ports fill the switch's 256 lanes
   cxl::CxlSwitch sw("edge-sw", o);
   ASSERT_TRUE(sw.BindPort(cxl::CxlSwitch::PortKind::kDevice).ok());
   ASSERT_TRUE(sw.BindPort(cxl::CxlSwitch::PortKind::kHost).ok());
   EXPECT_EQ(sw.ports_bound(), 2u);
   EXPECT_EQ(sw.ports_bound(cxl::CxlSwitch::PortKind::kHost), 1u);
-  EXPECT_EQ(sw.lanes_in_use(), 32u);
+  EXPECT_EQ(sw.lanes_in_use(), 256u);
 
   auto fail = sw.BindPort(cxl::CxlSwitch::PortKind::kHost);
   ASSERT_FALSE(fail.ok());
   const std::string msg = fail.status().message();
   EXPECT_NE(msg.find("edge-sw"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("32/32"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("256/256"), std::string::npos) << msg;
 }
 
 // ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ TEST_P(CrashPointTest, PolarRecvRestoresCommittedStateAtAnyCrashPoint) {
   auto pool = std::move(
       *CxlBufferPool::Attach(rctx, po, region, world.acc, &world.store));
   pool->SetWal(&world.log);
-  recovery::PolarRecv(rctx, pool.get(), &world.log, sim::CpuCostModel{});
+  recovery::PolarRecv(rctx, pool.get(), &world.log);
   auto db2 = std::move(
       *Database::OpenWithPool(rctx, world.Env(), opt, std::move(pool)));
 
@@ -123,7 +123,7 @@ TEST(DoubleCrashTest, PolarRecvIsIdempotent) {
     auto pool = std::move(
         *CxlBufferPool::Attach(rctx, po, region, world.acc, &world.store));
     pool->SetWal(&world.log);
-    recovery::PolarRecv(rctx, pool.get(), &world.log, sim::CpuCostModel{});
+    recovery::PolarRecv(rctx, pool.get(), &world.log);
     auto db2 = std::move(
         *Database::OpenWithPool(rctx, world.Env(), opt, std::move(pool)));
     for (uint64_t k = 0; k < 500; k += 53) {
@@ -169,8 +169,7 @@ TEST(SmallPoolTest, PolarRecvWithEvictionsRestoresEverything) {
   auto pool = std::move(
       *CxlBufferPool::Attach(rctx, po, region, world.acc, &world.store));
   pool->SetWal(&world.log);
-  auto stats =
-      recovery::PolarRecv(rctx, pool.get(), &world.log, sim::CpuCostModel{});
+  auto stats = recovery::PolarRecv(rctx, pool.get(), &world.log);
   EXPECT_LE(stats.pages_in_use, 16u);
   auto db2 = std::move(
       *Database::OpenWithPool(rctx, world.Env(), opt, std::move(pool)));

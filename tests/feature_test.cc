@@ -19,7 +19,6 @@ TEST(GroupCommitTest, ZeroWindowIsPlainFlush) {
   recs[0].page_id = 1;
   recs[0].len = 4;
   recs[0].data = {1, 2, 3, 4};
-  recs[0].mtr_id = log.NewMtrId();
   log.AppendMtr(std::move(recs));
   ExecContext ctx;
   log.GroupCommit(ctx, 0);
@@ -35,7 +34,6 @@ TEST(GroupCommitTest, InFlightCommitsShareOneIo) {
     recs[0].page_id = 1;
     recs[0].len = 4;
     recs[0].data = {1, 2, 3, 4};
-    recs[0].mtr_id = log.NewMtrId();
     log.AppendMtr(std::move(recs));
   };
 

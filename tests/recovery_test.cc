@@ -249,8 +249,7 @@ TEST(AriesRecoveryTest, VanillaEndToEnd) {
       po, dram.get(), /*remote=*/nullptr, &s.world_.store);
   pool->SetWal(&s.world_.log);
 
-  auto stats =
-      RecoverAries(ctx, pool.get(), &s.world_.log, sim::CpuCostModel{});
+  auto stats = RecoverAries(ctx, pool.get(), &s.world_.log);
   EXPECT_GT(stats.records_applied, 0u);
 
   auto db = Database::OpenWithPool(ctx, s.world_.Env(), opt,
@@ -279,7 +278,7 @@ TEST(AriesRecoveryTest, TieredPoolUsesSurvivingRemoteMemory) {
   pool->SetWal(&s.world_.log);
 
   const uint64_t disk_reads_before = s.world_.disk.read_ops();
-  RecoverAries(ctx, pool.get(), &s.world_.log, sim::CpuCostModel{});
+  RecoverAries(ctx, pool.get(), &s.world_.log);
   const uint64_t remote_hits = pool->remote_hits();
   EXPECT_GT(remote_hits, 0u);  // bases came over RDMA, not storage
   (void)disk_reads_before;
@@ -306,8 +305,7 @@ class PolarRecvTest : public ::testing::Test {
                                       &s.world_.store);
     POLAR_CHECK(pool.ok());
     (*pool)->SetWal(&s.world_.log);
-    auto stats =
-        PolarRecv(ctx, pool->get(), &s.world_.log, sim::CpuCostModel{});
+    auto stats = PolarRecv(ctx, pool->get(), &s.world_.log);
     if (stats_out != nullptr) *stats_out = stats;
     auto db = Database::OpenWithPool(
         ctx, s.world_.Env(), RestartOptions(BufferPoolKind::kCxl),
@@ -389,8 +387,7 @@ TEST_F(PolarRecvTest, MuchCheaperThanAriesOnSameCrash) {
   auto pool = std::make_unique<bufferpool::TieredRdmaBufferPool>(
       po, dram.get(), /*remote=*/nullptr, &dram_s.world_.store);
   pool->SetWal(&dram_s.world_.log);
-  auto aries_stats =
-      RecoverAries(ctx, pool.get(), &dram_s.world_.log, sim::CpuCostModel{});
+  auto aries_stats = RecoverAries(ctx, pool.get(), &dram_s.world_.log);
 
   EXPECT_LT(recv_stats.duration, aries_stats.duration / 2);
   EXPECT_LT(recv_stats.records_applied, aries_stats.records_applied);
@@ -413,7 +410,7 @@ TEST(RecoveryEquivalenceTest, PolarRecvMatchesAriesByteForByte) {
                                     &cxl_s.world_.store);
   ASSERT_TRUE(pool.ok());
   (*pool)->SetWal(&cxl_s.world_.log);
-  PolarRecv(ctx, pool->get(), &cxl_s.world_.log, sim::CpuCostModel{});
+  PolarRecv(ctx, pool->get(), &cxl_s.world_.log);
   auto cxl_db = Database::OpenWithPool(
       ctx, cxl_s.world_.Env(), RestartOptions(BufferPoolKind::kCxl),
       std::move(*pool));
@@ -431,7 +428,7 @@ TEST(RecoveryEquivalenceTest, PolarRecvMatchesAriesByteForByte) {
   auto dpool = std::make_unique<bufferpool::TieredRdmaBufferPool>(
       dpo, dram.get(), /*remote=*/nullptr, &dram_s.world_.store);
   dpool->SetWal(&dram_s.world_.log);
-  RecoverAries(dctx, dpool.get(), &dram_s.world_.log, sim::CpuCostModel{});
+  RecoverAries(dctx, dpool.get(), &dram_s.world_.log);
   auto dram_db = Database::OpenWithPool(
       dctx, dram_s.world_.Env(), RestartOptions(BufferPoolKind::kDram),
       std::move(dpool));
@@ -478,7 +475,7 @@ TEST_P(RecoveryPropertyTest, RandomHistoryRecoversToCommittedState) {
                                     &s.world_.store);
   ASSERT_TRUE(pool.ok());
   (*pool)->SetWal(&s.world_.log);
-  PolarRecv(rctx, pool->get(), &s.world_.log, sim::CpuCostModel{});
+  PolarRecv(rctx, pool->get(), &s.world_.log);
   auto db = Database::OpenWithPool(
       rctx, s.world_.Env(), RestartOptions(BufferPoolKind::kCxl),
       std::move(*pool));

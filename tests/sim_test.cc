@@ -104,17 +104,6 @@ TEST(BandwidthChannelTest, WindowBoundarySpill) {
   EXPECT_EQ(ch.Transfer(20'000, 5000), 30'000);
 }
 
-TEST(BandwidthChannelTest, PeekCompletionMatchesSubsequentTransfer) {
-  BandwidthChannel ch("nic", 1000000000);
-  ch.Transfer(0, 7000);
-  const std::pair<Nanos, uint64_t> probes[] = {
-      {0, 4000}, {3'000, 12'000}, {28'000, 1}, {28'000, 25'000}};
-  for (const auto& [now, bytes] : probes) {
-    const Nanos peek = ch.PeekCompletion(now, bytes);
-    EXPECT_EQ(peek, ch.Transfer(now, bytes)) << now << "/" << bytes;
-  }
-}
-
 TEST(BandwidthChannelTest, FootprintStaysBoundedUnderSaturation) {
   // Sustained saturated traffic must not grow the ledger: fully-consumed
   // front windows are pruned as they fill (the old map ledger kept every
@@ -151,10 +140,6 @@ TEST(BandwidthChannelTest, BatchedSpillChargesOnce) {
   const Nanos done = ch.Transfer(0, 10'000'000);  // 1000 windows' budget
   EXPECT_EQ(done, 10'000'000);
   EXPECT_LE(ch.window_advances(), 2u);
-  // The peek path takes the same O(1) branch and must agree with commit.
-  BandwidthChannel ch2("nic2", 1000000000);
-  EXPECT_EQ(ch2.PeekCompletion(0, 10'000'000), done);
-  EXPECT_EQ(ch2.Transfer(0, 10'000'000), done);
 }
 
 TEST(BandwidthChannelTest, RetirementBoundsSparseLedgerFootprint) {

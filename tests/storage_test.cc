@@ -3,7 +3,7 @@
 
 #include <array>
 #include <cstring>
-#include <tuple>
+#include <utility>
 
 #include "storage/disk.h"
 #include "storage/page_store.h"
@@ -69,22 +69,13 @@ class RedoLogTest : public ::testing::Test {
  protected:
   RedoLogTest() : disk_("d"), log_(&disk_) {}
 
-  RedoRecord MakeRecord(PageId page, uint16_t off, std::vector<uint8_t> data,
-                        uint64_t mtr) {
+  static RedoRecord MakeRecord(PageId page, uint16_t off,
+                               std::vector<uint8_t> data) {
     RedoRecord r;
     r.page_id = page;
     r.page_off = off;
     r.len = static_cast<uint16_t>(data.size());
     r.data.assign(data.begin(), data.end());
-    r.mtr_id = mtr;
-    return r;
-  }
-
-  static RedoRecord TxnRecord(RedoKind kind, uint64_t txn) {
-    RedoRecord r;
-    r.kind = kind;
-    r.txn_id = txn;
-    if (kind == RedoKind::kUndoInfo) r.data = {1, 2, 3};
     return r;
   }
 
@@ -96,11 +87,13 @@ class RedoLogTest : public ::testing::Test {
     log_.Flush(ctx);
   }
 
-  /// (kind, txn_id, page_id) of every durable record from LSN 0.
-  std::vector<std::tuple<RedoKind, uint64_t, PageId>> Durable() const {
-    std::vector<std::tuple<RedoKind, uint64_t, PageId>> out;
+  using Rec = std::pair<RedoKind, PageId>;
+
+  /// (kind, page_id) of every durable record from LSN 0.
+  std::vector<Rec> Durable() const {
+    std::vector<Rec> out;
     for (const RedoRecord* r : log_.DurableRecordsFrom(0)) {
-      out.emplace_back(r->kind, r->txn_id, r->page_id);
+      out.emplace_back(r->kind, r->page_id);
     }
     return out;
   }
@@ -110,9 +103,8 @@ class RedoLogTest : public ::testing::Test {
 };
 
 TEST_F(RedoLogTest, LsnAdvancesByRecordBytes) {
-  const uint64_t mtr = log_.NewMtrId();
   std::vector<RedoRecord> recs;
-  recs.push_back(MakeRecord(1, 0, {1, 2, 3, 4}, mtr));
+  recs.push_back(MakeRecord(1, 0, {1, 2, 3, 4}));
   const Lsn end = log_.AppendMtr(std::move(recs));
   EXPECT_EQ(end, 32u + 4u);  // 32-byte header + payload
   EXPECT_EQ(log_.current_lsn(), end);
@@ -122,7 +114,7 @@ TEST_F(RedoLogTest, LsnAdvancesByRecordBytes) {
 
 TEST_F(RedoLogTest, FlushMakesRecordsDurable) {
   std::vector<RedoRecord> recs;
-  recs.push_back(MakeRecord(1, 8, {9, 9}, log_.NewMtrId()));
+  recs.push_back(MakeRecord(1, 8, {9, 9}));
   log_.AppendMtr(std::move(recs));
   ExecContext ctx;
   const Lsn flushed = log_.Flush(ctx);
@@ -133,12 +125,12 @@ TEST_F(RedoLogTest, FlushMakesRecordsDurable) {
 
 TEST_F(RedoLogTest, CrashLosesUnflushedTail) {
   std::vector<RedoRecord> a;
-  a.push_back(MakeRecord(1, 0, {1}, log_.NewMtrId()));
+  a.push_back(MakeRecord(1, 0, {1}));
   log_.AppendMtr(std::move(a));
   ExecContext ctx;
   log_.Flush(ctx);
   std::vector<RedoRecord> b;
-  b.push_back(MakeRecord(2, 0, {2}, log_.NewMtrId()));
+  b.push_back(MakeRecord(2, 0, {2}));
   const Lsn before_crash = log_.AppendMtr(std::move(b));
   EXPECT_GT(before_crash, log_.flushed_lsn());
 
@@ -151,8 +143,7 @@ TEST_F(RedoLogTest, ScanFromLsnSkipsOlderRecords) {
   Lsn mid = 0;
   for (int i = 0; i < 10; i++) {
     std::vector<RedoRecord> recs;
-    recs.push_back(
-        MakeRecord(static_cast<PageId>(i), 0, {1, 2}, log_.NewMtrId()));
+    recs.push_back(MakeRecord(static_cast<PageId>(i), 0, {1, 2}));
     const Lsn end = log_.AppendMtr(std::move(recs));
     if (i == 4) mid = end;
   }
@@ -167,7 +158,7 @@ TEST_F(RedoLogTest, ScanFromLsnSkipsOlderRecords) {
 
 TEST_F(RedoLogTest, CheckpointMonotonic) {
   std::vector<RedoRecord> recs;
-  recs.push_back(MakeRecord(1, 0, {1, 2, 3}, log_.NewMtrId()));
+  recs.push_back(MakeRecord(1, 0, {1, 2, 3}));
   log_.AppendMtr(std::move(recs));
   ExecContext ctx;
   const Lsn flushed = log_.Flush(ctx);
@@ -180,8 +171,7 @@ TEST_F(RedoLogTest, CheckpointMonotonic) {
 TEST_F(RedoLogTest, ChargeScanCostsProportionalToLogSize) {
   for (int i = 0; i < 100; i++) {
     std::vector<RedoRecord> recs;
-    recs.push_back(MakeRecord(1, 0, std::vector<uint8_t>(100, 7),
-                              log_.NewMtrId()));
+    recs.push_back(MakeRecord(1, 0, std::vector<uint8_t>(100, 7)));
     log_.AppendMtr(std::move(recs));
   }
   ExecContext ctx;
@@ -194,47 +184,42 @@ TEST_F(RedoLogTest, ChargeScanCostsProportionalToLogSize) {
 
 TEST_F(RedoLogTest, AtomicMtrAppendKeepsRecordsAdjacent) {
   std::vector<RedoRecord> recs;
-  const uint64_t mtr = log_.NewMtrId();
-  recs.push_back(MakeRecord(1, 0, {1}, mtr));
-  recs.push_back(MakeRecord(2, 0, {2}, mtr));
-  recs.push_back(MakeRecord(3, 0, {3}, mtr));
+  recs.push_back(MakeRecord(1, 0, {1}));
+  recs.push_back(MakeRecord(2, 0, {2}));
+  recs.push_back(MakeRecord(3, 0, {3}));
   log_.AppendMtr(std::move(recs));
   ExecContext ctx;
   log_.Flush(ctx);
   const auto all = log_.DurableRecordsFrom(0);
   ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0]->mtr_id, all[1]->mtr_id);
   EXPECT_LT(all[0]->lsn, all[1]->lsn);
   EXPECT_LT(all[1]->lsn, all[2]->lsn);
+  EXPECT_EQ(all[0]->end_lsn(), all[1]->lsn);
+  EXPECT_EQ(all[1]->end_lsn(), all[2]->lsn);
 }
 
-TEST_F(RedoLogTest, CheckpointCutsAtTheOldestUnresolvedTransaction) {
-  // Txn 1 commits before txn 2 starts; txn 2 is still in flight at the
-  // checkpoint, so the log is kept from its first undo info on, including
-  // txn 3, which aborted after it.
-  FlushSegment({MakeRecord(1, 0, {1}, log_.NewMtrId()),
-                TxnRecord(RedoKind::kUndoInfo, 1),
-                TxnRecord(RedoKind::kTxnCommit, 1)});
-  FlushSegment({MakeRecord(2, 0, {2}, log_.NewMtrId()),
-                TxnRecord(RedoKind::kUndoInfo, 2)});
-  FlushSegment({MakeRecord(3, 0, {3}, log_.NewMtrId()),
-                TxnRecord(RedoKind::kUndoInfo, 3),
-                TxnRecord(RedoKind::kTxnAbort, 3)});
-  FlushSegment({MakeRecord(4, 0, {4}, log_.NewMtrId())});
+TEST_F(RedoLogTest, CheckpointReleasesEverySegmentWhollyAtOrBelowIt) {
+  FlushSegment({MakeRecord(1, 0, {1}), MakeRecord(2, 0, {2})});
+  const Lsn first_end = log_.flushed_lsn();
+  FlushSegment({MakeRecord(3, 0, {3})});
+  FlushSegment({MakeRecord(4, 0, {4})});
   const Lsn current = log_.current_lsn();
   const Lsn flushed = log_.flushed_lsn();
+
+  // A checkpoint at a segment's end releases that segment only.
+  log_.Checkpoint(first_end);
+  const std::vector<Rec> rest = {{RedoKind::kRaw, 3}, {RedoKind::kRaw, 4}};
+  EXPECT_EQ(Durable(), rest);
+  // A repeated checkpoint at the same LSN releases nothing.
+  log_.Checkpoint(first_end);
+  EXPECT_EQ(log_.checkpoint_lsn(), first_end);
+  EXPECT_EQ(Durable(), rest);
 
   log_.Checkpoint(flushed);
   EXPECT_EQ(log_.current_lsn(), current);
   EXPECT_EQ(log_.flushed_lsn(), flushed);
   EXPECT_EQ(log_.checkpoint_lsn(), flushed);
-  using Rec = std::tuple<RedoKind, uint64_t, PageId>;
-  EXPECT_EQ(Durable(), (std::vector<Rec>{{RedoKind::kRaw, 0, 2},
-                                         {RedoKind::kUndoInfo, 2, 0},
-                                         {RedoKind::kRaw, 0, 3},
-                                         {RedoKind::kUndoInfo, 3, 0},
-                                         {RedoKind::kTxnAbort, 3, 0},
-                                         {RedoKind::kRaw, 0, 4}}));
+  EXPECT_TRUE(log_.DurableRecordsFrom(0).empty());
   EXPECT_TRUE(log_.DurableRecordsFrom(flushed).empty());
   // A scan still charges every byte from its start LSN.
   disk_.ResetStats();
@@ -242,34 +227,19 @@ TEST_F(RedoLogTest, CheckpointCutsAtTheOldestUnresolvedTransaction) {
   log_.ChargeScan(scan_ctx, 0);
   EXPECT_EQ(disk_.read_bytes(), flushed);
 
-  // Once txn 2's marker is behind the checkpoint, nothing is left to keep.
-  FlushSegment({TxnRecord(RedoKind::kTxnCommit, 2)});
-  log_.Checkpoint(log_.flushed_lsn());
-  EXPECT_TRUE(log_.DurableRecordsFrom(0).empty());
-}
-
-TEST_F(RedoLogTest, UndoInfoStaysUntilItsMarkerIsBehindTheCheckpoint) {
-  FlushSegment({MakeRecord(1, 0, {1}, log_.NewMtrId())});
-  FlushSegment({TxnRecord(RedoKind::kUndoInfo, 1)});
-  log_.Checkpoint(log_.flushed_lsn());
-  // Txn 1 commits past the checkpoint: at the checkpoint it is unresolved.
-  FlushSegment({TxnRecord(RedoKind::kTxnCommit, 1)});
-  using Rec = std::tuple<RedoKind, uint64_t, PageId>;
-  EXPECT_EQ(Durable(), (std::vector<Rec>{{RedoKind::kUndoInfo, 1, 0},
-                                         {RedoKind::kTxnCommit, 1, 0}}));
-
-  log_.Checkpoint(log_.flushed_lsn());
-  EXPECT_TRUE(log_.DurableRecordsFrom(0).empty());
+  // A segment flushed after the checkpoint survives a repeat of it.
+  FlushSegment({MakeRecord(5, 0, {5})});
+  log_.Checkpoint(flushed);
+  EXPECT_EQ(Durable(), (std::vector<Rec>{{RedoKind::kRaw, 5}}));
 }
 
 TEST_F(RedoLogTest, CheckpointKeepsTheSegmentItFallsInside) {
-  FlushSegment({MakeRecord(1, 0, {1}, log_.NewMtrId())});
-  const Lsn mid = log_.AppendMtr({MakeRecord(2, 0, {2}, log_.NewMtrId())});
-  FlushSegment({MakeRecord(3, 0, {3}, log_.NewMtrId())});
+  FlushSegment({MakeRecord(1, 0, {1})});
+  const Lsn mid = log_.AppendMtr({MakeRecord(2, 0, {2})});
+  FlushSegment({MakeRecord(3, 0, {3})});
   log_.Checkpoint(mid);
-  using Rec = std::tuple<RedoKind, uint64_t, PageId>;
-  EXPECT_EQ(Durable(), (std::vector<Rec>{{RedoKind::kRaw, 0, 2},
-                                         {RedoKind::kRaw, 0, 3}}));
+  EXPECT_EQ(Durable(),
+            (std::vector<Rec>{{RedoKind::kRaw, 2}, {RedoKind::kRaw, 3}}));
   ASSERT_EQ(log_.DurableRecordsFrom(mid).size(), 1u);
   EXPECT_EQ(log_.DurableRecordsFrom(mid)[0]->page_id, 3u);
 }
@@ -277,11 +247,10 @@ TEST_F(RedoLogTest, CheckpointKeepsTheSegmentItFallsInside) {
 TEST_F(RedoLogTest, RestoreBringsBackSegmentsACheckpointReleased) {
   for (uint16_t i = 0; i < 6; i++) {
     const uint8_t b = static_cast<uint8_t>(i);
-    FlushSegment({MakeRecord(i, i, {b, 7}, log_.NewMtrId()),
-                  MakeRecord(i + 100u, 3, std::vector<uint8_t>(300, b),
-                             log_.NewMtrId())});
+    FlushSegment({MakeRecord(i, i, {b, 7}),
+                  MakeRecord(i + 100u, 3, std::vector<uint8_t>(300, b))});
   }
-  log_.AppendMtr({MakeRecord(50, 0, {5}, log_.NewMtrId())});  // unflushed
+  log_.AppendMtr({MakeRecord(50, 0, {5})});  // unflushed
   const RedoLog::State snap = log_.Capture();
   std::vector<RedoRecord> captured;
   for (const RedoRecord* r : log_.DurableRecordsFrom(0)) {
@@ -294,7 +263,7 @@ TEST_F(RedoLogTest, RestoreBringsBackSegmentsACheckpointReleased) {
   log_.Flush(ctx);
   log_.Checkpoint(log_.flushed_lsn());
   ASSERT_TRUE(log_.DurableRecordsFrom(0).empty());
-  FlushSegment({MakeRecord(60, 0, {6}, log_.NewMtrId())});
+  FlushSegment({MakeRecord(60, 0, {6})});
 
   log_.Restore(snap);
   EXPECT_EQ(log_.current_lsn(), current);
@@ -310,8 +279,6 @@ TEST_F(RedoLogTest, RestoreBringsBackSegmentsACheckpointReleased) {
     EXPECT_EQ(a.kind, b.kind);
     EXPECT_EQ(a.page_off, b.page_off);
     EXPECT_EQ(a.len, b.len);
-    EXPECT_EQ(a.mtr_id, b.mtr_id);
-    EXPECT_EQ(a.txn_id, b.txn_id);
     ASSERT_EQ(a.data.size(), b.data.size());
     EXPECT_EQ(std::memcmp(a.data.data(), b.data.data(), a.data.size()), 0);
   }

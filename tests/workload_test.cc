@@ -102,7 +102,7 @@ TEST(SysbenchTest, EventsAdvanceVirtualTime) {
   const Nanos before = ctx.now;
   wl.RunEvent(ctx, SysbenchOp::kPointSelect);
   // At least the base CPU cost must be charged.
-  EXPECT_GE(ctx.now - before, db->costs().point_query_base);
+  EXPECT_GE(ctx.now - before, sim::kCpuCosts.point_query_base);
 }
 
 TEST(SysbenchTest, SharedFractionIsRespected) {

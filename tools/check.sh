@@ -23,7 +23,8 @@
 #                             #   page images and the storage suite (redo
 #                             #   segments released at checkpoints) + SLO
 #                             #   pins across sweep/world thread counts
-#   tools/check.sh --fabric   # tier-1 + sanitized fabric suite + 2-switch
+#   tools/check.sh --fabric   # tier-1 + sanitized fabric and CXL suites
+#                             #   (switch ports, memory manager) + 2-switch
 #                             #   serial and epoch pins
 #   tools/check.sh --scale    # tier-1 + scheduler suite + 64-instance pins
 #                             #   and sched-ops-per-step ceiling
@@ -170,7 +171,7 @@ if [[ "${1:-}" == "--slo" ]]; then
   # world snapshot, so an image released while a PageRef still points into
   # it is a use-after-free ASan catches. The same holds for redo records: a
   # checkpoint releases the log segments behind it (storage suite), and the
-  # recovery passes hold record pointers (transaction and recovery suites).
+  # recovery passes hold record pointers across a restart (recovery suite).
   sanitized open_loop_test rdma_test bufferpool_test sharing_test \
     engine_test transaction_test recovery_test coherency_property_test \
     storage_test
@@ -186,8 +187,10 @@ if [[ "${1:-}" == "--slo" ]]; then
 fi
 
 if [[ "${1:-}" == "--fabric" ]]; then
-  echo "==> fabric: ASan+UBSan build of the fabric suite"
-  sanitized fabric_test
+  echo "==> fabric: ASan+UBSan build of the fabric and CXL suites"
+  # cxl_test covers the switch ports whose rates derive from the port
+  # width, and the CXL memory manager's allocator.
+  sanitized fabric_test cxl_test
   echo "==> fabric: quick-scale multi-switch bit-identity gate"
   # The bench runs its 2-switch reference point serial and epoch-parallel
   # (threads 1/2/4 must agree internally) and checks the absolute serial
