@@ -75,7 +75,6 @@ Result<CxlAccessor*> CxlFabric::AttachHost(NodeId node, bool remote_numa,
     routers_.push_back(std::make_unique<HostRouter>(this, switch_idx));
     mo.router = routers_.back().get();
   }
-  mo.cacheable = true;
   mo.clflush_line = lat_.cxl_clflush_line;
   mo.invalidate_line = lat_.invalidate_line;
 

@@ -56,9 +56,6 @@ uint32_t CxlMemoryManager::GroupIndexOf(MemOffset offset) const {
 Result<MemOffset> CxlMemoryManager::Allocate(sim::ExecContext& ctx,
                                              NodeId client, uint64_t size) {
   ctx.Advance(kRpcRoundTrip);
-  if (faults_ != nullptr && faults_->AllocShouldFail(ctx.now)) {
-    return Status::OutOfMemory("allocation failed (injected fault window)");
-  }
   if (size == 0) return Status::InvalidArgument("zero-size allocation");
   size = AlignUp(size, kPageSize);
 

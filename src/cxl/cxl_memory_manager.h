@@ -23,7 +23,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "fabric/placement_policy.h"
-#include "faults/fault_injector.h"
 #include "sim/exec_context.h"
 #include "sim/latency_model.h"
 
@@ -96,11 +95,6 @@ class CxlMemoryManager {
   /// total_free. 0 when all free bytes are one span (or none are free).
   double fragmentation() const;
 
-  /// Fault-injection hook point (nullable; allocation-failure windows).
-  void set_fault_injector(faults::FaultInjector* injector) {
-    faults_ = injector;
-  }
-
  private:
   /// Group index owning `offset` (0 when unpartitioned).
   uint32_t GroupIndexOf(MemOffset offset) const;
@@ -109,7 +103,6 @@ class CxlMemoryManager {
   void FreeSpan(MemOffset offset, uint64_t size);
 
   uint64_t capacity_;
-  faults::FaultInjector* faults_ = nullptr;
   uint64_t allocated_ = 0;
   // Keyed by offset; non-overlapping by construction.
   std::map<MemOffset, Region> regions_;

@@ -135,10 +135,9 @@ class Database : public PageAllocator {
   /// re-Attach after a crash.
   MemOffset cxl_region() const;
 
-  /// Instance-private simulated resources, exposed for world snapshotting
-  /// (the channel ledger and memory-space counters must round-trip too).
+  /// The instance-private DRAM channel, exposed for world snapshotting
+  /// (its ledger must round-trip too).
   sim::BandwidthChannel* dram_channel() { return dram_channel_.get(); }
-  sim::MemorySpace* dram_space() { return dram_space_.get(); }
 
   /// Engine-level mutable state beyond the pool: the page-id allocation
   /// batch and each tree's cached root. The catalog structure (table names,

@@ -24,8 +24,6 @@ FaultInjector::Domain& FaultInjector::DomainFor(FaultKind kind) {
       return nic_;
     case FaultKind::kDiskStall:
       return disk_;
-    case FaultKind::kAllocFail:
-      return alloc_;
     case FaultKind::kNodeCrash:
       return crash_;
   }
@@ -49,7 +47,6 @@ void FaultInjector::Disarm() {
   cxl_ = Domain{};
   nic_ = Domain{};
   disk_ = Domain{};
-  alloc_ = Domain{};
   crash_ = Domain{};
   lane_draws_.clear();
 }
@@ -166,17 +163,6 @@ void FaultInjector::OnDiskOp(sim::ExecContext& ctx) {
     // Caller (SimDisk) attributes the whole op span to t_io.
     ctx.Advance(stall);
   }
-}
-
-bool FaultInjector::AllocShouldFail(Nanos now) {
-  if (!armed_ || alloc_.Idle(now)) return false;
-  for (const FaultEvent& e : alloc_.events) {
-    if (e.kind == FaultKind::kAllocFail && e.Active(now)) {
-      stats_.alloc_failures++;
-      return true;
-    }
-  }
-  return false;
 }
 
 bool FaultInjector::CxlDown(Nanos now, NodeId node) const {

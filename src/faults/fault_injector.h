@@ -27,7 +27,6 @@ class FaultInjector {
     uint64_t nic_failures = 0;   // verbs ops rejected (brownout or flaky)
     uint64_t nic_degraded = 0;   // verbs ops that paid inflated latency
     uint64_t disk_stalls = 0;    // disk ops that paid stall latency
-    uint64_t alloc_failures = 0; // allocations failed inside a window
   };
 
   FaultInjector() = default;
@@ -62,9 +61,6 @@ class FaultInjector {
 
   /// Disk op: charges stall latency when inside a stall window.
   void OnDiskOp(sim::ExecContext& ctx);
-
-  /// Whether a CxlMemoryManager allocation at `now` must fail.
-  bool AllocShouldFail(Nanos now);
 
   /// Uncharged introspection: is `node` inside a CXL down window at `now`?
   bool CxlDown(Nanos now, NodeId node) const;
@@ -102,7 +98,6 @@ class FaultInjector {
   Domain cxl_;
   Domain nic_;
   Domain disk_;
-  Domain alloc_;
   Domain crash_;
   std::vector<uint64_t> lane_draws_;
   Stats stats_;

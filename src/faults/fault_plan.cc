@@ -22,7 +22,6 @@ constexpr KindName kKindNames[] = {
     {FaultKind::kNicDegrade, "nic-degrade"},
     {FaultKind::kNicFlaky, "nic-flaky"},
     {FaultKind::kDiskStall, "disk-stall"},
-    {FaultKind::kAllocFail, "alloc-fail"},
     {FaultKind::kNodeCrash, "node-crash"},
 };
 static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) == kNumFaultKinds);

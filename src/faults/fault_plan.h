@@ -1,8 +1,8 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
 // Deterministic fault schedules. A FaultPlan is an ordered list of fault
 // events over *virtual* time: device/port outages, link degradation, flaky
-// op windows, NIC brownouts, disk stalls, allocation-failure windows and
-// node crashes. Plans are plain data — the FaultInjector applies them.
+// op windows, NIC brownouts, disk stalls and node crashes. Plans are plain
+// data — the FaultInjector applies them.
 #pragma once
 
 #include <cstdint>
@@ -23,11 +23,10 @@ enum class FaultKind : uint8_t {
   kNicDegrade,    // verbs ops pay extra latency / per-KiB slowdown
   kNicFlaky,      // verbs ops fail with seeded probability
   kDiskStall,     // disk ops pay extra latency
-  kAllocFail,     // CxlMemoryManager allocations fail
   kNodeCrash,     // node freeze/crash marker, consumed by drivers/tests
 };
 
-constexpr int kNumFaultKinds = 9;
+constexpr int kNumFaultKinds = 8;
 
 /// Wildcard target: the event applies to every node/device.
 constexpr uint32_t kAnyTarget = UINT32_MAX;

@@ -38,18 +38,6 @@ double ArrivalRateAt(const ArrivalSpec& spec, Nanos t) {
       return phase < spec.on_period ? spec.rate_per_sec
                                     : spec.rate_per_sec * spec.off_factor;
     }
-    case ArrivalKind::kDiurnalRamp: {
-      // Triangle wave (pure arithmetic — no libm in the determinism path):
-      // trough at phase 0, peak at half period, back to trough.
-      const Nanos period = spec.diurnal_period;
-      if (period <= 0) return spec.rate_per_sec;
-      const Nanos phase = t % period;
-      const double x = static_cast<double>(phase) /
-                       static_cast<double>(period);  // [0, 1)
-      const double tri = x < 0.5 ? 2.0 * x : 2.0 * (1.0 - x);  // [0, 1]
-      return spec.rate_per_sec * (1.0 - spec.amplitude +
-                                  2.0 * spec.amplitude * tri);
-    }
   }
   return spec.rate_per_sec;
 }
@@ -63,8 +51,6 @@ double ArrivalPeakRate(const ArrivalSpec& spec) {
       // factor > 1 still thins correctly against the larger rate.
       return spec.rate_per_sec * (spec.off_factor > 1.0 ? spec.off_factor
                                                         : 1.0);
-    case ArrivalKind::kDiurnalRamp:
-      return spec.rate_per_sec * (1.0 + spec.amplitude);
   }
   return spec.rate_per_sec;
 }
@@ -74,8 +60,6 @@ std::vector<Nanos> GenerateArrivals(const ArrivalSpec& spec, uint64_t seed,
   std::vector<Nanos> out;
   const double peak = ArrivalPeakRate(spec);
   if (peak <= 0.0 || window <= 0) return out;
-  POLAR_CHECK_MSG(spec.amplitude >= 0.0 && spec.amplitude <= 1.0,
-                  "diurnal amplitude outside [0,1]");
   POLAR_CHECK_MSG(spec.off_factor >= 0.0, "negative off_factor");
 
   // Lewis-Shedler thinning over a homogeneous envelope at `peak`:

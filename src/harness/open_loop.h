@@ -33,7 +33,6 @@ const char* QosClassName(QosClass qos);
 enum class ArrivalKind : uint8_t {
   kPoisson,      // homogeneous Poisson at rate_per_sec
   kBurstyOnOff,  // square wave: rate_per_sec during on, rate*off_factor off
-  kDiurnalRamp,  // triangle wave around rate_per_sec (peak-trough cycle)
 };
 
 struct ArrivalSpec {
@@ -43,9 +42,6 @@ struct ArrivalSpec {
   Nanos on_period = Millis(20);
   Nanos off_period = Millis(20);
   double off_factor = 0.1;  // off-window rate multiplier, in [0,1]
-  // ---- kDiurnalRamp ----
-  Nanos diurnal_period = Millis(100);  // full trough-peak-trough cycle
-  double amplitude = 0.5;              // rate swings rate*(1 +/- amplitude)
 };
 
 /// Instantaneous rate (ops/sec) of `spec` at offset `t` into the window.

@@ -167,7 +167,6 @@ SimWorld::SimWorld(const Spec& spec)
     manager_->ConfigurePlacement(std::move(groups), fs.placement,
                                  &fabric_.topology());
   }
-  if (wire_faults_) manager_->set_fault_injector(&injector_);
 
   net_.RegisterHost(kHostNode);
   // Disaggregated-memory servers have aggregate bandwidth well above one
@@ -182,8 +181,8 @@ SimWorld::SimWorld(const Spec& spec)
       &net_, kMemoryServerNode, dataset_pages * spec.instances + 1024);
 
   storage::SimDisk::Options disk_opt;
-  disk_opt.bandwidth_bps = 8ULL * 1000 * 1000 * 1000;
-  disk_opt.iops = 150'000;
+  disk_opt.bandwidth_bps = sim::BandwidthModel::kSharedVolumeBps;
+  disk_opt.iops = sim::BandwidthModel::kSharedVolumeIops;
   disk_ = std::make_unique<storage::SimDisk>("polarfs", disk_opt);
   if (wire_faults_) disk_->set_fault_injector(&injector_);
 
@@ -289,7 +288,6 @@ struct SimWorld::Snapshot {
   sim::Executor::State executor;
   sim::BandwidthChannel::State client_net;
   fabric::FabricTopology::State fabric_channels;
-  std::vector<sim::MemorySpace::State> host_spaces;  // one per host port
   rdma::RdmaNetwork::State net;
   rdma::RemoteMemoryPool::State remote;
   storage::SimDisk::State disk;
@@ -297,7 +295,6 @@ struct SimWorld::Snapshot {
     storage::PageStore::State store;
     storage::RedoLog::State log;
     sim::BandwidthChannel::State dram_channel;
-    sim::MemorySpace::State dram_space;
     sim::CpuCacheSim::State cache;
     std::unique_ptr<bufferpool::PoolSnapshot> pool;
     engine::Database::EngineState engine;
@@ -312,10 +309,6 @@ void SimWorld::CaptureSnapshot() {
   s->executor = executor_.Capture();
   s->client_net = client_net_.Capture();
   s->fabric_channels = fabric_.CaptureChannels();
-  s->host_spaces.reserve(host_accs_.size());
-  for (cxl::CxlAccessor* acc : host_accs_) {
-    s->host_spaces.push_back(acc->space()->Capture());
-  }
   fabric_.CaptureDeviceImages();
   s->net = net_.Capture();
   s->remote = remote_->Capture();
@@ -326,7 +319,6 @@ void SimWorld::CaptureSnapshot() {
     p.store = inst.store->Capture();
     p.log = inst.log->Capture();
     p.dram_channel = inst.db->dram_channel()->Capture();
-    p.dram_space = inst.db->dram_space()->Capture();
     p.cache = inst.db->cache()->Capture();
     p.pool = inst.db->pool()->CaptureState();
     p.engine = inst.db->CaptureEngineState();
@@ -341,10 +333,6 @@ void SimWorld::RestoreSnapshot() {
   executor_.Restore(s.executor);
   client_net_.Restore(s.client_net);
   fabric_.RestoreChannels(s.fabric_channels);
-  POLAR_CHECK(s.host_spaces.size() == host_accs_.size());
-  for (size_t i = 0; i < host_accs_.size(); i++) {
-    host_accs_[i]->space()->Restore(s.host_spaces[i]);
-  }
   fabric_.RestoreDeviceImages();
   net_.Restore(s.net);
   remote_->Restore(s.remote);
@@ -356,7 +344,6 @@ void SimWorld::RestoreSnapshot() {
     inst.store->Restore(p.store);
     inst.log->Restore(p.log);
     inst.db->dram_channel()->Restore(p.dram_channel);
-    inst.db->dram_space()->Restore(p.dram_space);
     inst.db->cache()->Restore(p.cache);
     inst.db->pool()->RestoreState(*p.pool);
     inst.db->RestoreEngineState(p.engine);

@@ -6,9 +6,6 @@
 
 namespace polarcxl::rdma {
 
-RdmaNetwork::RdmaNetwork(const sim::LatencyModel* latency)
-    : lat_(latency != nullptr ? *latency : sim::LatencyModel{}) {}
-
 RdmaNic* RdmaNetwork::RegisterHost(NodeId node, RdmaNic::Options options) {
   auto it = nics_.find(node);
   if (it != nics_.end()) return it->second.get();

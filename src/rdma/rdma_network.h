@@ -23,7 +23,7 @@ namespace polarcxl::rdma {
 
 class RdmaNetwork {
  public:
-  explicit RdmaNetwork(const sim::LatencyModel* latency = nullptr);
+  RdmaNetwork() = default;
   POLAR_DISALLOW_COPY(RdmaNetwork);
 
   /// Registers a host (or memory server) NIC. Idempotent per node.

@@ -6,9 +6,7 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/types.h"
@@ -83,7 +81,6 @@ class DistLockManager {
     const Nanos net_before = ctx.t_net;
     transport_->ChargeRpc(ctx, node);
     Granted(ctx, table_.AcquireExclusive(key, ctx.now));
-    if (fencing_) holds_[node].emplace_back(key, /*exclusive=*/true);
     ctx.t_net = net_before;  // lock-service traffic counts as lock time
     ctx.t_lock += ctx.now - entry;
   }
@@ -92,7 +89,6 @@ class DistLockManager {
     const Nanos net_before = ctx.t_net;
     transport_->ChargeOneWay(ctx, node);
     table_.ReleaseExclusive(key, ctx.now);
-    if (fencing_) DropHold(node, key, /*exclusive=*/true);
     ctx.t_net = net_before;
     ctx.t_lock += ctx.now - entry;
   }
@@ -101,7 +97,6 @@ class DistLockManager {
     const Nanos net_before = ctx.t_net;
     transport_->ChargeRpc(ctx, node);
     Granted(ctx, table_.AcquireShared(key, ctx.now));
-    if (fencing_) holds_[node].emplace_back(key, /*exclusive=*/false);
     ctx.t_net = net_before;
     ctx.t_lock += ctx.now - entry;
   }
@@ -110,52 +105,9 @@ class DistLockManager {
     const Nanos net_before = ctx.t_net;
     transport_->ChargeOneWay(ctx, node);
     table_.ReleaseShared(key, ctx.now);
-    if (fencing_) DropHold(node, key, /*exclusive=*/false);
     ctx.t_net = net_before;
     ctx.t_lock += ctx.now - entry;
   }
-
-  // ---- Fencing (crash handling) ----
-  // Off by default: without hold bookkeeping, Acquire/Release touch no map
-  // and existing workloads stay bit-identical. A fault-aware deployment
-  // enables it at setup so FenceNode can force-release a dead node's locks.
-  void EnableFencing() { fencing_ = true; }
-  bool fencing_enabled() const { return fencing_; }
-
-  /// Fences `node` after a crash: one lock-service round trip (issued by
-  /// `by`, the surviving node driving recovery), then every lock the dead
-  /// node still holds is force-released at the current virtual time.
-  /// Returns the number of locks released.
-  size_t FenceNode(sim::ExecContext& ctx, NodeId by, NodeId node) {
-    POLAR_CHECK_MSG(fencing_, "FenceNode requires EnableFencing()");
-    const Nanos entry = ctx.now;
-    const Nanos net_before = ctx.t_net;
-    transport_->ChargeRpc(ctx, by);
-    size_t released = 0;
-    auto it = holds_.find(node);
-    if (it != holds_.end()) {
-      for (const auto& [key, exclusive] : it->second) {
-        if (exclusive) {
-          table_.ReleaseExclusive(key, ctx.now);
-        } else {
-          table_.ReleaseShared(key, ctx.now);
-        }
-        released++;
-      }
-      holds_.erase(it);
-    }
-    fenced_ += released;
-    ctx.t_net = net_before;
-    ctx.t_lock += ctx.now - entry;
-    return released;
-  }
-
-  /// Locks currently held by `node` (fencing must be enabled).
-  size_t HoldCount(NodeId node) const {
-    auto it = holds_.find(node);
-    return it == holds_.end() ? 0 : it->second.size();
-  }
-  uint64_t fenced() const { return fenced_; }
 
   const sim::VirtualLockTable& table() const { return table_; }
   void ResetStats() { table_.ResetStats(); }
@@ -169,24 +121,8 @@ class DistLockManager {
     }
   }
 
-  void DropHold(NodeId node, uint64_t key, bool exclusive) {
-    auto it = holds_.find(node);
-    if (it == holds_.end()) return;
-    std::vector<std::pair<uint64_t, bool>>& v = it->second;
-    for (size_t i = 0; i < v.size(); i++) {
-      if (v[i].first == key && v[i].second == exclusive) {
-        v[i] = v.back();
-        v.pop_back();
-        return;
-      }
-    }
-  }
-
   std::unique_ptr<LockTransport> transport_;
   sim::VirtualLockTable table_;
-  bool fencing_ = false;
-  uint64_t fenced_ = 0;
-  std::unordered_map<NodeId, std::vector<std::pair<uint64_t, bool>>> holds_;
 };
 
 }  // namespace polarcxl::sharing

@@ -217,13 +217,7 @@ Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes) {
 
 Nanos BandwidthChannel::Transfer(Nanos now, uint64_t bytes) {
   total_bytes_ += bytes;
-  total_transfers_++;
-  if (bytes_per_sec_ > 0) {
-    busy_time_ += NsForBytes(bytes);
-  }
-  const Nanos completion = Place(now, bytes);
-  last_completion_ = std::max(last_completion_, completion);
-  return completion;
+  return Place(now, bytes);
 }
 
 Nanos BandwidthChannel::TransferDeferred(Nanos now, uint64_t bytes,
@@ -255,24 +249,6 @@ Nanos BandwidthChannel::TransferDeferred(Nanos now, uint64_t bytes,
     w++;
   }
   return std::max(completion, now + 1);
-}
-
-double BandwidthChannel::DeliveredRate(Nanos horizon) const {
-  if (horizon <= 0) return 0;
-  return static_cast<double>(total_bytes_) * kNanosPerSec /
-         static_cast<double>(horizon);
-}
-
-double BandwidthChannel::Utilization(Nanos horizon) const {
-  if (horizon <= 0) return 0;
-  return std::min(1.0, static_cast<double>(busy_time_) /
-                           static_cast<double>(horizon));
-}
-
-void BandwidthChannel::ResetStats() {
-  busy_time_ = 0;
-  total_bytes_ = 0;
-  total_transfers_ = 0;
 }
 
 }  // namespace polarcxl::sim

@@ -7,10 +7,10 @@
 // transfer at time `now` consumes budget starting in now's window and
 // spills into later windows when full; its completion time is where its
 // last byte lands. Queueing under saturation emerges from window spill.
-// Unlike a single busy_until FIFO, this is robust to lanes that post
-// transfers out of virtual-time order (the executor steps one whole
-// transaction at a time): a transfer at time T never blocks one at T' < T
-// in a different window.
+// Unlike a FIFO that only tracks when the link next frees up, this is
+// robust to lanes that post transfers out of virtual-time order (the
+// executor steps one whole transaction at a time): a transfer at time T
+// never blocks one at T' < T in a different window.
 //
 // The per-window ledger is a ring buffer over a contiguous span of window
 // indices. Windows at the front of the span whose budget is fully consumed
@@ -109,20 +109,9 @@ class BandwidthChannel {
 
   const std::string& name() const { return name_; }
   uint64_t bytes_per_sec() const { return bytes_per_sec_; }
+  /// Bytes committed through Transfer since construction or ResetStats.
   uint64_t total_bytes() const { return total_bytes_; }
-  uint64_t total_transfers() const { return total_transfers_; }
-  /// Latest completion time handed out.
-  Nanos busy_until() const { return last_completion_; }
-  /// Total link-time equivalent of all transfers (bytes / rate).
-  Nanos busy_time() const { return busy_time_; }
-
-  /// Average delivered rate over [0, horizon] in bytes/sec.
-  double DeliveredRate(Nanos horizon) const;
-
-  /// Fraction of [0, horizon] worth of capacity consumed.
-  double Utilization(Nanos horizon) const;
-
-  void ResetStats();
+  void ResetStats() { total_bytes_ = 0; }
 
   /// Number of window slots currently held in the ledger (tests assert this
   /// stays bounded under sustained traffic; the old map grew linearly).
@@ -160,8 +149,8 @@ class BandwidthChannel {
     retire_lag_ = static_cast<int64_t>(windows);
   }
 
-  /// Whole mutable state of the channel (ledger ring + counters); the rate
-  /// and window constants are excluded because they are fixed at
+  /// Whole mutable state of the channel (ledger ring + byte counter); the
+  /// rate and window constants are excluded because they are fixed at
   /// construction. Restore is only valid on a channel built with the same
   /// constructor arguments as the one captured.
   struct State {
@@ -172,10 +161,7 @@ class BandwidthChannel {
     size_t window_count = 0;
     int64_t pruned_end = 0;
     int64_t retired_end = 0;
-    Nanos last_completion = 0;
-    Nanos busy_time = 0;
     uint64_t total_bytes = 0;
-    uint64_t total_transfers = 0;
   };
 
   State Capture() const {
@@ -187,10 +173,7 @@ class BandwidthChannel {
     s.window_count = window_count_;
     s.pruned_end = pruned_end_;
     s.retired_end = retired_end_;
-    s.last_completion = last_completion_;
-    s.busy_time = busy_time_;
     s.total_bytes = total_bytes_;
-    s.total_transfers = total_transfers_;
     return s;
   }
 
@@ -202,10 +185,7 @@ class BandwidthChannel {
     window_count_ = s.window_count;
     pruned_end_ = s.pruned_end;
     retired_end_ = s.retired_end;
-    last_completion_ = s.last_completion;
-    busy_time_ = s.busy_time;
     total_bytes_ = s.total_bytes;
-    total_transfers_ = s.total_transfers;
   }
 
  private:
@@ -263,11 +243,7 @@ class BandwidthChannel {
   int64_t retired_end_ = 0;         // all windows < this are forfeited
   int64_t retire_lag_ = kNeverRetire;  // see set_retire_lag()
   uint64_t window_advances_ = 0;       // see window_advances()
-
-  Nanos last_completion_ = 0;
-  Nanos busy_time_ = 0;
-  uint64_t total_bytes_ = 0;
-  uint64_t total_transfers_ = 0;
+  uint64_t total_bytes_ = 0;           // see total_bytes()
 };
 
 }  // namespace polarcxl::sim

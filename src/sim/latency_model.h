@@ -106,8 +106,15 @@ struct BandwidthModel {
   uint64_t dram_bps = 200ULL * 1000 * 1000 * 1000;
   /// Client-facing Ethernet for query results (shared per host).
   uint64_t client_net_bps = 12ULL * 1000 * 1000 * 1000;
-  /// WAL/storage backend (PolarFS over its own network, per host).
+  /// WAL/storage backend (PolarFS over its own network): the uncapped
+  /// default of every SimDisk. The recovery and sharing worlds, TestWorld
+  /// and the examples run their disks at this rate with no IOPS ceiling.
   uint64_t storage_bps = 2ULL * 1000 * 1000 * 1000;
+  /// The per-host PolarFS volume that all of a SimWorld's instances share:
+  /// wider than one instance's disk, but capped in operations, so many
+  /// small WAL appends saturate it at high instance counts.
+  static constexpr uint64_t kSharedVolumeBps = 8ULL * 1000 * 1000 * 1000;
+  static constexpr uint64_t kSharedVolumeIops = 150'000;
   /// RDMA NIC doorbell/IOPS ceiling (ops/sec) — models the contention that
   /// keeps IOPS-bound RDMA apps from scaling past ~32 cores.
   uint64_t rdma_nic_iops = 8ULL * 1000 * 1000;

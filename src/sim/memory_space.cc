@@ -36,7 +36,6 @@ Nanos MemorySpace::ChargeRoute(ExecContext& ctx, uint64_t addr,
 void MemorySpace::ChargeMiss(ExecContext& ctx, uint32_t miss_idx, bool write,
                              uint64_t addr) {
   ctx.mem_line_misses++;
-  demand_bytes_.fetch_add(kCacheLineSize, std::memory_order_relaxed);
   Nanos queued_done = ChargeChannels(ctx, ctx.now, kCacheLineSize);
   // First miss of the call pays full latency; later misses overlap and
   // pay only the pipelined slope (memory-level parallelism).
@@ -50,10 +49,6 @@ void MemorySpace::ChargeMiss(ExecContext& ctx, uint32_t miss_idx, bool write,
         queued_done, ChargeRoute(ctx, addr, kCacheLineSize,
                                  miss_idx == 0 ? &service : nullptr));
   }
-  if (queued_done > ctx.now + 1) {
-    queue_delay_.fetch_add(queued_done - ctx.now - 1,
-                           std::memory_order_relaxed);
-  }
   ctx.now = std::max(ctx.now + service, queued_done + service - 1);
 }
 
@@ -61,7 +56,6 @@ void MemorySpace::ChargeWriteback(ExecContext& ctx, uint64_t addr,
                                   uint64_t bytes) {
   ChargeChannels(ctx, ctx.now, bytes);
   if (opt_.router != nullptr) ChargeRoute(ctx, addr, bytes, nullptr);
-  writeback_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void MemorySpace::TouchSingleMiss(ExecContext& ctx,
@@ -77,19 +71,25 @@ void MemorySpace::TouchSingleMiss(ExecContext& ctx,
   ctx.t_mem += ctx.now - entry;
 }
 
-void MemorySpace::TouchMulti(ExecContext& ctx, uint64_t first, uint64_t last,
-                             bool write) {
+void MemorySpace::MissLines(ExecContext& ctx, uint64_t first, uint64_t last,
+                            bool write) {
   const Nanos entry = ctx.now;
   uint32_t miss_idx = 0;
-  if (!opt_.cacheable || ctx.cache == nullptr) {
-    // Uncacheable domain: every line is a demand miss.
-    for (uint64_t line = first; line <= last; line++) {
-      ChargeMiss(ctx, miss_idx, write, line * kCacheLineSize);
-      miss_idx++;
-    }
-    ctx.t_mem += ctx.now - entry;
+  for (uint64_t line = first; line <= last; line++) {
+    ChargeMiss(ctx, miss_idx, write, line * kCacheLineSize);
+    miss_idx++;
+  }
+  ctx.t_mem += ctx.now - entry;
+}
+
+void MemorySpace::TouchMulti(ExecContext& ctx, uint64_t first, uint64_t last,
+                             bool write) {
+  if (ctx.cache == nullptr) {
+    MissLines(ctx, first, last, write);
     return;
   }
+  const Nanos entry = ctx.now;
+  uint32_t miss_idx = 0;
   // Let the cache sim classify up to 64 lines per call, then replay the
   // timing charges in the original line order. Hits only advance the clock
   // (+kCpuCacheHit each, no channel traffic), so a run of consecutive hits
@@ -138,7 +138,6 @@ void MemorySpace::Stream(ExecContext& ctx, uint64_t addr, uint32_t len,
   const Nanos entry = ctx.now;
   const uint32_t lines = (len + kCacheLineSize - 1) / kCacheLineSize;
   const StreamCost& sc = write ? opt_.stream_write : opt_.stream_read;
-  demand_bytes_.fetch_add(len, std::memory_order_relaxed);
   Nanos queued_done = ChargeChannels(ctx, ctx.now, len);
   Nanos service = sc.Cost(lines);
   if (opt_.router != nullptr) {
@@ -158,26 +157,8 @@ void MemorySpace::TouchUncached(ExecContext& ctx, uint64_t addr,
                                 uint32_t len, bool write) {
   if (len == 0) return;
   POLAR_PROF_SCOPE(kCacheSim);
-  const Nanos entry = ctx.now;
-  const uint64_t first = addr / kCacheLineSize;
-  const uint64_t last = (addr + len - 1) / kCacheLineSize;
-  uint32_t idx = 0;
-  for (uint64_t line = first; line <= last; line++) {
-    demand_bytes_.fetch_add(kCacheLineSize, std::memory_order_relaxed);
-    Nanos queued_done = ChargeChannels(ctx, ctx.now, kCacheLineSize);
-    Nanos service =
-        idx == 0 ? opt_.line_latency
-                 : static_cast<Nanos>(write ? opt_.stream_write.per_line_ns
-                                            : opt_.stream_read.per_line_ns);
-    if (opt_.router != nullptr) {
-      queued_done = std::max(
-          queued_done, ChargeRoute(ctx, line * kCacheLineSize, kCacheLineSize,
-                                   idx == 0 ? &service : nullptr));
-    }
-    ctx.now = std::max(ctx.now + service, queued_done + service - 1);
-    idx++;
-  }
-  ctx.t_mem += ctx.now - entry;
+  MissLines(ctx, addr / kCacheLineSize, (addr + len - 1) / kCacheLineSize,
+            write);
 }
 
 uint32_t MemorySpace::Flush(ExecContext& ctx, uint64_t addr, uint32_t len) {
@@ -189,9 +170,6 @@ uint32_t MemorySpace::Flush(ExecContext& ctx, uint64_t addr, uint32_t len) {
     ctx.cache->FlushRange(addr, len, &dirty, &clean);
   }
   if (dirty > 0) {
-    writeback_bytes_.fetch_add(
-        static_cast<uint64_t>(dirty) * kCacheLineSize,
-        std::memory_order_relaxed);
     Nanos queued_done = ChargeChannels(
         ctx, ctx.now, static_cast<uint64_t>(dirty) * kCacheLineSize);
     const Nanos service = opt_.clflush_line * dirty;
@@ -222,9 +200,6 @@ void MemorySpace::Invalidate(ExecContext& ctx, uint64_t addr, uint32_t len) {
   // Coherency invalidation targets clean lines (the protocol guarantees no
   // concurrent writer), but if dirty lines exist they must be written back.
   if (dirty > 0) {
-    writeback_bytes_.fetch_add(
-        static_cast<uint64_t>(dirty) * kCacheLineSize,
-        std::memory_order_relaxed);
     ChargeChannels(ctx, ctx.now,
                    static_cast<uint64_t>(dirty) * kCacheLineSize);
     if (opt_.router != nullptr) {

@@ -6,10 +6,10 @@
 // saturation observable.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
+#include "common/macros.h"
 #include "common/prof.h"
 #include "common/types.h"
 #include "sim/bandwidth_channel.h"
@@ -20,9 +20,11 @@
 
 namespace polarcxl::sim {
 
-/// Cost/accounting view of one physical memory domain. The actual bytes are
-/// owned elsewhere (e.g., by CxlMemoryDevice); MemorySpace only models time
-/// and bandwidth.
+/// Cost view of one physical memory domain. The actual bytes are owned
+/// elsewhere (e.g., by CxlMemoryDevice); MemorySpace only models time and
+/// bandwidth. It holds no mutable state: every charge lands on the
+/// caller's ExecContext, its CPU cache and the channels, so world
+/// snapshots have nothing of it to capture.
 class MemorySpace {
  public:
   /// Latency defaults are LatencyModel's local DRAM profile.
@@ -44,14 +46,14 @@ class MemorySpace {
     /// port) and pays the route's extra latency. Null = legacy link+pool
     /// cost only.
     const AddressRouter* router = nullptr;
-    /// Whether the CPU cache may hold lines of this domain.
-    bool cacheable = true;
     /// clflush cost per dirty line and invalidate cost per clean line.
     Nanos clflush_line = LatencyModel{}.cxl_clflush_line;
     Nanos invalidate_line = LatencyModel{}.invalidate_line;
   };
 
   explicit MemorySpace(Options options) : opt_(std::move(options)) {}
+  // CPU-cache lines name their home space by address.
+  POLAR_DISALLOW_COPY(MemorySpace);
 
   /// Access `len` bytes at `addr` with CPU-cache semantics, charging
   /// ctx.now. Within one call, the first miss pays full latency and further
@@ -59,11 +61,11 @@ class MemorySpace {
   ///
   /// Defined here so the dominant call shape — a single line, hitting in
   /// cache (b-tree probes, header reads) — inlines into callers; ranges and
-  /// uncacheable domains take the out-of-line path.
+  /// lanes without a CPU cache take the out-of-line path.
   void Touch(ExecContext& ctx, uint64_t addr, uint32_t len, bool write) {
     if (len == 0) return;
     POLAR_PROF_SCOPE(kCacheSim);
-    TouchElem(ctx, addr, len, opt_.cacheable && ctx.cache != nullptr, write);
+    TouchElem(ctx, addr, len, ctx.cache != nullptr, write);
   }
 
   /// Fused sequence of Touch() calls against one frame: element i accesses
@@ -79,7 +81,7 @@ class MemorySpace {
                 const uint32_t* lens, uint32_t n, uint32_t uniform_len,
                 bool write) {
     POLAR_PROF_SCOPE(kCacheSim);
-    const bool cached = opt_.cacheable && ctx.cache != nullptr;
+    const bool cached = ctx.cache != nullptr;
     for (uint32_t i = 0; i < n; i++) {
       const uint32_t len = lens != nullptr ? lens[i] : uniform_len;
       if (len == 0) continue;
@@ -94,7 +96,7 @@ class MemorySpace {
                       const uint32_t* lens, uint32_t n, uint32_t uniform_len,
                       uint64_t write_mask) {
     POLAR_PROF_SCOPE(kCacheSim);
-    const bool cached = opt_.cacheable && ctx.cache != nullptr;
+    const bool cached = ctx.cache != nullptr;
     for (uint32_t i = 0; i < n; i++) {
       const uint32_t len = lens != nullptr ? lens[i] : uniform_len;
       if (len == 0) continue;
@@ -107,8 +109,9 @@ class MemorySpace {
   void Stream(ExecContext& ctx, uint64_t addr, uint32_t len, bool write);
 
   /// Uncached access (ntload/ntstore): always pays device latency, never
-  /// consults or fills the CPU cache. Used for coherency flags that another
-  /// host may overwrite at any time.
+  /// consults or fills the CPU cache — charged exactly like Touch() from a
+  /// lane without a CPU cache. Used for coherency flags that another host
+  /// may overwrite at any time.
   void TouchUncached(ExecContext& ctx, uint64_t addr, uint32_t len,
                      bool write);
 
@@ -124,41 +127,8 @@ class MemorySpace {
   Nanos line_latency() const { return opt_.line_latency; }
   BandwidthChannel* link() const { return opt_.link; }
   BandwidthChannel* pool() const { return opt_.pool; }
-  uint64_t demand_bytes() const {
-    return demand_bytes_.load(std::memory_order_relaxed);
-  }
-  uint64_t writeback_bytes() const {
-    return writeback_bytes_.load(std::memory_order_relaxed);
-  }
-  /// Total time accesses spent queued on the channels (diagnostics).
-  Nanos queue_delay() const {
-    return queue_delay_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    demand_bytes_.store(0, std::memory_order_relaxed);
-    writeback_bytes_.store(0, std::memory_order_relaxed);
-    queue_delay_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Stat counters only — the latency/channel Options are construction-time
-  /// constants, and the channels snapshot themselves.
-  struct State {
-    uint64_t demand_bytes = 0;
-    uint64_t writeback_bytes = 0;
-    Nanos queue_delay = 0;
-  };
-  State Capture() const {
-    return State{demand_bytes(), writeback_bytes(), queue_delay()};
-  }
-  void Restore(const State& s) {
-    demand_bytes_.store(s.demand_bytes, std::memory_order_relaxed);
-    writeback_bytes_.store(s.writeback_bytes, std::memory_order_relaxed);
-    queue_delay_.store(s.queue_delay, std::memory_order_relaxed);
-  }
 
  private:
-  friend class CpuCacheSim;
-
   /// One Touch()-equivalent access (shared body of Touch and the fused
   /// sequence kernels; `cached` is hoisted by the caller). len must be > 0.
   void TouchElem(ExecContext& ctx, uint64_t addr, uint32_t len, bool cached,
@@ -215,19 +185,20 @@ class MemorySpace {
   void ChargeWriteback(ExecContext& ctx, uint64_t addr, uint64_t bytes);
 
   /// Out-of-line halves of Touch(): the miss/eviction tail of a single-line
-  /// access, and the chunked multi-line / uncacheable path.
+  /// access, and the chunked multi-line path (which also takes every access
+  /// from a lane with no CPU cache).
   void TouchSingleMiss(ExecContext& ctx, const CpuCacheSim::AccessResult& r,
                        bool write, uint64_t addr);
   void TouchMulti(ExecContext& ctx, uint64_t first, uint64_t last,
                   bool write);
 
+  /// Lines [first, last] as demand misses that bypass the CPU cache: the
+  /// whole of an uncached access, and of a Touch() from a lane with no
+  /// CPU cache.
+  void MissLines(ExecContext& ctx, uint64_t first, uint64_t last,
+                 bool write);
+
   Options opt_;
-  // Relaxed atomics: the host-memory space is shared by every instance, so
-  // under epoch-parallel execution all shards bump these concurrently. The
-  // adds commute, so the totals stay bit-identical to serial execution.
-  std::atomic<uint64_t> demand_bytes_{0};     // demand miss + stream traffic
-  std::atomic<uint64_t> writeback_bytes_{0};  // dirty evictions and flushes
-  std::atomic<Nanos> queue_delay_{0};
 };
 
 }  // namespace polarcxl::sim

@@ -59,9 +59,11 @@ Lsn RedoLog::GroupCommit(sim::ExecContext& ctx, Nanos window) {
     ctx.t_io += ctx.now - entry;
     return flushed_lsn_;
   }
-  // Lead a new batch: optionally linger up to `window` to let followers
-  // accumulate, then flush once.
+  // Lead a new batch: linger `window` to let followers accumulate, then
+  // flush once. The linger is commit wait, charged to I/O like the
+  // follower's wait and the flush itself.
   ctx.now += window;
+  ctx.t_io += window;
   const Lsn flushed = Flush(ctx);
   last_batch_completion_ = ctx.now;
   return flushed;

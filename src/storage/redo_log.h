@@ -166,9 +166,10 @@ class RedoLog {
 
   /// Group commit: a commit arriving while another commit's flush is in
   /// flight rides that write (bytes only, no extra I/O) and completes with
-  /// it; otherwise it leads a new batch, lingering up to `window` to let
-  /// followers accumulate. window == 0 degenerates to Flush(). Returns the
-  /// durable LSN covering this commit.
+  /// it; otherwise it leads a new batch, lingering `window` to let
+  /// followers accumulate. Every wait here, linger included, is charged to
+  /// ctx.t_io. window == 0 degenerates to Flush(). Returns the durable LSN
+  /// covering this commit.
   Lsn GroupCommit(sim::ExecContext& ctx, Nanos window);
 
   /// Crash: the volatile buffer is lost. Durable records stay.

@@ -1,20 +1,18 @@
 // Fault-subsystem tests: plan parsing/ordering/round-trip, injector
 // arm/disarm pass-through, per-domain windows, seeded probability-draw
-// determinism, lock fencing, and the determinism contract of the
+// determinism, and the determinism contract of the
 // closed-loop fault run (the traffic driver with no tenants) — the
 // canonical schedule must produce bit-identical timelines and lane_steps
 // for any sweep thread count, with pinned values guarding against silent
 // drift of the simulation or the fault model.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "harness/sweep_runner.h"
 #include "harness/traffic_driver.h"
-#include "sharing/dist_lock_manager.h"
 
 namespace polarcxl::faults {
 namespace {
@@ -22,8 +20,6 @@ namespace {
 using harness::OpenLoopConfig;
 using harness::OpenLoopResult;
 using harness::RunOpenLoop;
-using sharing::CxlLockTransport;
-using sharing::DistLockManager;
 using sim::ExecContext;
 
 // ---------- FaultPlan ----------
@@ -104,6 +100,7 @@ TEST(FaultPlanTest, RejectsMalformedInput) {
   EXPECT_FALSE(FaultPlan::Parse("seed banana").ok());
   EXPECT_FALSE(FaultPlan::Parse("cxl-down at=1ms").ok());  // empty window
   EXPECT_FALSE(FaultPlan::Parse("cxl-flaky at=1ms for=1ms p=1.5").ok());
+  EXPECT_FALSE(FaultPlan::Parse("alloc-fail at=1ms for=1ms").ok());
 }
 
 TEST(FaultPlanTest, ValidateRejectsBadWindows) {
@@ -227,7 +224,6 @@ TEST(FaultInjectorTest, HooksPassThroughWhenDisarmed) {
   inj.OnCxlTransfer(ctx, 0, 1 << 20);
   inj.OnVerbsTransfer(ctx, 0, 1, 1 << 20);
   inj.OnDiskOp(ctx);
-  EXPECT_FALSE(inj.AllocShouldFail(ctx.now));
   EXPECT_FALSE(inj.CxlDown(ctx.now, 0));
   EXPECT_FALSE(inj.NicDown(ctx.now, 0));
   EXPECT_EQ(ctx.now, 12345);  // nothing charged
@@ -382,21 +378,15 @@ TEST(FaultInjectorTest, FlakyDrawsDeterministicPerLane) {
   EXPECT_EQ(draws(sequential, 0, 32), lane0);
 }
 
-TEST(FaultInjectorTest, AllocFailAndDiskStallWindows) {
+TEST(FaultInjectorTest, DiskStallWindow) {
   FaultInjector inj;
   FaultPlan plan;
-  plan.Add({FaultKind::kAllocFail, 100, 200});
   {
     FaultEvent e{FaultKind::kDiskStall, 1000, 2000};
     e.extra_latency = 777;
     plan.Add(e);
   }
   ASSERT_TRUE(inj.Arm(plan).ok());
-
-  EXPECT_FALSE(inj.AllocShouldFail(99));
-  EXPECT_TRUE(inj.AllocShouldFail(150));
-  EXPECT_FALSE(inj.AllocShouldFail(200));
-  EXPECT_EQ(inj.stats().alloc_failures, 1u);
 
   ExecContext ctx;
   ctx.now = 1500;
@@ -431,56 +421,6 @@ TEST(FaultInjectorTest, EventsOfKindReturnsScheduleOrder) {
   EXPECT_EQ(crashes[1].at, 500);
   inj.Disarm();
   EXPECT_TRUE(inj.EventsOfKind(FaultKind::kNodeCrash).empty());
-}
-
-// ---------- DistLockManager fencing ----------
-
-TEST(DistLockFencingTest, FenceForceReleasesDeadNodesLocks) {
-  DistLockManager locks(std::make_unique<CxlLockTransport>(0));
-  locks.EnableFencing();
-
-  ExecContext a;  // node 1, crashes while holding three locks
-  locks.AcquireExclusive(a, 1, 7);
-  locks.AcquireExclusive(a, 1, 8);
-  locks.AcquireShared(a, 1, 9);
-  EXPECT_EQ(locks.HoldCount(1), 3u);
-
-  // Node 2 fences the dead node. The fence closes the dead node's hold
-  // intervals at fence time: later acquirers serialize after the fence,
-  // never "before the crash".
-  ExecContext f;
-  f.now = 5000;
-  EXPECT_EQ(locks.FenceNode(f, 2, 1), 3u);
-  EXPECT_EQ(locks.HoldCount(1), 0u);
-  EXPECT_EQ(locks.fenced(), 3u);
-
-  ExecContext b;
-  b.now = 1000;  // requested before the fence landed
-  locks.AcquireExclusive(b, 2, 7);
-  EXPECT_EQ(b.now, 5000);  // granted at the fence, short wait = spin
-
-  // Fencing an empty node is a no-op (idempotent crash handling).
-  ExecContext f2;
-  f2.now = 6000;
-  EXPECT_EQ(locks.FenceNode(f2, 2, 1), 0u);
-  EXPECT_EQ(locks.fenced(), 3u);
-
-  // Normal release drops the hold from the fencing book-keeping.
-  ExecContext c;
-  c.now = 7000;
-  locks.AcquireShared(c, 3, 9);
-  EXPECT_EQ(locks.HoldCount(3), 1u);
-  locks.ReleaseShared(c, 3, 9);
-  EXPECT_EQ(locks.HoldCount(3), 0u);
-}
-
-TEST(DistLockFencingTest, FencingOffByDefault) {
-  DistLockManager locks(std::make_unique<CxlLockTransport>(0));
-  EXPECT_FALSE(locks.fencing_enabled());
-  ExecContext a;
-  locks.AcquireExclusive(a, 1, 7);
-  // Without fencing there is no hold book-keeping (zero-overhead default).
-  EXPECT_EQ(locks.HoldCount(1), 0u);
 }
 
 // ---------- closed-loop fault run determinism ----------

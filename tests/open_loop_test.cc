@@ -64,25 +64,6 @@ TEST(ArrivalTest, BurstyOffWindowsAreQuieter) {
   EXPECT_GT(off, 0u);
 }
 
-TEST(ArrivalTest, DiurnalRampPeaksMidPeriod) {
-  ArrivalSpec spec;
-  spec.kind = ArrivalKind::kDiurnalRamp;
-  spec.rate_per_sec = 400'000.0;
-  spec.diurnal_period = Millis(100);
-  spec.amplitude = 0.8;
-  EXPECT_NEAR(ArrivalRateAt(spec, 0), 80'000.0, 1.0);           // trough
-  EXPECT_NEAR(ArrivalRateAt(spec, Millis(50)), 720'000.0, 1.0);  // peak
-  EXPECT_DOUBLE_EQ(ArrivalPeakRate(spec), 720'000.0);
-  const auto a = GenerateArrivals(spec, 7, 0, Millis(100));
-  uint64_t first_quarter = 0;
-  uint64_t mid_quarter = 0;
-  for (Nanos t : a) {
-    if (t < Millis(25)) first_quarter++;
-    if (t >= Millis(38) && t < Millis(63)) mid_quarter++;
-  }
-  EXPECT_GT(mid_quarter, first_quarter * 2);
-}
-
 // ---------- admission queue ----------
 
 TEST(AdmissionQueueTest, CapsShedAtAdmissionAndFifoWithinClass) {

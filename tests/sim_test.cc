@@ -48,19 +48,21 @@ TEST(BandwidthChannelTest, StatsAccumulate) {
   ch.Transfer(0, 4000);
   ch.Transfer(0, 4000);
   EXPECT_EQ(ch.total_bytes(), 8000u);
-  EXPECT_EQ(ch.total_transfers(), 2u);
-  EXPECT_EQ(ch.busy_time(), 4000);  // 8000 B at 2 B/ns
-  EXPECT_NEAR(ch.Utilization(8000), 0.5, 1e-9);
-  EXPECT_NEAR(ch.DeliveredRate(4000), 2e9, 1e3);
   ch.ResetStats();
   EXPECT_EQ(ch.total_bytes(), 0u);
 }
 
-TEST(BandwidthChannelTest, DeliveredRateIsCappedUnderOverload) {
+TEST(BandwidthChannelTest, OverloadCompletesAtTheCappedRate) {
   BandwidthChannel ch("nic", 1000000000);
-  // Offer 1 GB at t=0; delivery takes ~1 s.
-  for (int i = 0; i < 100; i++) ch.Transfer(0, 10 * 1000 * 1000);
-  EXPECT_NEAR(ch.DeliveredRate(ch.busy_until()), 1e9, 1e7);
+  // Offer 1 GB at t=0: at 1 GB/s the last byte lands at 1 s, within one
+  // 10 us window.
+  Nanos last = 0;
+  for (int i = 0; i < 100; i++) {
+    last = std::max(last, ch.Transfer(0, 10 * 1000 * 1000));
+  }
+  EXPECT_NEAR(static_cast<double>(last), static_cast<double>(kNanosPerSec),
+              10'000);
+  EXPECT_EQ(ch.total_bytes(), 1000u * 1000 * 1000);
 }
 
 TEST(BandwidthChannelTest, MinimumOneNanosecond) {
@@ -90,7 +92,6 @@ TEST(BandwidthChannelTest, ZeroRateChannelNeverQueuesAndKeepsNoLedger) {
     EXPECT_EQ(ch.Transfer(i * 100, 1 << 20), i * 100);
   }
   EXPECT_EQ(ch.window_footprint(), 0u);  // rate 0 = infinite: no ledger
-  EXPECT_EQ(ch.busy_time(), 0);
 }
 
 TEST(BandwidthChannelTest, WindowBoundarySpill) {
@@ -380,11 +381,89 @@ TEST(MemorySpaceTest, FlushWritesBackOnlyDirtyLines) {
 }
 
 TEST(MemorySpaceTest, DemandBytesTrackTraffic) {
-  MemorySpace mem(DramOptions());
+  BandwidthChannel link("lnk", 16ULL * 1000 * 1000 * 1000);
+  MemorySpace::Options o = DramOptions();
+  o.link = &link;
+  MemorySpace mem(o);
   ExecContext ctx;
   mem.Touch(ctx, 0, 64, false);
   mem.Stream(ctx, 0, 1024, true);
-  EXPECT_EQ(mem.demand_bytes(), 64u + 1024u);
+  EXPECT_EQ(link.total_bytes(), 64u + 1024u);
+}
+
+/// Routes every address through one device port and 100 ns of traversal.
+class OnePortRouter final : public AddressRouter {
+ public:
+  explicit OnePortRouter(BandwidthChannel* port) {
+    route_.extra_latency = 100;
+    route_.num_channels = 1;
+    route_.channels[0] = port;
+  }
+  const RouteCost* Resolve(uint64_t) const override { return &route_; }
+
+ private:
+  RouteCost route_;
+};
+
+/// A memory space behind a link, a pool and a routed device port, slow
+/// enough that line transfers queue.
+struct RoutedSpace {
+  BandwidthChannel link{"lnk", 64ULL * 1000 * 1000};
+  BandwidthChannel pool{"pool", 128ULL * 1000 * 1000};
+  BandwidthChannel port{"port", 32ULL * 1000 * 1000};
+  OnePortRouter router{&port};
+  MemorySpace mem{[this] {
+    MemorySpace::Options o = DramOptions();
+    o.link = &link;
+    o.pool = &pool;
+    o.router = &router;
+    return o;
+  }()};
+};
+
+TEST(MemorySpaceTest, UncachedAccessChargesLikeAnUncachedDomain) {
+  RoutedSpace touched;   // Touch() from a lane with no CPU cache
+  RoutedSpace uncached;  // TouchUncached() from a lane with one
+  CpuCacheSim cache(1 << 20);
+  // Line 0 is resident and dirty: an uncached access neither hits nor
+  // writes it back.
+  MemorySpace dram(DramOptions());
+  ExecContext warm;
+  warm.cache = &cache;
+  dram.Touch(warm, 0, 64, true);
+  const uint64_t hits = cache.hits();
+  const uint64_t misses = cache.misses();
+  const uint64_t live = cache.live_lines();
+
+  ExecContext a;
+  ExecContext b;
+  b.cache = &cache;
+  uint64_t addr = 0;
+  for (const uint32_t lines : {1u, 2u, 5u}) {
+    SCOPED_TRACE(lines);
+    const uint32_t len = lines * kCacheLineSize;
+    const bool write = lines == 2;
+    touched.mem.Touch(a, addr, len, write);
+    uncached.mem.TouchUncached(b, addr, len, write);
+    EXPECT_EQ(b.now, a.now);
+    EXPECT_EQ(b.t_mem, a.t_mem);
+    EXPECT_EQ(b.mem_line_misses, a.mem_line_misses);
+    EXPECT_EQ(uncached.link.total_bytes(), touched.link.total_bytes());
+    EXPECT_EQ(uncached.pool.total_bytes(), touched.pool.total_bytes());
+    EXPECT_EQ(uncached.port.total_bytes(), touched.port.total_bytes());
+    addr += len;
+  }
+  EXPECT_EQ(b.mem_line_misses, 8u);
+  EXPECT_EQ(uncached.port.total_bytes(), 8u * kCacheLineSize);
+  // The 32 MB/s port spends 2 us per line, so its queue sets the pace.
+  EXPECT_GT(b.now, 8 * 2000);
+  EXPECT_EQ(b.t_mem, b.now);
+
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(cache.live_lines(), live);
+  EXPECT_TRUE(cache.Contains(0));
+  EXPECT_FALSE(cache.Contains(64));
 }
 
 // ---------- VirtualLockTable ----------

@@ -95,10 +95,13 @@ TEST(CommitTest, GroupCommitWindowSharesOneLogWrite) {
   leader.now = Millis(100);  // long after the load's commit completed
   ASSERT_TRUE(t->Update(leader, 10, std::string(32, 'L')).ok());
   const Nanos leader_commit = leader.now;
+  const Nanos leader_cpu = CpuTime(leader);
   db->CommitTransaction(leader);
   EXPECT_EQ(world.disk.write_ops(), ops + 1);
   const Nanos done = leader.now - sim::kCpuCosts.txn_overhead;
   EXPECT_GT(done, leader_commit + window);
+  // The linger is commit wait, charged to I/O: only txn_overhead is CPU.
+  EXPECT_EQ(CpuTime(leader) - leader_cpu, sim::kCpuCosts.txn_overhead);
 
   // A second session committing before that write completes rides it: its
   // write is durable, no new log write is issued, and it completes with
