@@ -111,7 +111,8 @@ inline int CheckPins(const char* bench,
     char got[160];
     std::snprintf(got, sizeof(got), "%s = %.10g", v.name.c_str(), v.got);
     if (v.ceiling ? v.got <= v.pin : v.got == v.pin) {
-      held += (held.empty() ? "" : ", ") + std::string(got);
+      if (!held.empty()) held += ", ";
+      held += got;
     } else {
       std::fprintf(stderr, "%s: pin drift: %s, bench/pins.h %s %.10g\n",
                    bench, got, v.ceiling ? "caps it at" : "pins it at", v.pin);

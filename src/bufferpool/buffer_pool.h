@@ -1,7 +1,7 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
 // Buffer pool abstraction the transaction engine runs on. The engine asks
-// for a page, operates on the returned frame through TouchRange-charged
-// accesses, and releases it — without knowing whether the frame lives in
+// for a page, charges its accesses to the returned frame through the
+// PageRef, and releases it — without knowing whether the frame lives in
 // local DRAM, CXL memory, or a tiered local/remote hierarchy (Section 2.2:
 // "the buffer pool operates transparently").
 #pragma once
@@ -15,11 +15,8 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "sim/exec_context.h"
+#include "sim/memory_space.h"
 #include "storage/redo_log.h"
-
-namespace polarcxl::sim {
-class MemorySpace;
-}  // namespace polarcxl::sim
 
 namespace polarcxl::bufferpool {
 
@@ -28,18 +25,23 @@ constexpr uint32_t kInvalidBlock = UINT32_MAX;
 /// A fixed (pinned + latched) page frame.
 ///
 /// `space`/`phys` are the frame's charge target, resolved once at Fetch
-/// time: every pool's TouchRange boils down to
-/// `space->Touch(ctx, phys + off, len, write)`, so hot callers (the mtr
-/// charge path) go through these fields directly instead of a virtual
-/// TouchRange dispatch per probe. Pools that leave them null keep the
-/// virtual path.
+/// time; every access to the frame's bytes is charged through Touch. A null
+/// `space` marks a frame outside every simulated memory tier (the CXL
+/// pool's degraded-mode scratch frame), whose accesses are uncharged.
 struct PageRef {
   uint32_t block = kInvalidBlock;
   uint8_t* data = nullptr;  // 16 KB frame
-  sim::MemorySpace* space = nullptr;  // charge target (null: virtual path)
+  sim::MemorySpace* space = nullptr;  // charge target (null: uncharged)
   uint64_t phys = 0;                  // simulated phys addr of frame byte 0
 
   bool valid() const { return block != kInvalidBlock; }
+
+  /// Charges the cost of accessing [off, off+len) of the frame. Callers
+  /// read/write the bytes through `data` directly.
+  void Touch(sim::ExecContext& ctx, uint32_t off, uint32_t len,
+             bool write) const {
+    if (space != nullptr) space->Touch(ctx, phys + off, len, write);
+  }
 };
 
 struct BufferPoolStats {
@@ -68,12 +70,12 @@ struct PoolSnapshot {
 };
 
 /// Concrete-type tag for the engine's devirtualized fast path. The two
-/// built-in single-node pools advertise their kind; the mtr layer switches
-/// on it and static_casts to the concrete pool so Fetch/Unfix inline (and
-/// their callees devirtualize under LTO). kTieredRdma is the local buffer
-/// pool, with or without a remote tier (the DRAM-BP has none). Pools that
-/// don't opt in — multi-primary sharing pools, test doubles — stay kOther
-/// and take the virtual path; behavior is identical either way.
+/// built-in single-node pools are final classes that advertise their kind;
+/// the mtr layer switches on it and calls through the concrete type, so
+/// Fetch/Unfix/UpgradeToWrite are direct calls that inline under LTO.
+/// kTieredRdma is the local buffer pool, with or without a remote tier (the
+/// DRAM-BP has none). The multi-primary sharing pools stay kOther and take
+/// the virtual path; behavior is identical either way.
 enum class PoolKind : uint8_t {
   kOther = 0,
   kCxl,
@@ -99,25 +101,14 @@ class BufferPool {
   virtual void Unfix(sim::ExecContext& ctx, const PageRef& ref,
                      PageId page_id, bool dirty, Lsn new_lsn) = 0;
 
-  /// Charges the cost of accessing [off, off+len) of the fixed frame.
-  /// Callers read/write the bytes through ref.data directly.
-  virtual void TouchRange(sim::ExecContext& ctx, const PageRef& ref,
-                          uint32_t off, uint32_t len, bool write) = 0;
-
-  /// Upgrades an existing fix from read to write mode (re-latching). Pools
-  /// that track durable lock state or distributed locks override this.
+  /// Upgrades an existing fix from read to write mode (re-latching).
   /// Fails when the fix cannot be promoted — e.g. a degraded-mode fallback
   /// frame held while the pool's memory tier is faulted out. A pool whose
   /// frames share page images (the local buffer pool) may move the frame
   /// to a private copy, so `ref` is updated in place: callers must refetch
   /// `ref.data` afterwards.
   virtual Status UpgradeToWrite(sim::ExecContext& ctx, PageRef& ref,
-                                PageId page_id) {
-    (void)ctx;
-    (void)ref;
-    (void)page_id;
-    return Status::OK();
-  }
+                                PageId page_id) = 0;
 
   /// Writes every dirty page back to the page store (checkpoint path).
   /// Returns whether every dirty page reached storage; a pool that had to
@@ -181,41 +172,6 @@ class BufferPool {
 /// the sole reference to its image. Clones the image if anyone else (the
 /// remote tier, a world snapshot) still holds it, and returns its bytes.
 uint8_t* WritableImage(PageImageRef& image);
-
-/// CRTP adapter that locks a pool's hot-path entry points to its concrete
-/// implementations. Derived defines the non-virtual FetchImpl / UnfixImpl /
-/// TouchRangeImpl / UpgradeToWriteImpl; the virtual overrides here are
-/// `final` one-line forwards, so (a) virtual callers behave exactly as
-/// before, and (b) the engine's static-dispatch path (MiniTransaction::
-/// FetchFast et al.) calls the Impl methods directly — no vtable load, and
-/// the Impl bodies inline into the mtr layer under LTO. Cold paths
-/// (FlushDirtyPages, snapshots, degraded-mode handling) stay plainly
-/// virtual in Derived.
-template <typename Derived>
-class StaticDispatchPool : public BufferPool {
- public:
-  explicit StaticDispatchPool(PoolKind kind) : BufferPool(kind) {}
-
-  Result<PageRef> Fetch(sim::ExecContext& ctx, PageId page_id,
-                        bool for_write) final {
-    return self()->FetchImpl(ctx, page_id, for_write);
-  }
-  void Unfix(sim::ExecContext& ctx, const PageRef& ref, PageId page_id,
-             bool dirty, Lsn new_lsn) final {
-    self()->UnfixImpl(ctx, ref, page_id, dirty, new_lsn);
-  }
-  void TouchRange(sim::ExecContext& ctx, const PageRef& ref, uint32_t off,
-                  uint32_t len, bool write) final {
-    self()->TouchRangeImpl(ctx, ref, off, len, write);
-  }
-  Status UpgradeToWrite(sim::ExecContext& ctx, PageRef& ref,
-                        PageId page_id) final {
-    return self()->UpgradeToWriteImpl(ctx, ref, page_id);
-  }
-
- private:
-  Derived* self() { return static_cast<Derived*>(this); }
-};
 
 /// Intrusive doubly-linked LRU over block indices, array-backed. Used by
 /// the local buffer pool; the CXL pool keeps its links in CXL memory

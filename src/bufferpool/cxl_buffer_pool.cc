@@ -17,7 +17,7 @@ uint64_t CxlBufferPool::RegionBytes(uint64_t capacity_pages) {
 CxlBufferPool::CxlBufferPool(Options options, MemOffset region,
                              cxl::CxlAccessor* accessor,
                              storage::PageStore* store)
-    : StaticDispatchPool(PoolKind::kCxl),
+    : BufferPool(PoolKind::kCxl),
       opt_(options),
       region_(region),
       frames_off_(region + AlignUp(64 + options.capacity_pages * 64,
@@ -205,8 +205,8 @@ uint32_t CxlBufferPool::EvictTail(sim::ExecContext& ctx) {
 
 // ---- BufferPool interface ----
 
-Result<PageRef> CxlBufferPool::FetchImpl(sim::ExecContext& ctx,
-                                         PageId page_id, bool for_write) {
+Result<PageRef> CxlBufferPool::Fetch(sim::ExecContext& ctx, PageId page_id,
+                                     bool for_write) {
   if (acc_->HasFaultInjector()) {
     Status fault = acc_->CheckFault(ctx);
     if (!fault.ok()) {
@@ -295,16 +295,16 @@ Result<PageRef> CxlBufferPool::FetchDegraded(sim::ExecContext& ctx,
     e.page_id = page_id;
     e.fix_count = 1;
     stats_.degraded_fetches++;
-    // space/phys stay null so TouchRange keeps the virtual path (the frame
-    // is node-local scratch DRAM, not a charged simulated tier).
+    // A null space: the frame is node-local scratch DRAM outside every
+    // simulated tier, so accesses to it are uncharged.
     return PageRef{num_blocks() + i, e.data.get(), nullptr, 0};
   }
   stats_.fault_rejections++;
   return Status::Busy("all degraded-mode fallback frames fixed");
 }
 
-void CxlBufferPool::UnfixImpl(sim::ExecContext& ctx, const PageRef& ref,
-                              PageId page_id, bool dirty, Lsn new_lsn) {
+void CxlBufferPool::Unfix(sim::ExecContext& ctx, const PageRef& ref,
+                          PageId page_id, bool dirty, Lsn new_lsn) {
   (void)page_id;
   const uint32_t b = ref.block;
   if (b >= num_blocks()) {
@@ -327,8 +327,8 @@ void CxlBufferPool::UnfixImpl(sim::ExecContext& ctx, const PageRef& ref,
   ChargeMeta(ctx, b, /*write=*/true);
 }
 
-Status CxlBufferPool::UpgradeToWriteImpl(sim::ExecContext& ctx, PageRef& ref,
-                                         PageId page_id) {
+Status CxlBufferPool::UpgradeToWrite(sim::ExecContext& ctx, PageRef& ref,
+                                     PageId page_id) {
   (void)page_id;
   if (ref.block >= num_blocks()) {
     // A degraded read fix cannot be promoted: writes need the real frame.
@@ -339,13 +339,6 @@ Status CxlBufferPool::UpgradeToWriteImpl(sim::ExecContext& ctx, PageRef& ref,
   MetaRaw(ref.block)->lock_state = 1;
   ChargeMeta(ctx, ref.block, /*write=*/true);
   return Status::OK();
-}
-
-void CxlBufferPool::TouchRangeImpl(sim::ExecContext& ctx,
-                                   const PageRef& ref, uint32_t off,
-                                   uint32_t len, bool write) {
-  if (ref.block >= num_blocks()) return;  // local scratch frame: uncharged
-  acc_->Touch(ctx, FrameOff(ref.block) + off, len, write);
 }
 
 bool CxlBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {

@@ -47,7 +47,7 @@ struct CxlBlockMeta {
 };
 static_assert(sizeof(CxlBlockMeta) == 64);
 
-class CxlBufferPool final : public StaticDispatchPool<CxlBufferPool> {
+class CxlBufferPool final : public BufferPool {
  public:
   static constexpr uint64_t kMagic = 0x504F4C41524358ULL;  // "POLARCX"
 
@@ -73,17 +73,12 @@ class CxlBufferPool final : public StaticDispatchPool<CxlBufferPool> {
       cxl::CxlAccessor* accessor, storage::PageStore* store);
 
   // ---- BufferPool interface ----
-  // The hot trio + UpgradeToWrite are the *Impl methods below, reachable
-  // both virtually (via StaticDispatchPool's final forwards) and directly
-  // (the engine's PoolKind::kCxl static-dispatch path).
-  Result<PageRef> FetchImpl(sim::ExecContext& ctx, PageId page_id,
-                            bool for_write);
-  void UnfixImpl(sim::ExecContext& ctx, const PageRef& ref, PageId page_id,
-                 bool dirty, Lsn new_lsn);
-  Status UpgradeToWriteImpl(sim::ExecContext& ctx, PageRef& ref,
-                            PageId page_id);
-  void TouchRangeImpl(sim::ExecContext& ctx, const PageRef& ref, uint32_t off,
-                      uint32_t len, bool write);
+  Result<PageRef> Fetch(sim::ExecContext& ctx, PageId page_id,
+                        bool for_write) override;
+  void Unfix(sim::ExecContext& ctx, const PageRef& ref, PageId page_id,
+             bool dirty, Lsn new_lsn) override;
+  Status UpgradeToWrite(sim::ExecContext& ctx, PageRef& ref,
+                        PageId page_id) override;
   bool FlushDirtyPages(sim::ExecContext& ctx) override;
   bool Cached(PageId page_id) const override;
   uint64_t capacity_pages() const override { return opt_.capacity_pages; }

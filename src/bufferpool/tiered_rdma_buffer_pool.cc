@@ -9,7 +9,7 @@ TieredRdmaBufferPool::TieredRdmaBufferPool(Options options,
                                            sim::MemorySpace* dram,
                                            rdma::RemoteMemoryPool* remote,
                                            storage::PageStore* store)
-    : StaticDispatchPool(PoolKind::kTieredRdma),
+    : BufferPool(PoolKind::kTieredRdma),
       opt_(options),
       dram_(dram),
       remote_(remote),
@@ -153,7 +153,7 @@ PageImageRef TieredRdmaBufferPool::LoadImage(sim::ExecContext& ctx,
   return image;
 }
 
-Result<PageRef> TieredRdmaBufferPool::FetchImpl(sim::ExecContext& ctx,
+Result<PageRef> TieredRdmaBufferPool::Fetch(sim::ExecContext& ctx,
                                             PageId page_id, bool for_write) {
   stats_.fetches++;
   const uint32_t found = page_table_.Find(page_id);
@@ -184,7 +184,7 @@ Result<PageRef> TieredRdmaBufferPool::FetchImpl(sim::ExecContext& ctx,
   return PageRef{b, data, dram_, FrameAddr(b)};
 }
 
-void TieredRdmaBufferPool::UnfixImpl(sim::ExecContext& ctx, const PageRef& ref,
+void TieredRdmaBufferPool::Unfix(sim::ExecContext& ctx, const PageRef& ref,
                                  PageId page_id, bool dirty, Lsn new_lsn) {
   (void)ctx;
   (void)page_id;
@@ -200,12 +200,6 @@ void TieredRdmaBufferPool::UnfixImpl(sim::ExecContext& ctx, const PageRef& ref,
     m.dirty = true;
     if (new_lsn > m.lsn) m.lsn = new_lsn;
   }
-}
-
-void TieredRdmaBufferPool::TouchRangeImpl(sim::ExecContext& ctx,
-                                      const PageRef& ref, uint32_t off,
-                                      uint32_t len, bool write) {
-  dram_->Touch(ctx, FrameAddr(ref.block) + off, len, write);
 }
 
 bool TieredRdmaBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {

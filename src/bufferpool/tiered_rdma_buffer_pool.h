@@ -37,7 +37,7 @@
 
 namespace polarcxl::bufferpool {
 
-class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPool> {
+class TieredRdmaBufferPool final : public BufferPool {
  public:
   struct Options {
     /// Local buffer pool capacity (the paper sweeps 10%..100% of the
@@ -62,18 +62,14 @@ class TieredRdmaBufferPool final : public StaticDispatchPool<TieredRdmaBufferPoo
                        storage::PageStore* store);
   POLAR_DISALLOW_COPY(TieredRdmaBufferPool);
 
-  // Hot trio as *Impl: reachable virtually via StaticDispatchPool's final
-  // forwards and directly via the engine's PoolKind::kTieredRdma dispatch.
-  Result<PageRef> FetchImpl(sim::ExecContext& ctx, PageId page_id,
-                            bool for_write);
-  void UnfixImpl(sim::ExecContext& ctx, const PageRef& ref, PageId page_id,
-                 bool dirty, Lsn new_lsn);
-  void TouchRangeImpl(sim::ExecContext& ctx, const PageRef& ref, uint32_t off,
-                      uint32_t len, bool write);
+  Result<PageRef> Fetch(sim::ExecContext& ctx, PageId page_id,
+                        bool for_write) override;
+  void Unfix(sim::ExecContext& ctx, const PageRef& ref, PageId page_id,
+             bool dirty, Lsn new_lsn) override;
   /// Moves the frame to a private image if it is shared (see the class
   /// comment) and points `ref` at it.
-  Status UpgradeToWriteImpl(sim::ExecContext& ctx, PageRef& ref,
-                            PageId page_id) {
+  Status UpgradeToWrite(sim::ExecContext& ctx, PageRef& ref,
+                        PageId page_id) override {
     (void)ctx;
     (void)page_id;
     ref.data = WritableImage(images_[ref.block]);

@@ -362,9 +362,8 @@ Status BTree::Delete(sim::ExecContext& ctx, uint64_t key) {
 }
 
 /// Shared scan loop: `emit(key, data)` is called once per row in scan
-/// order. Both materializing surfaces (pair-vector Scan, caller-scratch
-/// ScanTo) and the charge-only form (null output) compile down to this one
-/// body with the emit inlined away.
+/// order. The materializing Scan and the charge-only form (null output)
+/// compile down to this one body with the emit inlined away.
 template <typename Emit>
 Result<size_t> BTree::ScanCore(sim::ExecContext& ctx, uint64_t start_key,
                                size_t count, Emit&& emit) {
@@ -426,14 +425,6 @@ Result<size_t> BTree::Scan(sim::ExecContext& ctx, uint64_t start_key,
   return ScanCore(ctx, start_key, count,
                   [&](uint64_t key, const char* data) {
                     out->emplace_back(key, std::string(data, value_size_));
-                  });
-}
-
-Result<size_t> BTree::ScanTo(sim::ExecContext& ctx, uint64_t start_key,
-                             size_t count, ScanBuffer* out) {
-  return ScanCore(ctx, start_key, count,
-                  [&](uint64_t key, const char* data) {
-                    out->Append(key, data, value_size_);
                   });
 }
 

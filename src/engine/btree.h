@@ -31,34 +31,6 @@ class PageAllocator {
   virtual Result<PageId> AllocPage(MiniTransaction& mtr) = 0;
 };
 
-/// Caller-owned scan output that recycles its storage across scans: Clear()
-/// resets the logical size but keeps every row string's capacity, so a
-/// steady-state scan loop (fetch a range, process, repeat) performs no heap
-/// allocation after warm-up. Append order matches scan order.
-class ScanBuffer {
- public:
-  size_t size() const { return size_; }
-  uint64_t key(size_t i) const { return keys_[i]; }
-  const std::string& row(size_t i) const { return rows_[i]; }
-  /// Logical reset; row capacities survive for reuse.
-  void Clear() { size_ = 0; }
-
-  void Append(uint64_t key, const char* data, size_t len) {
-    if (size_ == rows_.size()) {
-      keys_.emplace_back();
-      rows_.emplace_back();
-    }
-    keys_[size_] = key;
-    rows_[size_].assign(data, len);  // reuses the slot's capacity
-    size_++;
-  }
-
- private:
-  std::vector<uint64_t> keys_;
-  std::vector<std::string> rows_;
-  size_t size_ = 0;
-};
-
 class BTree {
  public:
   /// Called (within the SMO's mtr) when the root page id changes, so the
@@ -107,12 +79,6 @@ class BTree {
   Result<size_t> Scan(sim::ExecContext& ctx, uint64_t start_key, size_t count,
                       std::vector<std::pair<uint64_t, std::string>>* out);
 
-  /// Scan into a caller-scratch ScanBuffer (appended; call out->Clear()
-  /// between scans to recycle row capacity). Identical charging and
-  /// results to Scan(); the hot-path form for repeated range reads.
-  Result<size_t> ScanTo(sim::ExecContext& ctx, uint64_t start_key,
-                        size_t count, ScanBuffer* out);
-
   /// Full-tree entry count (test/verification helper; charged like a scan).
   Result<uint64_t> CountAll(sim::ExecContext& ctx);
 
@@ -131,8 +97,8 @@ class BTree {
   /// Refreshes root_ through the provider, if any.
   PageId RootForDescent(MiniTransaction& mtr);
 
-  /// Shared body of Scan/ScanTo: walks the leaf chain from `start_key` and
-  /// calls `emit(key, row_bytes)` per row (row_bytes spans value_size()).
+  /// Body of Scan: walks the leaf chain from `start_key` and calls
+  /// `emit(key, row_bytes)` per row (row_bytes spans value_size()).
   template <typename Emit>
   Result<size_t> ScanCore(sim::ExecContext& ctx, uint64_t start_key,
                           size_t count, Emit&& emit);

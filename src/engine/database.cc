@@ -40,14 +40,6 @@ Database::Database(DatabaseEnv env, DatabaseOptions options)
 Result<std::unique_ptr<bufferpool::BufferPool>> Database::BuildFreshPool(
     sim::ExecContext& ctx) {
   switch (opt_.pool_kind) {
-    case BufferPoolKind::kDram: {
-      // The DRAM-BP: the local buffer pool with no remote tier.
-      bufferpool::TieredRdmaBufferPool::Options o;
-      o.lbp_capacity_pages = opt_.pool_pages;
-      o.phys_base = (1ULL << 44) + (static_cast<uint64_t>(opt_.node) << 38);
-      return {std::make_unique<bufferpool::TieredRdmaBufferPool>(
-          o, dram_space_.get(), /*remote=*/nullptr, env_.store)};
-    }
     case BufferPoolKind::kCxl: {
       POLAR_CHECK_MSG(env_.cxl != nullptr && env_.cxl_manager != nullptr,
                       "kCxl needs a fabric accessor and memory manager");
@@ -59,18 +51,22 @@ Result<std::unique_ptr<bufferpool::BufferPool>> Database::BuildFreshPool(
       if (!pool.ok()) return pool.status();
       return {std::unique_ptr<bufferpool::BufferPool>(std::move(*pool))};
     }
+    case BufferPoolKind::kDram:
     case BufferPoolKind::kTieredRdma: {
-      POLAR_CHECK_MSG(env_.remote != nullptr,
+      // The local buffer pool; the DRAM-BP is the one with no remote tier.
+      const bool tiered = opt_.pool_kind == BufferPoolKind::kTieredRdma;
+      POLAR_CHECK_MSG(!tiered || env_.remote != nullptr,
                       "kTieredRdma needs a remote memory pool");
       bufferpool::TieredRdmaBufferPool::Options o;
       o.lbp_capacity_pages = opt_.pool_pages;
       o.node = opt_.rdma_host_node != kInvalidNodeId ? opt_.rdma_host_node
                                                      : opt_.node;
       o.tenant = opt_.node;
-      o.phys_base = (1ULL << 45) + (static_cast<uint64_t>(opt_.node) << 38);
+      o.phys_base = (tiered ? 1ULL << 45 : 1ULL << 44) +
+                    (static_cast<uint64_t>(opt_.node) << 38);
       o.retry_budget = opt_.verbs_retry_budget;
       return {std::make_unique<bufferpool::TieredRdmaBufferPool>(
-          o, dram_space_.get(), env_.remote, env_.store)};
+          o, dram_space_.get(), tiered ? env_.remote : nullptr, env_.store)};
     }
   }
   return Status::InvalidArgument("unknown pool kind");

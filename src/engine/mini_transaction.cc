@@ -73,12 +73,15 @@ Result<MiniTransaction::Handle*> MiniTransaction::GetPage(PageId page_id,
     if (for_write && !found->write_fixed) {
       // Updates found->ref in place: the RDMA tier moves the frame to a
       // private copy of a shared page image.
-      POLAR_RETURN_IF_ERROR(UpgradeToWriteFast(found->ref, page_id));
+      POLAR_RETURN_IF_ERROR(WithPool([&](auto& pool) {
+        return pool.UpgradeToWrite(ctx_, found->ref, page_id);
+      }));
       found->write_fixed = true;
     }
     return found;
   }
-  auto ref = FetchFast(page_id, for_write);
+  auto ref = WithPool(
+      [&](auto& pool) { return pool.Fetch(ctx_, page_id, for_write); });
   if (!ref.ok()) return ref.status();
   return handles_.Add(&scratch_->arena,
                       Handle{page_id, *ref, for_write, false, 0});
@@ -87,7 +90,9 @@ Result<MiniTransaction::Handle*> MiniTransaction::GetPage(PageId page_id,
 void MiniTransaction::ReleaseEarly(Handle* h) {
   POLAR_CHECK_MSG(!h->dirty && !h->write_fixed,
                   "early release is only for clean read fixes");
-  UnfixFast(h->ref, h->id, /*dirty=*/false, 0);
+  WithPool([&](auto& pool) {
+    pool.Unfix(ctx_, h->ref, h->id, /*dirty=*/false, 0);
+  });
   h->id = kInvalidPageId;  // dedup and Commit() skip released handles
   h->ref = bufferpool::PageRef{};
 }
@@ -109,7 +114,7 @@ void MiniTransaction::WriteRaw(Handle* h, uint32_t off, const void* src,
                                uint32_t len) {
   POLAR_CHECK(off + len <= kPageSize);
   std::memcpy(h->ref.data + off, src, len);
-  TouchFrame(h, off, len, /*write=*/true);
+  h->ref.Touch(ctx_, off, len, /*write=*/true);
   storage::RedoRecord& rec = NewRecord(h, storage::RedoKind::kRaw);
   rec.page_off = static_cast<uint16_t>(off);
   rec.len = static_cast<uint16_t>(len);
@@ -121,7 +126,7 @@ void MiniTransaction::FormatPage(Handle* h, uint8_t level,
                                  uint16_t value_size) {
   PageView page(h->ref.data);
   page.Format(h->id, level, value_size);
-  TouchFrame(h, 0, kPageHeaderSize, /*write=*/true);
+  h->ref.Touch(ctx_, 0, kPageHeaderSize, /*write=*/true);
   storage::RedoRecord& rec = NewRecord(h, storage::RedoKind::kFormat);
   rec.data.resize(3);
   rec.data[0] = level;
@@ -137,10 +142,10 @@ void MiniTransaction::InsertEntry(Handle* h, uint64_t key,
   ChargeReadSeq(h, probes, kKeySize);
   page.InsertEntryRaw(index, key, value);
   const uint32_t entry_bytes = page.entry_size();
-  TouchFrame(h, page.EntryOffset(index),
-             std::min(entry_bytes + kShiftChargeBytes,
-                      kPageSize - page.EntryOffset(index)),
-             /*write=*/true);
+  h->ref.Touch(ctx_, page.EntryOffset(index),
+               std::min(entry_bytes + kShiftChargeBytes,
+                        kPageSize - page.EntryOffset(index)),
+               /*write=*/true);
   storage::RedoRecord& rec = NewRecord(h, storage::RedoKind::kInsertEntry);
   rec.data.resize(kKeySize + page.value_size());
   std::memcpy(rec.data.data(), &key, kKeySize);
@@ -156,10 +161,10 @@ bool MiniTransaction::EraseEntry(Handle* h, uint64_t key) {
   ChargeReadSeq(h, probes, kKeySize);
   if (!found) return false;
   page.EraseEntryRaw(index);
-  TouchFrame(h, page.EntryOffset(index),
-             std::min(page.entry_size() + kShiftChargeBytes,
-                      kPageSize - page.EntryOffset(index)),
-             /*write=*/true);
+  h->ref.Touch(ctx_, page.EntryOffset(index),
+               std::min(page.entry_size() + kShiftChargeBytes,
+                        kPageSize - page.EntryOffset(index)),
+               /*write=*/true);
   storage::RedoRecord& rec = NewRecord(h, storage::RedoKind::kEraseEntry);
   rec.data.resize(kKeySize);
   std::memcpy(rec.data.data(), &key, kKeySize);
@@ -190,9 +195,11 @@ Lsn MiniTransaction::Commit() {
       // Stamp the page LSN (recovery replay reproduces this same value).
       PageView page(h.ref.data);
       page.set_lsn(h.last_lsn);
-      TouchFrame(&h, PageOffsets::kLsn, 8, /*write=*/true);
+      h.ref.Touch(ctx_, PageOffsets::kLsn, 8, /*write=*/true);
     }
-    UnfixFast(h.ref, h.id, h.dirty, h.last_lsn);
+    WithPool([&](auto& pool) {
+      pool.Unfix(ctx_, h.ref, h.id, h.dirty, h.last_lsn);
+    });
   });
   handles_.clear();
   ReleaseScratch(scratch_);

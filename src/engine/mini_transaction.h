@@ -47,9 +47,9 @@ class MiniTransaction {
   ///
   /// Defined inline: this is the single most-called engine entry point
   /// (one call per B-tree probe), and the PageRef charge target lets it
-  /// reach MemorySpace::Touch without a virtual TouchRange dispatch.
+  /// reach MemorySpace::Touch with no virtual call.
   void ChargeRead(Handle* h, uint32_t off, uint32_t len) {
-    TouchFrame(h, off, len, /*write=*/false);
+    h->ref.Touch(ctx_, off, len, /*write=*/false);
   }
 
   /// Charges a whole probe list (uniform `len` bytes per offset) in one
@@ -68,11 +68,6 @@ class MiniTransaction {
     const bufferpool::PageRef& r = h->ref;
     if (r.space != nullptr) {
       r.space->TouchSeq(ctx_, r.phys, offs, lens, n, len, /*write=*/false);
-    } else {
-      for (uint32_t i = 0; i < n; i++) {
-        pool_->TouchRange(ctx_, r, offs[i], lens != nullptr ? lens[i] : len,
-                          /*write=*/false);
-      }
     }
   }
 
@@ -165,70 +160,25 @@ class MiniTransaction {
   static Scratch* AcquireScratch();
   static void ReleaseScratch(Scratch* s);
 
-  // --- devirtualized pool fast path ---
+  // --- pool dispatch ---
   //
   // The mtr layer is the engine's only pool call site (BTree/Table never
   // touch the pool directly), so the static dispatch lives here: switch on
-  // the pool's PoolKind tag and call the concrete pool's *Impl method.
-  // Known kinds skip the vtable and let the Impl bodies inline under LTO;
-  // kOther (sharing pools, test doubles) falls through to the virtual call
-  // with identical behavior.
-
-  Result<bufferpool::PageRef> FetchFast(PageId page_id, bool for_write) {
+  // the pool's PoolKind tag and call `fn` with the concrete pool. Both
+  // built-in pools are final classes, so their calls are direct and inline
+  // under LTO; kOther (the sharing pools) takes the virtual call with
+  // identical behavior.
+  template <typename Fn>
+  decltype(auto) WithPool(Fn&& fn) {
     switch (pool_->kind()) {
       case bufferpool::PoolKind::kCxl:
-        return static_cast<bufferpool::CxlBufferPool*>(pool_)->FetchImpl(
-            ctx_, page_id, for_write);
+        return fn(*static_cast<bufferpool::CxlBufferPool*>(pool_));
       case bufferpool::PoolKind::kTieredRdma:
-        return static_cast<bufferpool::TieredRdmaBufferPool*>(pool_)
-            ->FetchImpl(ctx_, page_id, for_write);
+        return fn(*static_cast<bufferpool::TieredRdmaBufferPool*>(pool_));
       case bufferpool::PoolKind::kOther:
         break;
     }
-    return pool_->Fetch(ctx_, page_id, for_write);
-  }
-
-  void UnfixFast(const bufferpool::PageRef& ref, PageId page_id, bool dirty,
-                 Lsn new_lsn) {
-    switch (pool_->kind()) {
-      case bufferpool::PoolKind::kCxl:
-        static_cast<bufferpool::CxlBufferPool*>(pool_)->UnfixImpl(
-            ctx_, ref, page_id, dirty, new_lsn);
-        return;
-      case bufferpool::PoolKind::kTieredRdma:
-        static_cast<bufferpool::TieredRdmaBufferPool*>(pool_)->UnfixImpl(
-            ctx_, ref, page_id, dirty, new_lsn);
-        return;
-      case bufferpool::PoolKind::kOther:
-        break;
-    }
-    pool_->Unfix(ctx_, ref, page_id, dirty, new_lsn);
-  }
-
-  Status UpgradeToWriteFast(bufferpool::PageRef& ref, PageId page_id) {
-    switch (pool_->kind()) {
-      case bufferpool::PoolKind::kCxl:
-        return static_cast<bufferpool::CxlBufferPool*>(pool_)
-            ->UpgradeToWriteImpl(ctx_, ref, page_id);
-      case bufferpool::PoolKind::kTieredRdma:
-        return static_cast<bufferpool::TieredRdmaBufferPool*>(pool_)
-            ->UpgradeToWriteImpl(ctx_, ref, page_id);
-      case bufferpool::PoolKind::kOther:
-        break;
-    }
-    return pool_->UpgradeToWrite(ctx_, ref, page_id);
-  }
-
-  /// Charges [off, off+len) of the fixed frame. Equivalent to the pool's
-  /// virtual TouchRange, but goes straight to the frame's MemorySpace when
-  /// the pool resolved one at Fetch time (all built-in pools do).
-  void TouchFrame(Handle* h, uint32_t off, uint32_t len, bool write) {
-    const bufferpool::PageRef& r = h->ref;
-    if (r.space != nullptr) {
-      r.space->Touch(ctx_, r.phys + off, len, write);
-    } else {
-      pool_->TouchRange(ctx_, r, off, len, write);
-    }
+    return fn(*pool_);
   }
 
   storage::RedoRecord& NewRecord(Handle* h, storage::RedoKind kind);

@@ -43,10 +43,6 @@ class Table {
                       std::vector<std::pair<uint64_t, std::string>>* out) {
     return tree_->Scan(ctx, from, count, out);
   }
-  Result<size_t> ScanTo(sim::ExecContext& ctx, uint64_t from, size_t count,
-                        ScanBuffer* out) {
-    return tree_->ScanTo(ctx, from, count, out);
-  }
 
  private:
   std::string name_;

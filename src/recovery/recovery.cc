@@ -69,8 +69,8 @@ RecoveryStats RecoverAries(sim::ExecContext& ctx,
     bool any = false;
     for (const storage::RedoRecord* rec : records) {
       if (ApplyRecord(page, *rec)) {
-        pool->TouchRange(ctx, *ref, rec->page_off,
-                         std::max<uint32_t>(rec->len, 1), /*write=*/true);
+        ref->Touch(ctx, rec->page_off, std::max<uint32_t>(rec->len, 1),
+                   /*write=*/true);
         ctx.Advance(sim::kCpuCosts.log_record_apply);
         stats.records_applied++;
         any = true;

@@ -124,12 +124,4 @@ void CxlSharedBufferPool::Unfix(sim::ExecContext& ctx,
   }
 }
 
-void CxlSharedBufferPool::TouchRange(sim::ExecContext& ctx,
-                                     const bufferpool::PageRef& ref,
-                                     uint32_t off, uint32_t len, bool write) {
-  (void)ref;
-  // ref.data points into the fabric; recover the offset from the slot.
-  acc_->Touch(ctx, server_->DataOff(ref.block) + off, len, write);
-}
-
 }  // namespace polarcxl::sharing

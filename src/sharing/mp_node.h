@@ -48,8 +48,6 @@ class CxlSharedBufferPool final : public bufferpool::BufferPool {
              PageId page_id, bool dirty, Lsn new_lsn) override;
   Status UpgradeToWrite(sim::ExecContext& ctx, bufferpool::PageRef& ref,
                         PageId page_id) override;
-  void TouchRange(sim::ExecContext& ctx, const bufferpool::PageRef& ref,
-                  uint32_t off, uint32_t len, bool write) override;
   /// The DBP in CXL is authoritative (writers clflush on unlock); the
   /// server persists frames on recycle, so there is nothing to flush here.
   bool FlushDirtyPages(sim::ExecContext& ctx) override {

@@ -57,7 +57,7 @@ Result<bufferpool::PageRef> RdmaSharedBufferPool::Fetch(sim::ExecContext& ctx,
   // A miss is a full-page RDMA READ from the DBP, or storage on first
   // touch (which populates the DBP). The LBP's pages are clean outside
   // write fixes, so its evictions are silent drops.
-  Result<bufferpool::PageRef> ref = lbp_.FetchImpl(ctx, page_id, for_write);
+  Result<bufferpool::PageRef> ref = lbp_.Fetch(ctx, page_id, for_write);
   if (ref.ok() && for_write) write_fixes_[ref->block]++;
   return ref;
 }
@@ -67,19 +67,19 @@ Status RdmaSharedBufferPool::UpgradeToWrite(sim::ExecContext& ctx,
                                             PageId page_id) {
   group_->locks().AcquireExclusive(ctx, node_, page_id);
   write_fixes_[ref.block]++;
-  return lbp_.UpgradeToWriteImpl(ctx, ref, page_id);
+  return lbp_.UpgradeToWrite(ctx, ref, page_id);
 }
 
 void RdmaSharedBufferPool::Unfix(sim::ExecContext& ctx,
                                  const bufferpool::PageRef& ref,
                                  PageId page_id, bool dirty, Lsn new_lsn) {
   if (write_fixes_[ref.block] == 0) {
-    lbp_.UnfixImpl(ctx, ref, page_id, /*dirty=*/false, new_lsn);
+    lbp_.Unfix(ctx, ref, page_id, /*dirty=*/false, new_lsn);
     group_->locks().ReleaseShared(ctx, node_, page_id);
     return;
   }
   write_fixes_[ref.block]--;
-  lbp_.UnfixImpl(ctx, ref, page_id, dirty, new_lsn);
+  lbp_.Unfix(ctx, ref, page_id, dirty, new_lsn);
   if (dirty) {
     // Ship the WHOLE page to the DBP before the lock can move on — even a
     // 1-byte change ships 16 KB (write amplification), and the lock

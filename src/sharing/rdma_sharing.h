@@ -80,10 +80,6 @@ class RdmaSharedBufferPool final : public bufferpool::BufferPool {
              PageId page_id, bool dirty, Lsn new_lsn) override;
   Status UpgradeToWrite(sim::ExecContext& ctx, bufferpool::PageRef& ref,
                         PageId page_id) override;
-  void TouchRange(sim::ExecContext& ctx, const bufferpool::PageRef& ref,
-                  uint32_t off, uint32_t len, bool write) override {
-    lbp_.TouchRangeImpl(ctx, ref, off, len, write);
-  }
   /// Local copies are clean outside write fixes (a dirty write unlock
   /// ships the page), so there is nothing to flush; the DBP persists.
   bool FlushDirtyPages(sim::ExecContext& ctx) override {

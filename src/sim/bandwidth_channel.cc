@@ -14,12 +14,10 @@ size_t NextPow2(size_t v) {
 }
 }  // namespace
 
-BandwidthChannel::BandwidthChannel(std::string name, uint64_t bytes_per_sec,
-                                   Nanos window_ns)
+BandwidthChannel::BandwidthChannel(std::string name, uint64_t bytes_per_sec)
     : name_(std::move(name)),
       bytes_per_sec_(bytes_per_sec),
-      window_ns_(window_ns) {
-  POLAR_CHECK(window_ns_ > 0);
+      window_ns_(kWindowNs) {
   if (bytes_per_sec_ > 0) {
     // Keep at least ~1 KB of budget per window so very slow links get
     // proportionally longer windows instead of degenerate 1-byte budgets.

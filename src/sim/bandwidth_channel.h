@@ -84,9 +84,13 @@ class ChannelOverlay {
 
 class BandwidthChannel {
  public:
+  /// The window length of every channel fast enough to move ~1 KB in it;
+  /// slower links get proportionally longer windows. The epoch executor's
+  /// epochs share this grid.
+  static constexpr Nanos kWindowNs = 10'000;
+
   /// `bytes_per_sec` == 0 means infinite bandwidth (never queues).
-  BandwidthChannel(std::string name, uint64_t bytes_per_sec,
-                   Nanos window_ns = 10'000);
+  BandwidthChannel(std::string name, uint64_t bytes_per_sec);
 
   /// Consumes `bytes` of capacity starting at `now`; returns the completion
   /// time (>= now + 1).

@@ -65,9 +65,9 @@ struct Executor::WorkerPool {
   }
 };
 
-// Epoch length: the BandwidthChannel default window, so epochs and channel
-// windows share one grid aligned to absolute time 0.
-constexpr Nanos kEpochNs = 10'000;
+// Epoch length: the bandwidth-channel window, so epochs and channel windows
+// share one grid aligned to absolute time 0.
+constexpr Nanos kEpochNs = BandwidthChannel::kWindowNs;
 // Exit sentinel for the epoch loop (virtual clocks are never negative).
 constexpr Nanos kEpochLoopExit = -1;
 

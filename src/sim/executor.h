@@ -114,9 +114,10 @@ class Executor {
   /// Switches the executor into epoch-parallel mode: lanes are grouped by
   /// node id (first-seen order), groups map onto `threads` shards, and
   /// RunUntil advances shards concurrently between effect-queue barriers
-  /// every 10 µs of virtual time (kEpochNs, the fast channels' window;
-  /// aligned to absolute time 0). Call after lane registration and only
-  /// while quiescent. Results are bit-identical for every `threads` value.
+  /// every 10 µs of virtual time (BandwidthChannel::kWindowNs, the fast
+  /// channels' window; aligned to absolute time 0). Call after lane
+  /// registration and only while quiescent. Results are bit-identical for
+  /// every `threads` value.
   void EnableEpochParallel(uint32_t threads);
 
   /// Re-shards an epoch-parallel executor onto `threads` workers (e.g. a

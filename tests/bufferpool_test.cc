@@ -15,6 +15,7 @@
 #include "cxl/cxl_fabric.h"
 #include "cxl/cxl_memory_manager.h"
 #include "engine/mini_transaction.h"
+#include "faults/fault_injector.h"
 #include "sim/cpu_cache.h"
 
 namespace polarcxl::bufferpool {
@@ -23,6 +24,7 @@ namespace {
 using sim::ExecContext;
 
 constexpr uint64_t kPoolPages = 16;
+constexpr uint64_t kDramPhysBase = 1ULL << 44;
 
 /// Shared infrastructure for any pool kind.
 class PoolEnv {
@@ -46,7 +48,7 @@ class PoolEnv {
       // The DRAM-BP: the local buffer pool with no remote tier.
       TieredRdmaBufferPool::Options o;
       o.lbp_capacity_pages = capacity_pages;
-      o.phys_base = 1ULL << 44;
+      o.phys_base = kDramPhysBase;
       return std::make_unique<TieredRdmaBufferPool>(o, dram_.get(),
                                                     /*remote=*/nullptr,
                                                     &store_);
@@ -72,6 +74,23 @@ class PoolEnv {
     return nullptr;
   }
 
+  /// Checks that `ref`, fixed by a MakePool(kind) pool, charges the memory
+  /// that holds its frame: the CXL pool's frame address maps back to the
+  /// frame's own device bytes, and a local pool's frame `b` sits at
+  /// phys_base + b pages of host DRAM.
+  void ExpectChargeTarget(const std::string& kind, const PageRef& ref) {
+    if (kind == "cxl") {
+      ASSERT_EQ(ref.space, acc_->space());
+      EXPECT_EQ(acc_->Raw(ref.phys - cxl::CxlFabric::kPhysBase), ref.data);
+      return;
+    }
+    const uint64_t base = kind == "dram"
+                              ? kDramPhysBase
+                              : TieredRdmaBufferPool::Options{}.phys_base;
+    ASSERT_EQ(ref.space, dram_.get());
+    EXPECT_EQ(ref.phys, base + uint64_t{ref.block} * kPageSize);
+  }
+
   storage::SimDisk disk_;
   storage::PageStore store_;
   rdma::RdmaNetwork net_;
@@ -90,14 +109,14 @@ void WritePagePattern(BufferPool* pool, ExecContext& ctx, PageId id,
   std::memset(ref->data, fill, kPageSize);
   // Keep the page-LSN convention: bytes [8,16) hold the LSN.
   std::memcpy(ref->data + 8, &lsn, sizeof(lsn));
-  pool->TouchRange(ctx, *ref, 0, 256, /*write=*/true);
+  ref->Touch(ctx, 0, 256, /*write=*/true);
   pool->Unfix(ctx, *ref, id, /*dirty=*/true, lsn);
 }
 
 uint8_t ReadPageFirstByte(BufferPool* pool, ExecContext& ctx, PageId id) {
   auto ref = pool->Fetch(ctx, id, /*for_write=*/false);
   POLAR_CHECK(ref.ok());
-  pool->TouchRange(ctx, *ref, 0, 64, /*write=*/false);
+  ref->Touch(ctx, 0, 64, /*write=*/false);
   const uint8_t v = ref->data[0];
   pool->Unfix(ctx, *ref, id, /*dirty=*/false, 0);
   return v;
@@ -192,6 +211,24 @@ TEST_P(BufferPoolContractTest, StatsHitRate) {
   EXPECT_DOUBLE_EQ(pool->stats().HitRate(), 0.5);
   pool->ResetStats();
   EXPECT_EQ(pool->stats().fetches, 0u);
+}
+
+TEST_P(BufferPoolContractTest, FetchedFrameCarriesItsChargeTarget) {
+  auto pool = env_.MakePool(GetParam());
+  ExecContext ctx;
+  // Misses, a hit and a write fix all hand out the frame's charge target.
+  for (PageId id : {PageId{3}, PageId{4}, PageId{3}}) {
+    for (bool for_write : {false, true}) {
+      auto ref = pool->Fetch(ctx, id, for_write);
+      ASSERT_TRUE(ref.ok());
+      env_.ExpectChargeTarget(GetParam(), *ref);
+      // Touch charges the frame's memory.
+      const Nanos t_mem = ctx.t_mem;
+      ref->Touch(ctx, 0, 64, /*write=*/false);
+      EXPECT_GT(ctx.t_mem, t_mem);
+      pool->Unfix(ctx, *ref, id, /*dirty=*/false, 0);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPools, BufferPoolContractTest,
@@ -321,6 +358,38 @@ TEST(CxlPoolTest, FrameAdoptsPageLsnFromStoreImage) {
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(pool->LoadMeta(ctx, ref->block).lsn, 777u);
   pool->Unfix(ctx, *ref, 20, false, 0);
+}
+
+TEST(CxlPoolTest, DegradedReadFrameIsUncharged) {
+  PoolEnv env;
+  faults::FaultInjector injector;
+  env.fabric_.set_fault_injector(&injector);
+  auto pool = env.MakePool("cxl");
+  ExecContext ctx;
+  std::array<uint8_t, kPageSize> img;
+  img.fill(0x3C);
+  env.store_.WritePage(ctx, 5, img.data());
+
+  faults::FaultPlan plan;
+  plan.Add({faults::FaultKind::kCxlDown, ctx.now, ctx.now + Millis(1)});
+  ASSERT_TRUE(injector.Arm(plan).ok());
+  // A clean read inside the outage is served from storage into a local
+  // scratch frame, which lies outside every simulated memory tier.
+  engine::MiniTransaction mtr(ctx, pool.get(), /*log=*/nullptr);
+  auto h = mtr.GetPage(5, /*for_write=*/false);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(pool->stats().degraded_fetches, 1u);
+  EXPECT_EQ((*h)->ref.space, nullptr);
+  EXPECT_EQ((*h)->ref.data[0], 0x3C);
+
+  const Nanos now = ctx.now;
+  const Nanos t_mem = ctx.t_mem;
+  mtr.ChargeRead(*h, 0, 256);
+  const uint32_t offs[] = {0, 512, 4096};
+  mtr.ChargeReadBatch(*h, offs, /*lens=*/nullptr, 3, 64);
+  EXPECT_EQ(ctx.t_mem, t_mem);
+  EXPECT_EQ(ctx.now, now);
+  mtr.Commit();
 }
 
 /// Stores a page image filled with `fill` in the remote tier under the

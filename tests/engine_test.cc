@@ -262,32 +262,6 @@ TEST_P(BTreeTest, RandomOrderInsertsAreSorted) {
   }
 }
 
-TEST_P(BTreeTest, ScanToMatchesScanAndReusesCapacity) {
-  for (uint64_t k = 0; k < 500; k++) {
-    ASSERT_TRUE(tree_->Insert(ctx_, k * 3, Row(k * 3)).ok());
-  }
-  std::vector<std::pair<uint64_t, std::string>> expect;
-  ASSERT_TRUE(tree_->Scan(ctx_, 30, 200, &expect).ok());
-
-  engine::ScanBuffer buf;
-  auto n = tree_->ScanTo(ctx_, 30, 200, &buf);
-  ASSERT_TRUE(n.ok());
-  ASSERT_EQ(*n, expect.size());
-  ASSERT_EQ(buf.size(), expect.size());
-  for (size_t i = 0; i < expect.size(); i++) {
-    EXPECT_EQ(buf.key(i), expect[i].first);
-    EXPECT_EQ(buf.row(i), expect[i].second);
-  }
-  // Clear + rescan appends from index 0 again, reusing the row slots.
-  const std::string* slot0 = &buf.row(0);
-  buf.Clear();
-  EXPECT_EQ(buf.size(), 0u);
-  ASSERT_TRUE(tree_->ScanTo(ctx_, 60, 100, &buf).ok());
-  EXPECT_EQ(buf.size(), 100u);
-  EXPECT_EQ(slot0, &buf.row(0));  // same storage, no reallocation
-  EXPECT_EQ(buf.key(0), 60u);
-}
-
 TEST_P(BTreeTest, UpdateOverwritesValue) {
   ASSERT_TRUE(tree_->Insert(ctx_, 5, Row(5)).ok());
   std::string next(kRowSize, 'x');

@@ -227,8 +227,9 @@ class CxlSharingIntegrationTest : public ::testing::Test {
     for (NodeId n = 0; n < 2; n++) {
       CxlSharedBufferPool::Options po;
       po.node = n;
+      accs_[n] = world_.Attach(n);
       auto pool = std::make_unique<CxlSharedBufferPool>(
-          po, world_.Attach(n), server_.get(), locks_.get(), &world_.store);
+          po, accs_[n], server_.get(), locks_.get(), &world_.store);
       pools_[n] = pool.get();
       DatabaseEnv env;
       env.store = &world_.store;
@@ -255,9 +256,29 @@ class CxlSharingIntegrationTest : public ::testing::Test {
   MpWorld world_;
   std::unique_ptr<DistLockManager> locks_;
   std::unique_ptr<BufferFusionServer> server_;
+  cxl::CxlAccessor* accs_[2] = {};
   CxlSharedBufferPool* pools_[2] = {};
   std::unique_ptr<Database> dbs_[2];
 };
+
+TEST_F(CxlSharingIntegrationTest, FetchedFrameCarriesItsChargeTarget) {
+  for (NodeId n = 0; n < 2; n++) {
+    ExecContext ctx;
+    ctx.now = Millis(1 + n);
+    for (bool for_write : {false, true}) {
+      auto ref = pools_[n]->Fetch(ctx, Database::kSuperblockPage, for_write);
+      ASSERT_TRUE(ref.ok());
+      // The frame is the page's DBP slot in CXL memory, seen through this
+      // node's accessor; its address maps back to the frame's own bytes.
+      ASSERT_EQ(ref->space, accs_[n]->space());
+      EXPECT_EQ(ref->phys, accs_[n]->PhysAddr(server_->DataOff(ref->block)));
+      EXPECT_EQ(accs_[n]->Raw(ref->phys - cxl::CxlFabric::kPhysBase),
+                ref->data);
+      pools_[n]->Unfix(ctx, *ref, Database::kSuperblockPage,
+                       /*dirty=*/false, 0);
+    }
+  }
+}
 
 TEST_F(CxlSharingIntegrationTest, WritesByOneNodeVisibleToOther) {
   ExecContext a;
@@ -334,7 +355,7 @@ class RdmaSharingIntegrationTest : public ::testing::Test {
       RdmaSharedBufferPool::Options po;
       po.node = n;
       po.lbp_capacity_pages = 256;
-      po.phys_base = (1ULL << 46) + (static_cast<uint64_t>(n) << 38);
+      po.phys_base = PhysBase(n);
       auto pool = std::make_unique<RdmaSharedBufferPool>(po, drams_[n].get(),
                                                          group_.get());
       pools_[n] = pool.get();
@@ -360,12 +381,32 @@ class RdmaSharingIntegrationTest : public ::testing::Test {
     }
   }
 
+  static uint64_t PhysBase(NodeId n) {
+    return (1ULL << 46) + (static_cast<uint64_t>(n) << 38);
+  }
+
   MpWorld world_;
   std::unique_ptr<RdmaSharingGroup> group_;
   std::unique_ptr<sim::MemorySpace> drams_[2];
   RdmaSharedBufferPool* pools_[2] = {};
   std::unique_ptr<Database> dbs_[2];
 };
+
+TEST_F(RdmaSharingIntegrationTest, FetchedFrameCarriesItsChargeTarget) {
+  for (NodeId n = 0; n < 2; n++) {
+    ExecContext ctx;
+    ctx.now = Millis(1 + n);
+    for (bool for_write : {false, true}) {
+      auto ref = pools_[n]->Fetch(ctx, Database::kSuperblockPage, for_write);
+      ASSERT_TRUE(ref.ok());
+      // The frame is LBP block `ref->block` in this node's host DRAM.
+      ASSERT_EQ(ref->space, drams_[n].get());
+      EXPECT_EQ(ref->phys, PhysBase(n) + uint64_t{ref->block} * kPageSize);
+      pools_[n]->Unfix(ctx, *ref, Database::kSuperblockPage,
+                       /*dirty=*/false, 0);
+    }
+  }
+}
 
 TEST_F(RdmaSharingIntegrationTest, WritesByOneNodeVisibleToOther) {
   ExecContext a;

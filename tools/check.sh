@@ -7,7 +7,9 @@
 #
 #   tools/check.sh            # tier-1 + sanitized sim core, executor
 #                             #   (epoch-parallel and scheduler), sweep
-#                             #   runner and determinism (pins) suites
+#                             #   runner, determinism (pins), edge-case,
+#                             #   kernel, workload, common, harness,
+#                             #   feature and report suites
 #   tools/check.sh --fast     # tier-1 only
 #   tools/check.sh --bench    # tier-1 + fig7 pins, also on a POLAR_NO_SIMD
 #                             #   build and on a POLAR_PROF build (which adds
@@ -218,10 +220,12 @@ if [[ "${1:-}" == "--scale" ]]; then
   exit 0
 fi
 
-echo "==> sanitizer: ASan+UBSan build of sim core, executor + determinism tests"
+echo "==> sanitizer: ASan+UBSan build of sim core, executor, determinism + remaining suites"
 # parallel_world_test and scheduler_test drive the executor: its epoch
-# loop, park rule and worker pool, and the timing-wheel scheduler.
+# loop, park rule and worker pool, and the timing-wheel scheduler. The
+# last seven suites are named by no other mode.
 sanitized sim_test parallel_world_test scheduler_test sweep_runner_test \
-  determinism_test
+  determinism_test edge_case_test kernel_test workload_test common_test \
+  harness_test feature_test report_test
 
 echo "==> OK"
