@@ -132,19 +132,6 @@ uint64_t CxlFabric::host_port_bytes() const {
   return total;
 }
 
-void CxlFabric::MarkChannelsShared() {
-  for (uint32_t s = 0; s < topo_.num_switches(); s++) {
-    CxlSwitch& sw = topo_.sw(s);
-    for (uint32_t p = 0; p < sw.num_ports(); p++) {
-      sw.port_channel(p)->set_shared(true);
-    }
-    sw.fabric_channel()->set_shared(true);
-  }
-  for (size_t u = 0; u < topo_.num_uplinks(); u++) {
-    topo_.uplink(u)->set_shared(true);
-  }
-}
-
 void CxlAccessor::StreamRead(sim::ExecContext& ctx, MemOffset off, void* dst,
                              uint32_t len) {
   if (faults::FaultInjector* f = fabric_->fault_injector()) {

@@ -242,19 +242,6 @@ class CxlFabric {
   /// probe; equals the single host port's counter on the legacy layout).
   uint64_t host_port_bytes() const;
 
-  /// Marks every fabric channel — all switch ports + switching fabrics and
-  /// all uplinks — shared, so epoch-parallel execution defers charges on
-  /// them (see sim/epoch.h). Device/unused ports are never charged on the
-  /// legacy layout, so marking them is harmless there.
-  void MarkChannelsShared();
-
-  /// Sum of window_advances over every fabric channel (switch ports +
-  /// switching fabrics + uplinks; device ports are switch ports).
-  uint64_t WindowAdvances() const { return topo_.WindowAdvances(); }
-
-  /// Arms watermark retirement on every fabric channel (post-setup only).
-  void SetRetireLag(size_t windows) { topo_.SetRetireLag(windows); }
-
   /// Device bytes of world snapshots: makes every device's current bytes
   /// its copy-on-write image / rewinds every device to its image (see
   /// CxlMemoryDevice). Whole devices, so interleaved layouts need no
@@ -262,14 +249,6 @@ class CxlFabric {
   /// valid.
   void CaptureDeviceImages();
   void RestoreDeviceImages();
-
-  /// Channel ledgers of the whole fabric graph (world snapshots).
-  fabric::FabricTopology::State CaptureChannels() const {
-    return topo_.Capture();
-  }
-  void RestoreChannels(const fabric::FabricTopology::State& s) {
-    topo_.Restore(s);
-  }
 
   /// Fault-injection hook point (nullable; null = zero-cost pass-through).
   void set_fault_injector(faults::FaultInjector* injector) {

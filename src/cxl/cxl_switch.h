@@ -72,43 +72,6 @@ class CxlSwitch {
   uint32_t lanes_in_use() const { return num_ports() * opt_.lanes_per_port; }
   const std::string& name() const { return name_; }
 
-  /// Sum of window_advances over every port channel + the fabric channel
-  /// (ledger-maintenance diagnostics, see BandwidthChannel).
-  uint64_t WindowAdvances() const {
-    uint64_t t = fabric_channel_.window_advances();
-    for (const Port& p : ports_) t += p.channel->window_advances();
-    return t;
-  }
-
-  /// Arms watermark retirement on every port + fabric channel (see
-  /// BandwidthChannel::set_retire_lag; call only after world setup).
-  void SetRetireLag(size_t windows) {
-    fabric_channel_.set_retire_lag(windows);
-    for (Port& p : ports_) p.channel->set_retire_lag(windows);
-  }
-
-  /// Channel ledgers of every port plus the shared fabric channel. Ports
-  /// are bound only during world construction, so the port count at
-  /// capture and restore must match.
-  struct State {
-    std::vector<sim::BandwidthChannel::State> ports;
-    sim::BandwidthChannel::State fabric;
-  };
-  State Capture() const {
-    State s;
-    s.ports.reserve(ports_.size());
-    for (const Port& p : ports_) s.ports.push_back(p.channel->Capture());
-    s.fabric = fabric_channel_.Capture();
-    return s;
-  }
-  void Restore(const State& s) {
-    POLAR_CHECK(s.ports.size() == ports_.size());
-    for (size_t i = 0; i < ports_.size(); i++) {
-      ports_[i].channel->Restore(s.ports[i]);
-    }
-    fabric_channel_.Restore(s.fabric);
-  }
-
  private:
   struct Port {
     PortKind kind;

@@ -53,7 +53,7 @@ class MiniTransaction {
   }
 
   /// Charges a whole probe list (uniform `len` bytes per offset) in one
-  /// fused MemorySpace::TouchSeq call — simulated state and time are
+  /// fused MemorySpace::TouchSeqMasked call — simulated state and time are
   /// identical to calling ChargeRead() per probe in order, but one lane
   /// step pays the per-call overhead once instead of per slot.
   void ChargeReadSeq(Handle* h, const ProbeList& probes, uint32_t len) {
@@ -67,7 +67,8 @@ class MiniTransaction {
                        uint32_t n, uint32_t len) {
     const bufferpool::PageRef& r = h->ref;
     if (r.space != nullptr) {
-      r.space->TouchSeq(ctx_, r.phys, offs, lens, n, len, /*write=*/false);
+      r.space->TouchSeqMasked(ctx_, r.phys, offs, lens, n, len,
+                              /*write_mask=*/0);
     }
   }
 

@@ -119,24 +119,4 @@ void FabricTopology::AppendRouteCost(uint32_t src, uint32_t dst,
   out->extra_latency += route.extra_latency;
 }
 
-FabricTopology::State FabricTopology::Capture() const {
-  State s;
-  s.switches.reserve(switches_.size());
-  for (const auto& sw : switches_) s.switches.push_back(sw->Capture());
-  s.uplinks.reserve(uplinks_.size());
-  for (const Uplink& u : uplinks_) s.uplinks.push_back(u.channel->Capture());
-  return s;
-}
-
-void FabricTopology::Restore(const State& s) {
-  POLAR_CHECK(s.switches.size() == switches_.size() &&
-              s.uplinks.size() == uplinks_.size());
-  for (size_t i = 0; i < switches_.size(); i++) {
-    switches_[i]->Restore(s.switches[i]);
-  }
-  for (size_t i = 0; i < uplinks_.size(); i++) {
-    uplinks_[i].channel->Restore(s.uplinks[i]);
-  }
-}
-
 }  // namespace polarcxl::fabric

@@ -88,30 +88,6 @@ class FabricTopology {
   void AppendRouteCost(uint32_t src, uint32_t dst,
                        sim::RouteCost* out) const;
 
-  /// Sum of window_advances over every switch channel and every uplink —
-  /// the uplink charging path's share of ledger-maintenance work.
-  uint64_t WindowAdvances() const {
-    uint64_t t = 0;
-    for (const auto& sw : switches_) t += sw->WindowAdvances();
-    for (const Uplink& u : uplinks_) t += u.channel->window_advances();
-    return t;
-  }
-
-  /// Arms watermark retirement on every switch + uplink channel (see
-  /// BandwidthChannel::set_retire_lag; call only after world setup).
-  void SetRetireLag(size_t windows) {
-    for (auto& sw : switches_) sw->SetRetireLag(windows);
-    for (Uplink& u : uplinks_) u.channel->set_retire_lag(windows);
-  }
-
-  /// Channel ledgers of every switch and every uplink.
-  struct State {
-    std::vector<cxl::CxlSwitch::State> switches;
-    std::vector<sim::BandwidthChannel::State> uplinks;
-  };
-  State Capture() const;
-  void Restore(const State& s);
-
  private:
   struct Uplink {
     uint32_t a;

@@ -1,5 +1,6 @@
 #include "harness/instance_driver.h"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -117,6 +118,11 @@ uint64_t SysbenchDatasetPages(const workload::SysbenchConfig& config) {
   const uint64_t leaves_per_table =
       config.rows_per_table * 2 / per_leaf + 2;  // half-full after splits
   return config.TotalTables() * (leaves_per_table + 4) + 64;
+}
+
+uint64_t LbpPages(uint64_t pages, double fraction) {
+  return std::max<uint64_t>(
+      64, static_cast<uint64_t>(static_cast<double>(pages) * fraction));
 }
 
 PoolingResult RunPooling(const PoolingConfig& config, WorldCache* cache) {

@@ -78,4 +78,8 @@ PoolingConfig Fig7PoolingConfig(engine::BufferPoolKind kind);
 /// Estimated page count of one instance's sysbench dataset (pool sizing).
 uint64_t SysbenchDatasetPages(const workload::SysbenchConfig& config);
 
+/// Frames of a local buffer pool (LBP) that holds `fraction` of `pages`,
+/// and never fewer than 64.
+uint64_t LbpPages(uint64_t pages, double fraction);
+
 }  // namespace polarcxl::harness

@@ -1,6 +1,5 @@
 #include "harness/recovery_driver.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "harness/instance_driver.h"
@@ -76,9 +75,7 @@ RecoveryResult RunRecoveryExperiment(const RecoveryConfig& config) {
   const uint64_t dataset_pages = SysbenchDatasetPages(config.sysbench);
   const uint64_t pool_pages =
       kind == BufferPoolKind::kTieredRdma
-          ? std::max<uint64_t>(
-                64, static_cast<uint64_t>(static_cast<double>(dataset_pages) *
-                                          kRecoveryLbpFraction))
+          ? LbpPages(dataset_pages, kRecoveryLbpFraction)
           : dataset_pages;
 
   // ---- durable world ----

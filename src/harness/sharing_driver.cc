@@ -104,9 +104,7 @@ SharingResult RunSharing(const SharingConfig& config) {
       config.bench == SharingBench::kSysbench && config.sysbench.num_nodes > 1
           ? dataset_pages * 2 / (config.nodes + 1)  // private + shared group
           : dataset_pages / std::max(1u, config.nodes) + 256;
-  const uint64_t lbp_pages = std::max<uint64_t>(
-      64, static_cast<uint64_t>(static_cast<double>(accessed_pages) *
-                                config.lbp_fraction));
+  const uint64_t lbp_pages = LbpPages(accessed_pages, config.lbp_fraction);
 
   for (uint32_t n = 0; n < config.nodes; n++) {
     Node& node = nodes[n];

@@ -47,10 +47,9 @@ uint32_t ResolveWorldThreads(int requested) {
 std::string WorldKey(const std::string& lanes_key, const SimWorld::Spec& s,
                      bool epoch, Nanos warmup) {
   std::ostringstream os;
-  // Epoch discipline is part of the key (warm-up runs under it, and it
-  // marks the shared channels); the thread COUNT is not — worlds are
-  // identical across counts, so a cached world is re-sharded with
-  // SetThreads() on hit.
+  // Epoch discipline is part of the key (warm-up runs under it); the
+  // thread COUNT is not — worlds are identical across counts, so a cached
+  // world is re-sharded with SetThreads() on hit.
   const workload::SysbenchConfig& sb = s.sysbench;
   os << lanes_key << ":e" << (epoch ? 1 : 0) << ':' << warmup << ':'
      << static_cast<int>(s.kind) << ':' << s.instances << ':' << sb.tables
@@ -103,9 +102,7 @@ SimWorld::SimWorld(const Spec& spec)
   const uint64_t dataset_pages = SysbenchDatasetPages(spec.sysbench);
   const uint64_t pool_pages =
       spec.kind == engine::BufferPoolKind::kTieredRdma
-          ? std::max<uint64_t>(
-                64, static_cast<uint64_t>(static_cast<double>(dataset_pages) *
-                                          spec.lbp_fraction))
+          ? LbpPages(dataset_pages, spec.lbp_fraction)
           : dataset_pages;
 
   // ---- shared host infrastructure (one CXL fabric, one NIC pair, one
@@ -223,6 +220,38 @@ SimWorld::SimWorld(const Spec& spec)
     setup_end_ = std::max(setup_end_, setup_ctx.now);
   }
 
+  // Every bandwidth channel of the world, listed once. Ports, NICs and
+  // instances are only added above, so the list is fixed from here on.
+  fabric::FabricTopology& topo = fabric_.topology();
+  for (uint32_t s = 0; s < topo.num_switches(); s++) {
+    cxl::CxlSwitch& sw = topo.sw(s);
+    for (uint32_t p = 0; p < sw.num_ports(); p++) {
+      channels_.push_back(sw.port_channel(p));
+    }
+    channels_.push_back(sw.fabric_channel());
+  }
+  for (size_t u = 0; u < topo.num_uplinks(); u++) {
+    channels_.push_back(topo.uplink(u));
+  }
+  for (const NodeId node : {kHostNode, kMemoryServerNode}) {
+    rdma::RdmaNic* nic = net_.nic(node);
+    channels_.push_back(&nic->wire());
+    channels_.push_back(&nic->doorbell());
+  }
+  channels_.push_back(&client_net_);
+  channels_.push_back(&disk_->channel());
+  channels_.push_back(&disk_->ops_channel());
+  // Each channel so far is reachable from more than one instance, so under
+  // epoch execution its charges defer into the lanes' effect queues
+  // (sim/epoch.h); a serial run never reads the mark. On the legacy layout
+  // the device port is never charged, so marking it defers nothing. The
+  // per-instance DRAM channels stay immediate: only their own shard ever
+  // touches them.
+  for (sim::BandwidthChannel* c : channels_) c->set_shared(true);
+  for (Instance& inst : instances_) {
+    channels_.push_back(inst.db->dram_channel());
+  }
+
   // Setup is done: every later post is lane-driven and min-clock ordered,
   // so the channels may retire windows far behind the posting frontier
   // (bounding sparse-channel ledger footprints). Setup itself runs one
@@ -234,43 +263,15 @@ SimWorld::SimWorld(const Spec& spec)
   // bounded by the fault plan rather than the executor, which no fixed
   // lag can promise to cover.
   if (!wire_faults_) {
-    const size_t lag = sim::BandwidthChannel::kRetireLagWindows;
-    fabric_.SetRetireLag(lag);
-    net_.SetRetireLag(lag);
-    client_net_.set_retire_lag(lag);
-    disk_->SetRetireLag(lag);
-    for (Instance& inst : instances_) {
-      inst.db->dram_channel()->set_retire_lag(lag);
+    for (sim::BandwidthChannel* c : channels_) {
+      c->set_retire_lag(sim::BandwidthChannel::kRetireLagWindows);
     }
   }
 }
 
-void SimWorld::EnableInWorldParallelism(uint32_t threads) {
-  POLAR_CHECK(threads >= 1);
-  // Every channel reachable from more than one instance defers its charges
-  // under epoch execution. Instance-private channels (per-instance DRAM)
-  // stay immediate — only their own shard ever touches them.
-  client_net_.set_shared(true);
-  // Every switch port, switching fabric, and uplink. On the legacy layout
-  // this covers exactly the host link + pool pair as before (device ports
-  // are never charged there, so marking them defers nothing).
-  fabric_.MarkChannelsShared();
-  for (const NodeId node : {kHostNode, kMemoryServerNode}) {
-    rdma::RdmaNic* nic = net_.nic(node);
-    nic->wire().set_shared(true);
-    nic->doorbell().set_shared(true);
-  }
-  disk_->channel().set_shared(true);
-  disk_->ops_channel().set_shared(true);
-  executor_.EnableEpochParallel(threads);
-}
-
 uint64_t SimWorld::WindowAdvances() const {
-  uint64_t t = fabric_.WindowAdvances() + net_.WindowAdvances() +
-               client_net_.window_advances() + disk_->WindowAdvances();
-  for (const Instance& inst : instances_) {
-    t += inst.db->dram_channel()->window_advances();
-  }
+  uint64_t t = 0;
+  for (const sim::BandwidthChannel* c : channels_) t += c->window_advances();
   return t;
 }
 
@@ -286,15 +287,13 @@ uint64_t SimWorld::WindowAdvances() const {
 /// channel ledgers.
 struct SimWorld::Snapshot {
   sim::Executor::State executor;
-  sim::BandwidthChannel::State client_net;
-  fabric::FabricTopology::State fabric_channels;
+  std::vector<sim::BandwidthChannel::State> channels;  // as in channels_
   rdma::RdmaNetwork::State net;
   rdma::RemoteMemoryPool::State remote;
   storage::SimDisk::State disk;
   struct PerInstance {
     storage::PageStore::State store;
     storage::RedoLog::State log;
-    sim::BandwidthChannel::State dram_channel;
     sim::CpuCacheSim::State cache;
     std::unique_ptr<bufferpool::PoolSnapshot> pool;
     engine::Database::EngineState engine;
@@ -307,8 +306,10 @@ SimWorld::~SimWorld() = default;
 void SimWorld::CaptureSnapshot() {
   auto s = std::make_unique<Snapshot>();
   s->executor = executor_.Capture();
-  s->client_net = client_net_.Capture();
-  s->fabric_channels = fabric_.CaptureChannels();
+  s->channels.reserve(channels_.size());
+  for (const sim::BandwidthChannel* c : channels_) {
+    s->channels.push_back(c->Capture());
+  }
   fabric_.CaptureDeviceImages();
   s->net = net_.Capture();
   s->remote = remote_->Capture();
@@ -318,7 +319,6 @@ void SimWorld::CaptureSnapshot() {
     Snapshot::PerInstance p;
     p.store = inst.store->Capture();
     p.log = inst.log->Capture();
-    p.dram_channel = inst.db->dram_channel()->Capture();
     p.cache = inst.db->cache()->Capture();
     p.pool = inst.db->pool()->CaptureState();
     p.engine = inst.db->CaptureEngineState();
@@ -331,8 +331,10 @@ void SimWorld::RestoreSnapshot() {
   POLAR_CHECK_MSG(snapshot_ != nullptr, "no snapshot captured");
   const Snapshot& s = *snapshot_;
   executor_.Restore(s.executor);
-  client_net_.Restore(s.client_net);
-  fabric_.RestoreChannels(s.fabric_channels);
+  POLAR_CHECK(s.channels.size() == channels_.size());
+  for (size_t i = 0; i < channels_.size(); i++) {
+    channels_[i]->Restore(s.channels[i]);
+  }
   fabric_.RestoreDeviceImages();
   net_.Restore(s.net);
   remote_->Restore(s.remote);
@@ -343,7 +345,6 @@ void SimWorld::RestoreSnapshot() {
     Instance& inst = instances_[i];
     inst.store->Restore(p.store);
     inst.log->Restore(p.log);
-    inst.db->dram_channel()->Restore(p.dram_channel);
     inst.db->cache()->Restore(p.cache);
     inst.db->pool()->RestoreState(*p.pool);
     inst.db->RestoreEngineState(p.engine);
@@ -426,7 +427,7 @@ WorldRun::WorldRun(WorldCache* cache, const SimWorld::Spec& spec,
   } else {
     std::unique_ptr<CachedWorld> fresh = build(spec);
     SimWorld& w = fresh->world;
-    if (epoch) w.EnableInWorldParallelism(threads);
+    if (epoch) w.executor().EnableEpochParallel(threads);
     w.executor().RunUntil(w.setup_end() + warmup);
     world_ = fresh.get();
     if (cache != nullptr) {

@@ -15,8 +15,10 @@
 // restore-in-place design: RestoreSnapshot() rewinds the SAME world object
 // back to its captured state, so raw cross-component pointers (MemorySpace
 // homes in the CPU-cache sim, lane closures, charge targets) stay valid and
-// no pointer translation ever happens. Parallel sweeps (POLAR_SWEEP_THREADS)
-// serialize per cache key and parallelize across keys.
+// no pointer translation ever happens. The world's one channel list
+// (SimWorld::channels) is such a pointer set: the snapshot keeps one ledger
+// per entry and restores them by position. Parallel sweeps
+// (POLAR_SWEEP_THREADS) serialize per cache key and parallelize across keys.
 #pragma once
 
 #include <ctime>
@@ -145,20 +147,21 @@ class SimWorld {
   sim::BandwidthChannel* client_net() { return &client_net_; }
   storage::SimDisk& disk() { return *disk_; }
 
-  /// Sum of window_advances over every channel in the world — fabric
-  /// (ports/fabrics/uplinks), both NICs, client net, disk bandwidth+IOPS,
-  /// and the per-instance DRAM channels. Monotone diagnostics; drivers
-  /// meter a window by delta (see PoolingResult::window_advances).
-  uint64_t WindowAdvances() const;
+  /// Every bandwidth channel the world owns, listed once at construction:
+  /// each switch's ports then its fabric channel, every uplink, both NICs'
+  /// wire and doorbell, the client network, the disk's byte and op
+  /// ledgers, then each instance's DRAM channel. All but the DRAM channels
+  /// are marked shared, so under epoch execution their charges defer into
+  /// the lanes' effect queues; a serial run never reads the mark.
+  /// Retire-lag arming, WindowAdvances and the snapshot walk this list.
+  const std::vector<sim::BandwidthChannel*>& channels() const {
+    return channels_;
+  }
 
-  /// Switches the world into epoch-parallel execution on `threads` workers
-  /// (POLAR_WORLD_THREADS): marks every cross-instance channel — CXL host
-  /// link + fabric, both RDMA NICs' wire/doorbell, client network, disk
-  /// bandwidth + IOPS — as shared so their charges defer into per-instance
-  /// effect queues, then shards the executor. Call once, after lane
-  /// registration and before warmup. Results are bit-identical for every
-  /// thread count; use SetThreads() on the executor to re-shard later.
-  void EnableInWorldParallelism(uint32_t threads);
+  /// Sum of window_advances over every channel in the world. Monotone
+  /// diagnostics; drivers meter a window by delta (see
+  /// RunStats::window_advances).
+  uint64_t WindowAdvances() const;
 
   /// Captures the whole simulated state — executor lanes, channels, disk,
   /// page stores, logs, pools, engine state, remote pool — into an
@@ -198,6 +201,7 @@ class SimWorld {
   sim::Executor executor_;
   Nanos setup_end_ = 0;
   bool wire_faults_ = false;
+  std::vector<sim::BandwidthChannel*> channels_;  // see channels()
   std::unique_ptr<Snapshot> snapshot_;
 };
 
@@ -339,7 +343,8 @@ void AddCheckpointLane(SimWorld& world, uint32_t i, Nanos interval);
 /// On a cache hit it re-shards the cached world for this run's thread
 /// count, then restores the world snapshot and the lanes. Otherwise `build`
 /// constructs the world and registers its lanes; the constructor then
-/// switches on epoch execution, warms up to setup_end + warmup and, with a
+/// switches the executor to epoch execution (the world's channels are
+/// already marked shared), warms up to setup_end + warmup and, with a
 /// cache, captures world and lanes and parks them under the key. Capture is
 /// pure host-side copying, so a forked run is bit-identical to a cold one.
 /// The driver then sets its per-run state and calls Measure once.

@@ -8,8 +8,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
@@ -66,41 +64,14 @@ class RdmaNetwork {
   }
   void ResetStats();
 
-  /// Sum of window_advances over every registered NIC (diagnostics).
-  uint64_t WindowAdvances() const {
-    uint64_t t = 0;
-    for (const auto& [node, nic] : nics_) t += nic->WindowAdvances();
-    return t;
-  }
-
-  /// Arms watermark retirement on every NIC channel (post-setup only).
-  void SetRetireLag(size_t windows) {
-    for (auto& [node, nic] : nics_) nic->SetRetireLag(windows);
-  }
-
-  /// Per-NIC channel ledgers + network counters, keyed by node id (restore
-  /// looks nodes up by key, so map iteration order never matters).
+  /// Network counters for world snapshots (the NICs' channel ledgers are
+  /// captured with the world's other channels).
   struct State {
-    std::vector<std::pair<NodeId, RdmaNic::State>> nics;
     uint64_t total_ops = 0;
     uint64_t total_bytes = 0;
   };
-  State Capture() const {
-    State s;
-    s.nics.reserve(nics_.size());
-    for (const auto& [node, nic] : nics_) {
-      s.nics.emplace_back(node, nic->Capture());
-    }
-    s.total_ops = total_ops();
-    s.total_bytes = total_bytes();
-    return s;
-  }
+  State Capture() const { return State{total_ops(), total_bytes()}; }
   void Restore(const State& s) {
-    for (const auto& [node, nic_state] : s.nics) {
-      auto it = nics_.find(node);
-      POLAR_CHECK(it != nics_.end());
-      it->second->Restore(nic_state);
-    }
     total_ops_.store(s.total_ops, std::memory_order_relaxed);
     total_bytes_.store(s.total_bytes, std::memory_order_relaxed);
   }

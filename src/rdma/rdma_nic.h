@@ -33,30 +33,9 @@ class RdmaNic {
 
   const std::string& name() const { return name_; }
 
-  /// Sum of window_advances over both channel ledgers (diagnostics).
-  uint64_t WindowAdvances() const {
-    return wire_.window_advances() + doorbell_.window_advances();
-  }
-
-  /// Arms watermark retirement on both channels (post-setup only).
-  void SetRetireLag(size_t windows) {
-    wire_.set_retire_lag(windows);
-    doorbell_.set_retire_lag(windows);
-  }
-
   void ResetStats() {
     wire_.ResetStats();
     doorbell_.ResetStats();
-  }
-
-  struct State {
-    sim::BandwidthChannel::State wire;
-    sim::BandwidthChannel::State doorbell;
-  };
-  State Capture() const { return State{wire_.Capture(), doorbell_.Capture()}; }
-  void Restore(const State& s) {
-    wire_.Restore(s.wire);
-    doorbell_.Restore(s.doorbell);
   }
 
  private:

@@ -107,7 +107,10 @@ class BandwidthChannel {
   /// Marks this channel as shared across instance groups: under
   /// epoch-parallel execution its charges are routed through per-group
   /// overlays and replayed at the barrier instead of applied immediately.
-  /// Purely topological (set once at world wiring), not part of State.
+  /// Only EpochFrame::Charge reads the mark, so a serial run ignores it;
+  /// SimWorld sets it at construction on every channel but the
+  /// per-instance DRAM ones (SimWorld::channels). Purely topological, not
+  /// part of State.
   void set_shared(bool shared) { shared_ = shared; }
   bool shared() const { return shared_; }
 

@@ -69,29 +69,17 @@ class MemorySpace {
   }
 
   /// Fused sequence of Touch() calls against one frame: element i accesses
-  /// `lens ? lens[i] : uniform_len` bytes at `base + offs[i]`. Simulated
-  /// state and time evolve exactly as if Touch() were called once per
-  /// element in order — in particular the first-miss-pays-full-latency MLP
-  /// reset applies per element, not per sequence. What is saved is host
-  /// work: one call (and one profiler scope) instead of n, with the
-  /// single-line classification hoisted per element inside one loop. This
-  /// is the engine's charge path for b-tree probe lists (uniform 8-byte
-  /// key reads) and fused probes+payload batches.
-  void TouchSeq(ExecContext& ctx, uint64_t base, const uint32_t* offs,
-                const uint32_t* lens, uint32_t n, uint32_t uniform_len,
-                bool write) {
-    POLAR_PROF_SCOPE(kCacheSim);
-    const bool cached = ctx.cache != nullptr;
-    for (uint32_t i = 0; i < n; i++) {
-      const uint32_t len = lens != nullptr ? lens[i] : uniform_len;
-      if (len == 0) continue;
-      TouchElem(ctx, base + offs[i], len, cached, write);
-    }
-  }
-
-  /// TouchSeq with a per-element write flag (bit i of `write_mask`): the
-  /// buffer pools' fused metadata-charge path, where one Fetch emits a
-  /// mixed read/write sequence over the header/meta lines.
+  /// `lens ? lens[i] : uniform_len` bytes at `base + offs[i]`, and writes
+  /// them when bit i of `write_mask` is set (so n <= 64). Simulated state
+  /// and time evolve exactly as if Touch() were called once per element in
+  /// order — in particular the first-miss-pays-full-latency MLP reset
+  /// applies per element, not per sequence. What is saved is host work: one
+  /// call (and one profiler scope) instead of n, with the single-line
+  /// classification hoisted per element inside one loop. This is the
+  /// engine's read charge for b-tree probe lists (uniform 8-byte key reads)
+  /// and fused probes+payload batches, with a zero mask, and the buffer
+  /// pools' fused metadata charge, where one Fetch emits a mixed read/write
+  /// sequence over the header/meta lines.
   void TouchSeqMasked(ExecContext& ctx, uint64_t base, const uint32_t* offs,
                       const uint32_t* lens, uint32_t n, uint32_t uniform_len,
                       uint64_t write_mask) {

@@ -41,8 +41,7 @@ class SimDisk {
   Nanos Write(sim::ExecContext& ctx, uint64_t bytes);
 
   sim::BandwidthChannel& channel() { return channel_; }
-  /// IOPS ledger ("bytes" are operations); exposed so world wiring can mark
-  /// it shared for epoch-parallel execution.
+  /// IOPS ledger ("bytes" are operations).
   sim::BandwidthChannel& ops_channel() { return ops_; }
 
   /// Fault-injection hook point (nullable; disk-stall windows).
@@ -64,33 +63,18 @@ class SimDisk {
   }
   void ResetStats();
 
-  /// Sum of window_advances over both ledgers (diagnostics).
-  uint64_t WindowAdvances() const {
-    return channel_.window_advances() + ops_.window_advances();
-  }
-
-  /// Arms watermark retirement on both ledgers (post-setup only).
-  void SetRetireLag(size_t windows) {
-    channel_.set_retire_lag(windows);
-    ops_.set_retire_lag(windows);
-  }
-
-  /// Bandwidth/IOPS ledgers + byte/op counters, for world snapshot/restore.
+  /// Byte/op counters for world snapshots (the two ledgers are captured
+  /// with the world's other channels).
   struct State {
-    sim::BandwidthChannel::State channel;
-    sim::BandwidthChannel::State ops;
     uint64_t read_bytes = 0;
     uint64_t write_bytes = 0;
     uint64_t read_ops = 0;
     uint64_t write_ops = 0;
   };
   State Capture() const {
-    return State{channel_.Capture(), ops_.Capture(),
-                 read_bytes(), write_bytes(), read_ops(), write_ops()};
+    return State{read_bytes(), write_bytes(), read_ops(), write_ops()};
   }
   void Restore(const State& s) {
-    channel_.Restore(s.channel);
-    ops_.Restore(s.ops);
     read_bytes_.store(s.read_bytes, std::memory_order_relaxed);
     write_bytes_.store(s.write_bytes, std::memory_order_relaxed);
     read_ops_.store(s.read_ops, std::memory_order_relaxed);

@@ -419,24 +419,77 @@ TEST(FabricWorldTest, PlacementDecidesUplinkTraffic) {
   EXPECT_LT(s.metrics.queries, l.metrics.queries);
 }
 
-TEST(FabricWorldTest, MultiSwitchSnapshotForksBitIdentically) {
-  // A forked multi-switch world (snapshot restore) must replay exactly like
-  // a cold build: fabric-wide channel state round-trips.
+// A forked multi-switch world (snapshot restore) must replay exactly like
+// a cold build: every channel ledger of the fabric round-trips. Runs the
+// config cold, then twice through one cache (a cold build that captures,
+// then a fork), and returns the cold result.
+harness::PoolingResult ExpectForkMatchesCold(
+    const harness::PoolingConfig& config) {
   harness::WorldCache cache;
-  const harness::PoolingResult cold = RunPooling(MultiSwitchPooling(0));
-  const harness::PoolingResult first =
-      RunPooling(MultiSwitchPooling(0), &cache);
-  const harness::PoolingResult forked =
-      RunPooling(MultiSwitchPooling(0), &cache);
+  const harness::PoolingResult cold = RunPooling(config);
+  const harness::PoolingResult first = RunPooling(config, &cache);
+  const harness::PoolingResult forked = RunPooling(config, &cache);
   EXPECT_FALSE(first.snapshot_hit);
   EXPECT_TRUE(forked.snapshot_hit);
+  EXPECT_GT(cold.metrics.queries, 0u);
   for (const harness::PoolingResult* r : {&first, &forked}) {
     EXPECT_EQ(cold.metrics.queries, r->metrics.queries);
     EXPECT_EQ(cold.metrics.latency.max(), r->metrics.latency.max());
     EXPECT_EQ(cold.lane_steps, r->lane_steps);
     EXPECT_EQ(cold.virtual_end, r->virtual_end);
+    EXPECT_DOUBLE_EQ(cold.cxl_gbps, r->cxl_gbps);
     EXPECT_DOUBLE_EQ(cold.uplink_gbps, r->uplink_gbps);
+    EXPECT_EQ(cold.drain_divergence, r->drain_divergence);
   }
+  return cold;
+}
+
+TEST(FabricWorldTest, MultiSwitchSnapshotForksBitIdentically) {
+  ExpectForkMatchesCold(MultiSwitchPooling(0));
+}
+
+TEST(FabricWorldTest, MultiSwitchSnapshotForksBitIdenticallyInEpochMode) {
+  // Under epoch execution the shared host ports, device ports, uplinks and
+  // entered switch fabrics defer their charges to the barrier, and the
+  // snapshot must capture them all. Spread placement puts every region
+  // behind the other switch, so each miss also crosses the uplink, and
+  // 50 MB/s uplinks and device ports saturate: a ledger the snapshot
+  // missed would move queries and lane_steps, not only the divergence.
+  harness::PoolingConfig c = MultiSwitchPooling(2);
+  c.fabric.placement = PlacementMode::kSpread;
+  c.fabric.uplink_bps = 50'000'000;
+  c.fabric.device_port_bps = 50'000'000;
+  const harness::PoolingResult cold = ExpectForkMatchesCold(c);
+  EXPECT_GT(cold.epochs, 0u);
+  EXPECT_GT(cold.drain_divergence, 0u);
+  EXPECT_GT(cold.uplink_gbps, 0.0);
+}
+
+TEST(FabricWorldTest, WorldListsEveryChannelOnce) {
+  // 2 switches x (1 host port + 2 device ports + 1 fabric channel), 1
+  // uplink, 2 NICs x (wire + doorbell), the client network, 2 disk ledgers
+  // and 3 DRAM channels. Every channel but the DRAM ones is shared.
+  harness::SimWorld::Spec spec;
+  spec.instances = 3;
+  spec.sysbench.tables = 1;
+  spec.sysbench.rows_per_table = 500;
+  spec.fabric.switches = 2;
+  spec.fabric.devices_per_switch = 2;
+  harness::SimWorld world(spec);
+  const std::vector<sim::BandwidthChannel*>& channels = world.channels();
+  EXPECT_EQ(channels.size(), 19u);
+  EXPECT_EQ(
+      std::set<sim::BandwidthChannel*>(channels.begin(), channels.end())
+          .size(),
+      channels.size());
+  std::set<const sim::BandwidthChannel*> unshared;
+  for (const sim::BandwidthChannel* ch : channels) {
+    if (!ch->shared()) unshared.insert(ch);
+  }
+  const std::set<const sim::BandwidthChannel*> dram = {
+      world.db(0)->dram_channel(), world.db(1)->dram_channel(),
+      world.db(2)->dram_channel()};
+  EXPECT_EQ(unshared, dram);
 }
 
 }  // namespace

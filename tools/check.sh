@@ -19,9 +19,10 @@
 #                             #   cold-vs-fork bit-identity on the fig7 point
 #   tools/check.sh --parallel # tier-1 + fig7 epoch pins at
 #                             #   POLAR_WORLD_THREADS 1/2/4 + TSan leg over
-#                             #   the executor/snapshot/faults suites and
-#                             #   the open-loop suite (client lanes,
-#                             #   admission queues, tenant accounting)
+#                             #   the executor/snapshot/faults suites, the
+#                             #   open-loop suite (client lanes, admission
+#                             #   queues, tenant accounting) and the fabric
+#                             #   suite (multi-switch epoch worlds)
 #   tools/check.sh --slo      # tier-1 + sanitized open-loop suite, the
 #                             #   suites whose buffer-pool frames alias
 #                             #   page images and the storage suite (redo
@@ -162,13 +163,15 @@ if [[ "${1:-}" == "--parallel" ]]; then
   # chaos pins must hold.
   pinned -q POLAR_WORLD_THREADS=2 POLAR_BENCH_REPS=1 POLAR_SWEEP_THREADS=1 \
     build/bench/bench_fig14_fault_resilience
-  echo "==> parallel: TSan build of executor/snapshot/faults/open-loop suites"
+  echo "==> parallel: TSan build of executor/snapshot/faults/open-loop/fabric suites"
   # The faults, snapshot and parallel-world suites drive closed-loop worlds
   # with no tenants. open_loop_test is the one suite whose worlds run client
   # lanes, admission queues and tenant accounting, swept four at a time and
-  # at world threads 4.
+  # at world threads 4. fabric_test's multi-switch worlds at world threads
+  # 2 and 4 are the only epoch runs whose uplink and device-port charges
+  # go through the epoch frames.
   sanitized --thread sim_test snapshot_test faults_test parallel_world_test \
-    open_loop_test
+    open_loop_test fabric_test
   echo "==> OK (parallel mode)"
   exit 0
 fi
