@@ -56,6 +56,8 @@ struct BufferPoolStats {
   uint64_t fault_retries = 0;      // verbs ops retried after a fault error
   uint64_t retries_exhausted = 0;  // ops failed fast: retry budget spent
 
+  bool operator==(const BufferPoolStats&) const = default;
+
   double HitRate() const {
     return fetches == 0 ? 0.0
                         : static_cast<double>(hits) /

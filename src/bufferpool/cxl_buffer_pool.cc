@@ -23,10 +23,10 @@ CxlBufferPool::CxlBufferPool(Options options, MemOffset region,
       frames_off_(region + AlignUp(64 + options.capacity_pages * 64,
                                    kPageSize)),
       acc_(accessor),
-      store_(store),
-      page_table_(static_cast<uint32_t>(options.capacity_pages)),
-      fix_count_(options.capacity_pages, 0),
-      dirty_(options.capacity_pages, 0) {
+      store_(store) {
+  st_.page_table = PageMap(static_cast<uint32_t>(options.capacity_pages));
+  st_.fix_count.assign(options.capacity_pages, 0);
+  st_.dirty.assign(options.capacity_pages, 0);
   // HeaderRaw/MetaRaw access the device bytes in place as 8-byte-aligned
   // structs; regions are page-granular so this only fails if the device's
   // backing allocation itself is misaligned.
@@ -185,17 +185,17 @@ uint32_t CxlBufferPool::EvictTail(sim::ExecContext& ctx) {
   uint32_t b = h.inuse_tail;
   while (b != kInvalidBlock) {
     CxlBlockMeta m = LoadMeta(ctx, b);
-    if (fix_count_[b] == 0) {
-      if (dirty_[b] != 0) {
+    if (st_.fix_count[b] == 0) {
+      if (st_.dirty[b] != 0) {
         ChargeFrameStream(ctx, b, /*write=*/false);
         EnsureWalDurable(ctx, FrameRaw(b));
         store_->WritePage(ctx, m.id, FrameRaw(b));
-        stats_.dirty_writebacks++;
-        dirty_[b] = 0;
+        st_.stats.dirty_writebacks++;
+        st_.dirty[b] = 0;
       }
       InUseUnlink(ctx, m);
-      page_table_.Erase(m.id);
-      stats_.evictions++;
+      st_.page_table.Erase(m.id);
+      st_.stats.evictions++;
       return b;
     }
     b = m.prev;
@@ -213,10 +213,10 @@ Result<PageRef> CxlBufferPool::Fetch(sim::ExecContext& ctx, PageId page_id,
       return FetchDegraded(ctx, page_id, for_write, std::move(fault));
     }
   }
-  stats_.fetches++;
-  const uint32_t found = page_table_.Find(page_id);
+  st_.stats.fetches++;
+  const uint32_t found = st_.page_table.Find(page_id);
   if (found != PageMap::kNotFound) {
-    stats_.hits++;
+    st_.stats.hits++;
     const uint32_t b = found;
     // Arm the deferred-charge log: the hit path's ~15 single-line metadata
     // charges (meta read + mutex/unlink/push-front/mutex) are collected and
@@ -234,11 +234,11 @@ Result<PageRef> CxlBufferPool::Fetch(sim::ExecContext& ctx, PageId page_id,
     InUsePushFront(ctx, b, &m);
     SetLruMutex(ctx, 0);
     FlushCharges(ctx, log);
-    fix_count_[b]++;
+    st_.fix_count[b]++;
     return PageRef{b, FrameRaw(b), acc_->space(), acc_->PhysAddr(FrameOff(b))};
   }
 
-  stats_.misses++;
+  st_.stats.misses++;
   SetLruMutex(ctx, 1);
   uint32_t b = PopFree(ctx);
   if (b == kInvalidBlock) b = EvictTail(ctx);
@@ -261,45 +261,45 @@ Result<PageRef> CxlBufferPool::Fetch(sim::ExecContext& ctx, PageId page_id,
   InUsePushFront(ctx, b, &m);
   SetLruMutex(ctx, 0);
 
-  page_table_.Put(page_id, b);
-  fix_count_[b] = 1;
-  dirty_[b] = 0;
+  st_.page_table.Put(page_id, b);
+  st_.fix_count[b] = 1;
+  st_.dirty[b] = 0;
   return PageRef{b, FrameRaw(b), acc_->space(), acc_->PhysAddr(FrameOff(b))};
 }
 
 Result<PageRef> CxlBufferPool::FetchDegraded(sim::ExecContext& ctx,
                                              PageId page_id, bool for_write,
                                              Status cause) {
-  stats_.fetches++;
+  st_.stats.fetches++;
   // Writes cannot proceed: the durable frame and its CXL-resident lock
   // state are unreachable, and accepting the write elsewhere would break
   // PolarRecv's crash contract. Same for a cached *dirty* page — its only
   // fresh image is the unreachable frame.
   if (for_write) {
-    stats_.fault_rejections++;
+    st_.stats.fault_rejections++;
     return cause;
   }
-  const uint32_t found = page_table_.Find(page_id);
-  if (found != PageMap::kNotFound && dirty_[found] != 0) {
-    stats_.fault_rejections++;
+  const uint32_t found = st_.page_table.Find(page_id);
+  if (found != PageMap::kNotFound && st_.dirty[found] != 0) {
+    st_.stats.fault_rejections++;
     return cause;
   }
   // Clean or uncached: storage holds the page's latest durable image, so
   // the read is served from disk through a local scratch frame.
-  if (emergency_.empty()) emergency_.resize(kEmergencyFrames);
-  for (uint32_t i = 0; i < emergency_.size(); i++) {
-    EmergencyFrame& e = emergency_[i];
+  if (st_.emergency.empty()) st_.emergency.resize(kEmergencyFrames);
+  for (uint32_t i = 0; i < st_.emergency.size(); i++) {
+    EmergencyFrame& e = st_.emergency[i];
     if (e.fix_count != 0) continue;
-    if (e.data == nullptr) e.data = std::make_unique<uint8_t[]>(kPageSize);
-    store_->ReadPage(ctx, page_id, e.data.get());
+    if (e.data.empty()) e.data.resize(kPageSize);
+    store_->ReadPage(ctx, page_id, e.data.data());
     e.page_id = page_id;
     e.fix_count = 1;
-    stats_.degraded_fetches++;
+    st_.stats.degraded_fetches++;
     // A null space: the frame is node-local scratch DRAM outside every
     // simulated tier, so accesses to it are uncharged.
-    return PageRef{num_blocks() + i, e.data.get(), nullptr, 0};
+    return PageRef{num_blocks() + i, e.data.data(), nullptr, 0};
   }
-  stats_.fault_rejections++;
+  st_.stats.fault_rejections++;
   return Status::Busy("all degraded-mode fallback frames fixed");
 }
 
@@ -308,22 +308,22 @@ void CxlBufferPool::Unfix(sim::ExecContext& ctx, const PageRef& ref,
   (void)page_id;
   const uint32_t b = ref.block;
   if (b >= num_blocks()) {
-    EmergencyFrame& e = emergency_[b - num_blocks()];
+    EmergencyFrame& e = st_.emergency[b - num_blocks()];
     POLAR_CHECK_MSG(!dirty, "degraded fallback frame released dirty");
     POLAR_CHECK(e.fix_count > 0);
     e.fix_count--;
     return;
   }
-  POLAR_CHECK(fix_count_[b] > 0);
-  fix_count_[b]--;
+  POLAR_CHECK(st_.fix_count[b] > 0);
+  st_.fix_count[b]--;
   // In-place meta update; charges match the old load/store struct pair.
   ChargeMeta(ctx, b, /*write=*/false);
   CxlBlockMeta* m = MetaRaw(b);
   if (dirty) {
-    dirty_[b] = 1;
+    st_.dirty[b] = 1;
     if (new_lsn > m->lsn) m->lsn = new_lsn;
   }
-  if (fix_count_[b] == 0) m->lock_state = 0;
+  if (st_.fix_count[b] == 0) m->lock_state = 0;
   ChargeMeta(ctx, b, /*write=*/true);
 }
 
@@ -332,7 +332,7 @@ Status CxlBufferPool::UpgradeToWrite(sim::ExecContext& ctx, PageRef& ref,
   (void)page_id;
   if (ref.block >= num_blocks()) {
     // A degraded read fix cannot be promoted: writes need the real frame.
-    stats_.fault_rejections++;
+    st_.stats.fault_rejections++;
     return Status::IOError("cxl device down: cannot upgrade fallback frame");
   }
   ChargeMeta(ctx, ref.block, /*write=*/false);
@@ -349,39 +349,39 @@ bool CxlBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
     return false;
   }
   for (uint32_t b = 0; b < num_blocks(); b++) {
-    if (dirty_[b] == 0) continue;
+    if (st_.dirty[b] == 0) continue;
     const CxlBlockMeta m = LoadMeta(ctx, b);
     if (m.in_use == 0) continue;
     ChargeFrameStream(ctx, b, /*write=*/false);
     EnsureWalDurable(ctx, FrameRaw(b));
     store_->WritePage(ctx, m.id, FrameRaw(b));
-    dirty_[b] = 0;
+    st_.dirty[b] = 0;
   }
   return true;
 }
 
 bool CxlBufferPool::Cached(PageId page_id) const {
-  return page_table_.Contains(page_id);
+  return st_.page_table.Contains(page_id);
 }
 
 void CxlBufferPool::FinishRecoveryScanned(
     sim::ExecContext& ctx,
     const std::vector<std::pair<uint32_t, CxlBlockMeta>>& metas,
     bool rebuild_lists) {
-  page_table_.Clear();
-  std::fill(fix_count_.begin(), fix_count_.end(), 0);
+  st_.page_table.Clear();
+  std::fill(st_.fix_count.begin(), st_.fix_count.end(), 0);
 
   std::vector<uint32_t> in_use;
   for (const auto& [b, m] : metas) {
     if (m.in_use != 0) {
-      POLAR_CHECK_MSG(!page_table_.Contains(m.id),
+      POLAR_CHECK_MSG(!st_.page_table.Contains(m.id),
                       "duplicate page in recovered pool");
-      page_table_.Put(m.id, b);
+      st_.page_table.Put(m.id, b);
       in_use.push_back(b);
       // Conservatively dirty: the crash lost the dirty bitmap.
-      dirty_[b] = 1;
+      st_.dirty[b] = 1;
     } else {
-      dirty_[b] = 0;
+      st_.dirty[b] = 0;
     }
   }
 
@@ -422,58 +422,18 @@ void CxlBufferPool::FinishRecoveryScanned(
   StoreHeader(ctx, h);
 }
 
-/// DRAM-side pool state. Emergency frames are deep-copied (each holds a
-/// heap page image); the CXL-resident part of the pool needs nothing here.
 struct CxlPoolSnapshot : PoolSnapshot {
-  PageMap page_table;
-  std::vector<uint32_t> fix_count;
-  std::vector<uint8_t> dirty;
-  struct EmergencyImage {
-    PageId page_id = kInvalidPageId;
-    uint32_t fix_count = 0;
-    bool has_data = false;
-    std::vector<uint8_t> data;
-  };
-  std::vector<EmergencyImage> emergency;
-  BufferPoolStats stats;
+  CxlBufferPool::State state;
 };
 
 std::unique_ptr<PoolSnapshot> CxlBufferPool::CaptureState() const {
   auto s = std::make_unique<CxlPoolSnapshot>();
-  s->page_table = page_table_;
-  s->fix_count = fix_count_;
-  s->dirty = dirty_;
-  s->emergency.reserve(emergency_.size());
-  for (const EmergencyFrame& f : emergency_) {
-    CxlPoolSnapshot::EmergencyImage img;
-    img.page_id = f.page_id;
-    img.fix_count = f.fix_count;
-    img.has_data = f.data != nullptr;
-    if (img.has_data) img.data.assign(f.data.get(), f.data.get() + kPageSize);
-    s->emergency.push_back(std::move(img));
-  }
-  s->stats = stats_;
+  s->state = st_;
   return s;
 }
 
 void CxlBufferPool::RestoreState(const PoolSnapshot& base) {
-  const auto& s = static_cast<const CxlPoolSnapshot&>(base);
-  page_table_ = s.page_table;
-  fix_count_ = s.fix_count;
-  dirty_ = s.dirty;
-  emergency_.clear();
-  emergency_.reserve(s.emergency.size());
-  for (const auto& img : s.emergency) {
-    EmergencyFrame f;
-    f.page_id = img.page_id;
-    f.fix_count = img.fix_count;
-    if (img.has_data) {
-      f.data = std::make_unique<uint8_t[]>(kPageSize);
-      std::memcpy(f.data.get(), img.data.data(), kPageSize);
-    }
-    emergency_.push_back(std::move(f));
-  }
-  stats_ = s.stats;
+  st_ = static_cast<const CxlPoolSnapshot&>(base).state;
 }
 
 }  // namespace polarcxl::bufferpool

@@ -82,8 +82,8 @@ class CxlBufferPool final : public BufferPool {
   bool FlushDirtyPages(sim::ExecContext& ctx) override;
   bool Cached(PageId page_id) const override;
   uint64_t capacity_pages() const override { return opt_.capacity_pages; }
-  const BufferPoolStats& stats() const override { return stats_; }
-  void ResetStats() override { stats_ = {}; }
+  const BufferPoolStats& stats() const override { return st_.stats; }
+  void ResetStats() override { st_.stats = {}; }
   /// The headline cost win: no local DRAM frames at all.
   uint64_t local_dram_bytes() const override { return 0; }
 
@@ -140,7 +140,16 @@ class CxlBufferPool final : public BufferPool {
   struct EmergencyFrame {
     PageId page_id = kInvalidPageId;
     uint32_t fix_count = 0;
-    std::unique_ptr<uint8_t[]> data;
+    std::vector<uint8_t> data;  // kPageSize bytes once first used
+  };
+
+  /// Everything a snapshot captures, all of it DRAM and lost on a crash.
+  struct State {
+    PageMap page_table;
+    std::vector<uint32_t> fix_count;
+    std::vector<uint8_t> dirty;
+    std::vector<EmergencyFrame> emergency;  // lazily sized, degraded mode only
+    BufferPoolStats stats;
   };
 
   /// Fallback taken when CheckFault rejects a fetch: writes and dirty
@@ -228,11 +237,7 @@ class CxlBufferPool final : public BufferPool {
   MemOffset frames_off_;
   cxl::CxlAccessor* acc_;
   storage::PageStore* store_;
-  PageMap page_table_;  // DRAM; lost on crash
-  std::vector<uint32_t> fix_count_;                  // DRAM; lost on crash
-  std::vector<uint8_t> dirty_;                       // DRAM; lost on crash
-  std::vector<EmergencyFrame> emergency_;  // lazily sized, degraded mode only
-  BufferPoolStats stats_;
+  State st_;
   ChargeLog* charge_log_ = nullptr;  // armed only inside the fused hot paths
 };
 

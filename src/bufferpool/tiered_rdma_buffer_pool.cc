@@ -13,26 +13,24 @@ TieredRdmaBufferPool::TieredRdmaBufferPool(Options options,
       opt_(options),
       dram_(dram),
       remote_(remote),
-      store_(store),
-      images_(opt_.lbp_capacity_pages),
-      meta_(opt_.lbp_capacity_pages),
-      lru_(static_cast<uint32_t>(opt_.lbp_capacity_pages)),
-      page_table_(static_cast<uint32_t>(opt_.lbp_capacity_pages)) {
-  free_list_.reserve(opt_.lbp_capacity_pages);
-  for (uint32_t b = static_cast<uint32_t>(opt_.lbp_capacity_pages); b > 0;
-       b--) {
-    free_list_.push_back(b - 1);
-  }
-  retry_budget_left_ = opt_.retry_budget;
+      store_(store) {
+  const uint32_t blocks = static_cast<uint32_t>(opt_.lbp_capacity_pages);
+  st_.images.resize(blocks);
+  st_.meta.resize(blocks);
+  st_.lru = LruList(blocks);
+  st_.page_table = PageMap(blocks);
+  st_.free_list.reserve(blocks);
+  for (uint32_t b = blocks; b > 0; b--) st_.free_list.push_back(b - 1);
+  st_.retry_budget_left = opt_.retry_budget;
 }
 
 bool TieredRdmaBufferPool::ConsumeRetryBudget(Nanos backoff) {
   if (opt_.retry_budget == 0) return true;  // unlimited (legacy)
-  if (retry_budget_left_ < backoff) {
-    stats_.retries_exhausted++;
+  if (st_.retry_budget_left < backoff) {
+    st_.stats.retries_exhausted++;
     return false;
   }
-  retry_budget_left_ -= backoff;
+  st_.retry_budget_left -= backoff;
   return true;
 }
 
@@ -43,7 +41,7 @@ Result<PageImageRef> TieredRdmaBufferPool::RemoteReadRetry(
     Result<PageImageRef> r =
         remote_->ReadPage(ctx, opt_.node, opt_.tenant, page_id);
     if (r.ok()) {
-      retry_budget_left_ = opt_.retry_budget;  // healthy NIC refills budget
+      st_.retry_budget_left = opt_.retry_budget;  // healthy NIC refills budget
       return r;
     }
     const Status& s = r.status();
@@ -51,7 +49,7 @@ Result<PageImageRef> TieredRdmaBufferPool::RemoteReadRetry(
     if (!ConsumeRetryBudget(backoff)) {
       return Status::Unavailable("verbs retry budget exhausted");
     }
-    stats_.fault_retries++;
+    st_.stats.fault_retries++;
     ctx.t_net += backoff;
     ctx.Advance(backoff);
     backoff = std::min(backoff * 2, kVerbsBackoffCap);
@@ -66,14 +64,14 @@ Status TieredRdmaBufferPool::RemoteWriteRetry(sim::ExecContext& ctx,
     Status s =
         remote_->WritePage(ctx, opt_.node, opt_.tenant, page_id, image);
     if (s.ok()) {
-      retry_budget_left_ = opt_.retry_budget;
+      st_.retry_budget_left = opt_.retry_budget;
       return s;
     }
     if (!s.IsIOError() || attempt == kVerbsAttempts) return s;
     if (!ConsumeRetryBudget(backoff)) {
       return Status::Unavailable("verbs retry budget exhausted");
     }
-    stats_.fault_retries++;
+    st_.stats.fault_retries++;
     ctx.t_net += backoff;
     ctx.Advance(backoff);
     backoff = std::min(backoff * 2, kVerbsBackoffCap);
@@ -81,7 +79,7 @@ Status TieredRdmaBufferPool::RemoteWriteRetry(sim::ExecContext& ctx,
 }
 
 void TieredRdmaBufferPool::WriteBack(sim::ExecContext& ctx, uint32_t block) {
-  BlockMeta& m = meta_[block];
+  BlockMeta& m = st_.meta[block];
   POLAR_CHECK(m.dirty);
   // The frame bytes stream out of DRAM. To a remote tier, a write-back is
   // a full-page RDMA WRITE even if one row changed: the write amplification
@@ -93,34 +91,34 @@ void TieredRdmaBufferPool::WriteBack(sim::ExecContext& ctx, uint32_t block) {
     // A dirty frame was cloned at write-fix time, so it cannot be the
     // image the remote tier holds (it may still share it with a world
     // snapshot, which is fine: nothing writes it from here on).
-    POLAR_CHECK_MSG(remote_->Peek(opt_.tenant, m.page_id) != images_[block],
+    POLAR_CHECK_MSG(remote_->Peek(opt_.tenant, m.page_id) != st_.images[block],
                     "dirty LBP frame aliases the remote tier's image");
-    remote_ok = RemoteWriteRetry(ctx, m.page_id, images_[block]).ok();
+    remote_ok = RemoteWriteRetry(ctx, m.page_id, st_.images[block]).ok();
   }
   if (!remote_ok) {
     // No remote tier, remote pool full, or NIC still down after retries:
     // storage keeps the dirty page from being lost.
     store_->WritePage(ctx, m.page_id, FrameData(block));
   }
-  stats_.dirty_writebacks++;
+  st_.stats.dirty_writebacks++;
   m.dirty = false;
 }
 
 uint32_t TieredRdmaBufferPool::AllocBlock(sim::ExecContext& ctx) {
-  if (!free_list_.empty()) {
-    const uint32_t b = free_list_.back();
-    free_list_.pop_back();
+  if (!st_.free_list.empty()) {
+    const uint32_t b = st_.free_list.back();
+    st_.free_list.pop_back();
     return b;
   }
-  for (uint32_t b = lru_.tail(); b != kInvalidBlock; b = lru_.prev(b)) {
-    BlockMeta& m = meta_[b];
+  for (uint32_t b = st_.lru.tail(); b != kInvalidBlock; b = st_.lru.prev(b)) {
+    BlockMeta& m = st_.meta[b];
     if (m.fix_count > 0) continue;
     if (m.dirty) WriteBack(ctx, b);
-    lru_.Remove(b);
-    page_table_.Erase(m.page_id);
-    images_[b].reset();
+    st_.lru.Remove(b);
+    st_.page_table.Erase(m.page_id);
+    st_.images[b].reset();
     m = BlockMeta{};
-    stats_.evictions++;
+    st_.stats.evictions++;
     return b;
   }
   return kInvalidBlock;
@@ -133,7 +131,7 @@ PageImageRef TieredRdmaBufferPool::LoadImage(sim::ExecContext& ctx,
     // Full 16 KB RDMA READ; the frame then aliases the remote image.
     Result<PageImageRef> remote = RemoteReadRetry(ctx, page_id);
     if (remote.ok()) {
-      remote_hits_++;
+      st_.remote_hits++;
       return std::move(*remote);
     }
     const Status& s = remote.status();
@@ -141,7 +139,7 @@ PageImageRef TieredRdmaBufferPool::LoadImage(sim::ExecContext& ctx,
       // NIC still down after the per-op retries — or the total retry
       // budget is spent: serve from storage and skip the remote populate
       // (it would only burn more retries).
-      stats_.degraded_fetches++;
+      st_.stats.degraded_fetches++;
       populate = false;
     }
   }
@@ -155,32 +153,32 @@ PageImageRef TieredRdmaBufferPool::LoadImage(sim::ExecContext& ctx,
 
 Result<PageRef> TieredRdmaBufferPool::Fetch(sim::ExecContext& ctx,
                                             PageId page_id, bool for_write) {
-  stats_.fetches++;
-  const uint32_t found = page_table_.Find(page_id);
+  st_.stats.fetches++;
+  const uint32_t found = st_.page_table.Find(page_id);
   if (found != PageMap::kNotFound) {
-    stats_.hits++;
+    st_.stats.hits++;
     const uint32_t b = found;
-    meta_[b].fix_count++;
-    lru_.MoveToFront(b);
-    uint8_t* data = for_write ? WritableImage(images_[b]) : FrameData(b);
+    st_.meta[b].fix_count++;
+    st_.lru.MoveToFront(b);
+    uint8_t* data = for_write ? WritableImage(st_.images[b]) : FrameData(b);
     return PageRef{b, data, dram_, FrameAddr(b)};
   }
 
-  stats_.misses++;
+  st_.stats.misses++;
   const uint32_t b = AllocBlock(ctx);
   if (b == kInvalidBlock) return Status::Busy("all LBP frames fixed");
-  images_[b] = LoadImage(ctx, page_id);
+  st_.images[b] = LoadImage(ctx, page_id);
   // Installing the image streams it into local DRAM.
   dram_->Stream(ctx, FrameAddr(b), kPageSize, /*write=*/true);
 
-  BlockMeta& m = meta_[b];
+  BlockMeta& m = st_.meta[b];
   m.page_id = page_id;
   m.in_use = true;
   m.dirty = false;
   m.fix_count = 1;
-  page_table_.Put(page_id, b);
-  lru_.PushFront(b);
-  uint8_t* data = for_write ? WritableImage(images_[b]) : FrameData(b);
+  st_.page_table.Put(page_id, b);
+  st_.lru.PushFront(b);
+  uint8_t* data = for_write ? WritableImage(st_.images[b]) : FrameData(b);
   return PageRef{b, data, dram_, FrameAddr(b)};
 }
 
@@ -188,14 +186,14 @@ void TieredRdmaBufferPool::Unfix(sim::ExecContext& ctx, const PageRef& ref,
                                  PageId page_id, bool dirty, Lsn new_lsn) {
   (void)ctx;
   (void)page_id;
-  BlockMeta& m = meta_[ref.block];
+  BlockMeta& m = st_.meta[ref.block];
   POLAR_CHECK(m.fix_count > 0);
   m.fix_count--;
   if (dirty) {
     // Only a write fix may dirty a frame, and it made the frame the sole
     // holder of its image. A shared image here was written through a read
     // fix, which changed the remote tier's copy and every snapshot's too.
-    POLAR_CHECK_MSG(images_[ref.block].use_count() == 1,
+    POLAR_CHECK_MSG(st_.images[ref.block].use_count() == 1,
                     "dirty unfix of an LBP frame whose image is shared");
     m.dirty = true;
     if (new_lsn > m.lsn) m.lsn = new_lsn;
@@ -203,8 +201,8 @@ void TieredRdmaBufferPool::Unfix(sim::ExecContext& ctx, const PageRef& ref,
 }
 
 bool TieredRdmaBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
-  for (uint32_t b = 0; b < meta_.size(); b++) {
-    BlockMeta& m = meta_[b];
+  for (uint32_t b = 0; b < st_.meta.size(); b++) {
+    BlockMeta& m = st_.meta[b];
     if (m.in_use && m.dirty) {
       dram_->Stream(ctx, FrameAddr(b), kPageSize, /*write=*/false);
       EnsureWalDurable(ctx, FrameData(b));
@@ -213,7 +211,7 @@ bool TieredRdmaBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
       // the frame's next write fix clones). Storage already holds the
       // page, so giving up after the retry budget is safe.
       if (remote_ != nullptr) {
-        RemoteWriteRetry(ctx, m.page_id, images_[b]).ok();
+        RemoteWriteRetry(ctx, m.page_id, st_.images[b]).ok();
       }
       m.dirty = false;
     }
@@ -222,60 +220,35 @@ bool TieredRdmaBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
 }
 
 bool TieredRdmaBufferPool::Cached(PageId page_id) const {
-  return page_table_.Contains(page_id);
+  return st_.page_table.Contains(page_id);
 }
 
 bool TieredRdmaBufferPool::Drop(PageId page_id) {
-  const uint32_t b = page_table_.Find(page_id);
+  const uint32_t b = st_.page_table.Find(page_id);
   if (b == PageMap::kNotFound) return false;
-  POLAR_CHECK(meta_[b].fix_count == 0);
-  lru_.Remove(b);
-  page_table_.Erase(page_id);
-  images_[b].reset();
-  meta_[b] = BlockMeta{};
-  free_list_.push_back(b);
+  POLAR_CHECK(st_.meta[b].fix_count == 0);
+  st_.lru.Remove(b);
+  st_.page_table.Erase(page_id);
+  st_.images[b].reset();
+  st_.meta[b] = BlockMeta{};
+  st_.free_list.push_back(b);
   return true;
 }
 
-/// The LBP's state. Frames are captured as image handles, not bytes: a
-/// frame written after the capture clones first, so the snapshot's images
-/// never change. (A remote tier snapshots itself via
-/// RemoteMemoryPool::Capture.)
 struct TieredPoolSnapshot : PoolSnapshot {
-  std::vector<PageImageRef> images;
-  std::vector<TieredRdmaBufferPool::BlockMeta> meta;
-  std::vector<uint32_t> free_list;
-  LruList lru{0};
-  PageMap page_table;
-  BufferPoolStats stats;
-  uint64_t remote_hits = 0;
-  Nanos retry_budget_left = 0;
+  TieredRdmaBufferPool::State state;
 };
 
 std::unique_ptr<PoolSnapshot> TieredRdmaBufferPool::CaptureState() const {
   auto s = std::make_unique<TieredPoolSnapshot>();
-  s->images = images_;
-  s->meta = meta_;
-  s->free_list = free_list_;
-  s->lru = lru_;
-  s->page_table = page_table_;
-  s->stats = stats_;
-  s->remote_hits = remote_hits_;
-  s->retry_budget_left = retry_budget_left_;
+  s->state = st_;
   return s;
 }
 
 void TieredRdmaBufferPool::RestoreState(const PoolSnapshot& base) {
-  const auto& s = static_cast<const TieredPoolSnapshot&>(base);
-  POLAR_CHECK(s.images.size() == images_.size());
-  images_ = s.images;
-  meta_ = s.meta;
-  free_list_ = s.free_list;
-  lru_ = s.lru;
-  page_table_ = s.page_table;
-  stats_ = s.stats;
-  remote_hits_ = s.remote_hits;
-  retry_budget_left_ = s.retry_budget_left;
+  const auto& s = static_cast<const TieredPoolSnapshot&>(base).state;
+  POLAR_CHECK(s.images.size() == st_.images.size());
+  st_ = s;
 }
 
 }  // namespace polarcxl::bufferpool

@@ -72,20 +72,20 @@ class TieredRdmaBufferPool final : public BufferPool {
                         PageId page_id) override {
     (void)ctx;
     (void)page_id;
-    ref.data = WritableImage(images_[ref.block]);
+    ref.data = WritableImage(st_.images[ref.block]);
     return Status::OK();
   }
   bool FlushDirtyPages(sim::ExecContext& ctx) override;
   bool Cached(PageId page_id) const override;
   uint64_t capacity_pages() const override { return opt_.lbp_capacity_pages; }
-  const BufferPoolStats& stats() const override { return stats_; }
-  void ResetStats() override { stats_ = {}; }
+  const BufferPoolStats& stats() const override { return st_.stats; }
+  void ResetStats() override { st_.stats = {}; }
   uint64_t local_dram_bytes() const override {
     return opt_.lbp_capacity_pages * kPageSize;
   }
 
   /// Remote-tier hit statistics (misses that avoided storage I/O).
-  uint64_t remote_hits() const { return remote_hits_; }
+  uint64_t remote_hits() const { return st_.remote_hits; }
   rdma::RemoteMemoryPool* remote() { return remote_; }
 
   /// Writes a dirty frame back and marks it clean: the frame streams out
@@ -128,10 +128,27 @@ class TieredRdmaBufferPool final : public BufferPool {
     Lsn lsn = 0;
   };
 
+  /// Everything mutable but the remote tier, which snapshots itself via
+  /// RemoteMemoryPool::Capture. Frames are image handles, not bytes: a
+  /// frame written after a capture clones first, so a captured State's
+  /// images never change.
+  struct State {
+    std::vector<PageImageRef> images;  // per block; null while free
+    std::vector<BlockMeta> meta;
+    std::vector<uint32_t> free_list;
+    LruList lru{0};
+    PageMap page_table;
+    BufferPoolStats stats;
+    uint64_t remote_hits = 0;
+    /// Remaining verbs backoff budget (meaningful only when
+    /// opt_.retry_budget > 0; refilled by any successful remote op).
+    Nanos retry_budget_left = 0;
+  };
+
   /// The frame's bytes. Writable only through a write fix, which made the
   /// frame the image's sole holder.
   uint8_t* FrameData(uint32_t block) {
-    return const_cast<uint8_t*>(images_[block]->data());
+    return const_cast<uint8_t*>(st_.images[block]->data());
   }
   uint64_t FrameAddr(uint32_t block) const {
     return opt_.phys_base + static_cast<uint64_t>(block) * kPageSize;
@@ -145,16 +162,7 @@ class TieredRdmaBufferPool final : public BufferPool {
   sim::MemorySpace* dram_;
   rdma::RemoteMemoryPool* remote_;  // null: no far tier (the DRAM-BP)
   storage::PageStore* store_;
-  std::vector<PageImageRef> images_;  // per block; null while free
-  std::vector<BlockMeta> meta_;
-  std::vector<uint32_t> free_list_;
-  LruList lru_;
-  PageMap page_table_;
-  BufferPoolStats stats_;
-  uint64_t remote_hits_ = 0;
-  /// Remaining verbs backoff budget (meaningful only when
-  /// opt_.retry_budget > 0; refilled by any successful remote op).
-  Nanos retry_budget_left_ = 0;
+  State st_;
 };
 
 }  // namespace polarcxl::bufferpool

@@ -48,14 +48,19 @@ void FaultInjector::Disarm() {
   nic_ = Domain{};
   disk_ = Domain{};
   crash_ = Domain{};
-  lane_draws_.clear();
 }
 
-bool FaultInjector::Draw(uint32_t lane, double probability) {
-  if (lane >= lane_draws_.size()) lane_draws_.resize(lane + 1, 0);
-  const uint64_t n = ++lane_draws_[lane];
-  const uint64_t h =
-      Mix64(plan_.seed ^ Mix64((static_cast<uint64_t>(lane) << 32) | n));
+void FaultInjector::ResetStats() {
+  for (Counter* c : {&cxl_failures_, &cxl_degraded_, &nic_failures_,
+                     &nic_degraded_, &disk_stalls_}) {
+    c->store(0, std::memory_order_relaxed);
+  }
+}
+
+bool FaultInjector::Draw(sim::ExecContext& ctx, double probability) const {
+  const uint64_t n = ++ctx.fault_draws;
+  const uint64_t h = Mix64(
+      plan_.seed ^ Mix64((static_cast<uint64_t>(ctx.lane_id) << 32) | n));
   // Top 53 bits -> [0,1), the same uniform mapping as Rng::NextDouble.
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < probability;
@@ -68,11 +73,11 @@ Status FaultInjector::OnCxlAccess(sim::ExecContext& ctx, NodeId node) {
     if (!e.Active(ctx.now) || !e.Matches(node)) continue;
     switch (e.kind) {
       case FaultKind::kCxlDown:
-        stats_.cxl_failures++;
+        Bump(cxl_failures_);
         return Status::IOError("cxl device down");
       case FaultKind::kCxlFlaky:
-        if (Draw(ctx.lane_id, e.probability)) {
-          stats_.cxl_failures++;
+        if (Draw(ctx, e.probability)) {
+          Bump(cxl_failures_);
           return Status::IOError("cxl access dropped");
         }
         break;
@@ -84,7 +89,7 @@ Status FaultInjector::OnCxlAccess(sim::ExecContext& ctx, NodeId node) {
     }
   }
   if (inflate > 0) {
-    stats_.cxl_degraded++;
+    Bump(cxl_degraded_);
     ctx.t_mem += inflate;
     ctx.Advance(inflate);
   }
@@ -102,7 +107,7 @@ void FaultInjector::OnCxlTransfer(sim::ExecContext& ctx, NodeId node,
                                   (static_cast<double>(bytes) / 1024.0));
   }
   if (inflate > 0) {
-    stats_.cxl_degraded++;
+    Bump(cxl_degraded_);
     ctx.t_mem += inflate;
     ctx.Advance(inflate);
   }
@@ -116,11 +121,11 @@ Status FaultInjector::OnVerbsOp(sim::ExecContext& ctx, NodeId src,
     if (!e.Matches(src) && !e.Matches(dst)) continue;
     switch (e.kind) {
       case FaultKind::kNicDown:
-        stats_.nic_failures++;
+        Bump(nic_failures_);
         return Status::IOError("nic brownout");
       case FaultKind::kNicFlaky:
-        if (Draw(ctx.lane_id, e.probability)) {
-          stats_.nic_failures++;
+        if (Draw(ctx, e.probability)) {
+          Bump(nic_failures_);
           return Status::IOError("verbs op dropped");
         }
         break;
@@ -144,7 +149,7 @@ void FaultInjector::OnVerbsTransfer(sim::ExecContext& ctx, NodeId src,
                                   (static_cast<double>(bytes) / 1024.0));
   }
   if (inflate > 0) {
-    stats_.nic_degraded++;
+    Bump(nic_degraded_);
     // Caller (RdmaNetwork) attributes the whole op span to t_net.
     ctx.Advance(inflate);
   }
@@ -159,30 +164,10 @@ void FaultInjector::OnDiskOp(sim::ExecContext& ctx) {
     }
   }
   if (stall > 0) {
-    stats_.disk_stalls++;
+    Bump(disk_stalls_);
     // Caller (SimDisk) attributes the whole op span to t_io.
     ctx.Advance(stall);
   }
-}
-
-bool FaultInjector::CxlDown(Nanos now, NodeId node) const {
-  if (!armed_ || cxl_.Idle(now)) return false;
-  for (const FaultEvent& e : cxl_.events) {
-    if (e.kind == FaultKind::kCxlDown && e.Active(now) && e.Matches(node)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FaultInjector::NicDown(Nanos now, NodeId node) const {
-  if (!armed_ || nic_.Idle(now)) return false;
-  for (const FaultEvent& e : nic_.events) {
-    if (e.kind == FaultKind::kNicDown && e.Active(now) && e.Matches(node)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 std::vector<FaultEvent> FaultInjector::EventsOfKind(FaultKind kind) const {

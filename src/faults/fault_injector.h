@@ -3,10 +3,14 @@
 // nullable FaultInjector* and consult it through narrow hooks; with no
 // injector set the hook is a single null-pointer compare, and with an
 // injector set but no plan armed every query bails on `armed_`. All
-// probability draws are seeded per-lane counters, so a run is bit-identical
-// for a given (plan, seed) regardless of host, thread count or rerun.
+// probability draws are seeded per-lane counters kept in the lane's own
+// ExecContext, so a run is bit-identical for a given (plan, seed)
+// regardless of host, thread count or rerun. The armed plan is read-only
+// while a run steps, and the injected-fault counts are relaxed atomics, so
+// epoch-parallel shards may call every hook concurrently.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -62,17 +66,17 @@ class FaultInjector {
   /// Disk op: charges stall latency when inside a stall window.
   void OnDiskOp(sim::ExecContext& ctx);
 
-  /// Uncharged introspection: is `node` inside a CXL down window at `now`?
-  bool CxlDown(Nanos now, NodeId node) const;
-  /// Uncharged introspection: is `node` browned out at `now`?
-  bool NicDown(Nanos now, NodeId node) const;
-
   /// Events of `kind` in schedule order (e.g. drivers consuming
   /// kNodeCrash markers). Empty when disarmed or none scheduled.
   std::vector<FaultEvent> EventsOfKind(FaultKind kind) const;
 
-  const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = {}; }
+  /// The counts so far (a consistent read only between runs).
+  Stats stats() const {
+    return Stats{Load(cxl_failures_), Load(cxl_degraded_),
+                 Load(nic_failures_), Load(nic_degraded_),
+                 Load(disk_stalls_)};
+  }
+  void ResetStats();
 
  private:
   /// Events of one hook's domain, with the covering envelope hoisted so the
@@ -88,10 +92,17 @@ class FaultInjector {
 
   Domain& DomainFor(FaultKind kind);
 
-  /// One seeded Bernoulli draw for lane `lane`. Consumes exactly one draw
-  /// from the lane's counter-mode stream, so the decision sequence depends
-  /// only on (seed, lane, draw index) — never on wall time or scheduling.
-  bool Draw(uint32_t lane, double probability);
+  /// One seeded Bernoulli draw for `ctx`'s lane. Consumes exactly one draw
+  /// from the lane's counter-mode stream (ctx.fault_draws), so the decision
+  /// sequence depends only on (seed, lane, draw index) — never on wall time
+  /// or scheduling.
+  bool Draw(sim::ExecContext& ctx, double probability) const;
+
+  using Counter = std::atomic<uint64_t>;
+  static uint64_t Load(const Counter& c) {
+    return c.load(std::memory_order_relaxed);
+  }
+  static void Bump(Counter& c) { c.fetch_add(1, std::memory_order_relaxed); }
 
   FaultPlan plan_;
   bool armed_ = false;
@@ -99,8 +110,13 @@ class FaultInjector {
   Domain nic_;
   Domain disk_;
   Domain crash_;
-  std::vector<uint64_t> lane_draws_;
-  Stats stats_;
+  // Relaxed atomics: the shards of an epoch-parallel world bump them
+  // concurrently; the adds commute, so totals match serial execution.
+  Counter cxl_failures_{0};
+  Counter cxl_degraded_{0};
+  Counter nic_failures_{0};
+  Counter nic_degraded_{0};
+  Counter disk_stalls_{0};
 };
 
 }  // namespace polarcxl::faults

@@ -257,11 +257,14 @@ SimWorld::SimWorld(const Spec& spec)
   // (bounding sparse-channel ledger footprints). Setup itself runs one
   // per-instance time cursor after another — wildly out of order — which
   // is why channels start disarmed and are only armed here. Fault-wired
-  // worlds stay disarmed entirely: a node-crash window freezes that
-  // node's lanes at crash time, and on recovery they post to the shared
-  // channels at their frozen clocks — an outage-length reorder span,
-  // bounded by the fault plan rather than the executor, which no fixed
-  // lag can promise to cover.
+  // worlds stay disarmed entirely, because a lane step runs to completion
+  // and a fault can stretch one past any fixed lag. The closed-loop
+  // world's checkpoint lane flushes the whole pool in one step: inside a
+  // disk-stall window that step's last posts to the disk ledger lead the
+  // next lane's post by more than 90 ms, past the 81.92 ms lag, and an
+  // armed full-scale fig14 run aborts on Place's watermark check. (Node
+  // crashes are not the hazard: WorldRun::Measure resumes a crashed
+  // instance's lanes at the crash end, never behind the frontier.)
   if (!wire_faults_) {
     for (sim::BandwidthChannel* c : channels_) {
       c->set_retire_lag(sim::BandwidthChannel::kRetireLagWindows);

@@ -13,7 +13,7 @@ RemoteMemoryPool::RemoteMemoryPool(RdmaNetwork* network, NodeId server_node,
   // The pool fills to capacity during a load, so size the table up front:
   // incremental rehashes of a hundred-thousand-entry map are pure waste.
   // Capped so a huge nominal capacity doesn't burn memory on empty buckets.
-  pages_.reserve(std::min<uint64_t>(capacity_pages_, 1u << 20));
+  st_.pages.reserve(std::min<uint64_t>(capacity_pages_, 1u << 20));
   network_->RegisterHost(server_node);
 }
 
@@ -25,12 +25,12 @@ Status RemoteMemoryPool::WritePage(sim::ExecContext& ctx, NodeId client,
   {
     std::lock_guard<std::mutex> lk(mu_);
     const PoolPageKey key{tenant, page_id};
-    auto it = pages_.find(key);
-    if (it == pages_.end()) {
-      if (pages_.size() >= capacity_pages_) {
+    auto it = st_.pages.find(key);
+    if (it == st_.pages.end()) {
+      if (st_.pages.size() >= capacity_pages_) {
         return Status::OutOfMemory("remote memory pool full");
       }
-      pages_.emplace(key, std::move(image));
+      st_.pages.emplace(key, std::move(image));
     } else {
       // The old image stays intact for whoever still holds it (a snapshot,
       // a client frame).
@@ -53,26 +53,26 @@ Result<PageImageRef> RemoteMemoryPool::ReadPage(sim::ExecContext& ctx,
 
 PageImageRef RemoteMemoryPool::Peek(NodeId tenant, PageId page_id) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const auto it = pages_.find(PoolPageKey{tenant, page_id});
-  return it == pages_.end() ? nullptr : it->second;
+  const auto it = st_.pages.find(PoolPageKey{tenant, page_id});
+  return it == st_.pages.end() ? nullptr : it->second;
 }
 
 void RemoteMemoryPool::Drop(NodeId tenant, PageId page_id) {
   std::lock_guard<std::mutex> lk(mu_);
-  pages_.erase(PoolPageKey{tenant, page_id});
+  st_.pages.erase(PoolPageKey{tenant, page_id});
 }
 
 void RemoteMemoryPool::DropTenant(NodeId tenant) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    if (it->first.tenant == tenant) it = pages_.erase(it);
+  for (auto it = st_.pages.begin(); it != st_.pages.end();) {
+    if (it->first.tenant == tenant) it = st_.pages.erase(it);
     else ++it;
   }
 }
 
 bool RemoteMemoryPool::Contains(NodeId tenant, PageId page_id) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return pages_.count(PoolPageKey{tenant, page_id}) > 0;
+  return st_.pages.count(PoolPageKey{tenant, page_id}) > 0;
 }
 
 }  // namespace polarcxl::rdma

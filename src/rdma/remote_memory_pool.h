@@ -70,7 +70,7 @@ class RemoteMemoryPool {
   bool Contains(NodeId tenant, PageId page_id) const;
   uint64_t pages_stored() const {
     std::lock_guard<std::mutex> lk(mu_);
-    return pages_.size();
+    return st_.pages.size();
   }
   uint64_t capacity_pages() const { return capacity_pages_; }
   NodeId server_node() const { return server_node_; }
@@ -84,11 +84,11 @@ class RemoteMemoryPool {
   };
   State Capture() const {
     std::lock_guard<std::mutex> lk(mu_);
-    return State{pages_};
+    return st_;
   }
   void Restore(const State& s) {
     std::lock_guard<std::mutex> lk(mu_);
-    pages_ = s.pages;
+    st_ = s;
   }
 
  private:
@@ -102,7 +102,7 @@ class RemoteMemoryPool {
   // one instance stepped by one shard thread, so only that thread ever
   // takes or drops a reference to one of its images between barriers.
   mutable std::mutex mu_;
-  std::unordered_map<PoolPageKey, PageImageRef, PoolPageKeyHash> pages_;
+  State st_;
 };
 
 }  // namespace polarcxl::rdma

@@ -32,101 +32,96 @@ BandwidthChannel::BandwidthChannel(std::string name, uint64_t bytes_per_sec)
   fd_rate_ = FastDiv64(std::max<uint64_t>(1, bytes_per_sec_));
   fd_window_ = FastDiv64(static_cast<uint64_t>(window_ns_));
   fd_bpw_ = FastDiv64(bytes_per_window_);
-  // Virtual time starts at 0, so no transfer can ever land below window 0;
-  // claiming those windows "consumed" is vacuous and lets the prune loop
-  // advance from the very first window.
-  pruned_end_ = 0;
-  base_window_ = 0;
 }
 
 uint64_t BandwidthChannel::UsedIn(int64_t w) const {
-  if (w < pruned_end_) return bytes_per_window_;
-  if (window_count_ == 0 || w < base_window_ ||
-      w >= base_window_ + static_cast<int64_t>(window_count_)) {
+  if (w < st_.pruned_end) return bytes_per_window_;
+  if (st_.window_count == 0 || w < st_.base_window ||
+      w >= st_.base_window + static_cast<int64_t>(st_.window_count)) {
     return 0;
   }
-  return ring_[(base_slot_ + static_cast<size_t>(w - base_window_)) &
-               ring_mask_];
+  return st_.ring[(st_.base_slot + static_cast<size_t>(w - st_.base_window)) &
+                  st_.ring_mask];
 }
 
 void BandwidthChannel::RetireTo(int64_t r) {
-  while (window_count_ > 0 && base_window_ < r) {
-    if (ring_[base_slot_] != 0) {
+  while (st_.window_count > 0 && st_.base_window < r) {
+    if (st_.ring[st_.base_slot] != 0) {
       window_advances_++;   // leftover budget actually forfeited
-      ring_[base_slot_] = 0;  // keep the outside-span-zero invariant
+      st_.ring[st_.base_slot] = 0;  // keep the outside-span-zero invariant
     }
     // Zero slots (idle gaps inside the span) retire for free: dropping
     // them mutates nothing — the slot already holds the outside-span
     // value — so they cost no more here than they did when the lazy
     // extension skipped them arithmetically on the way in.
-    base_slot_ = (base_slot_ + 1) & ring_mask_;
-    base_window_++;
-    window_count_--;
+    st_.base_slot = (st_.base_slot + 1) & st_.ring_mask;
+    st_.base_window++;
+    st_.window_count--;
   }
-  retired_end_ = std::max(retired_end_, r);
+  st_.retired_end = std::max(st_.retired_end, r);
 }
 
 void BandwidthChannel::EnsureWindow(int64_t w) {
-  if (window_count_ == 0) {
-    if (ring_.empty()) {
-      ring_.assign(64, 0);
-      ring_mask_ = ring_.size() - 1;
+  if (st_.window_count == 0) {
+    if (st_.ring.empty()) {
+      st_.ring.assign(64, 0);
+      st_.ring_mask = st_.ring.size() - 1;
     }
-    base_window_ = w;
-    base_slot_ = 0;
-    window_count_ = 1;
+    st_.base_window = w;
+    st_.base_slot = 0;
+    st_.window_count = 1;
     return;
   }
-  const int64_t end = base_window_ + static_cast<int64_t>(window_count_);
-  if (w >= base_window_ && w < end) return;
+  const int64_t end = st_.base_window + static_cast<int64_t>(st_.window_count);
+  if (w >= st_.base_window && w < end) return;
 
-  const int64_t new_base = std::min<int64_t>(w, base_window_);
+  const int64_t new_base = std::min<int64_t>(w, st_.base_window);
   const int64_t new_end = std::max<int64_t>(w + 1, end);
   const size_t span = static_cast<size_t>(new_end - new_base);
 
-  if (span > ring_.size()) {
+  if (span > st_.ring.size()) {
     // Re-layout into a larger ring, oldest window at slot 0.
-    window_advances_ += window_count_;  // slots copied
+    window_advances_ += st_.window_count;  // slots copied
     std::vector<uint64_t> grown(NextPow2(span), 0);
-    for (size_t i = 0; i < window_count_; i++) {
-      grown[static_cast<size_t>(base_window_ - new_base) + i] =
-          ring_[(base_slot_ + i) & ring_mask_];
+    for (size_t i = 0; i < st_.window_count; i++) {
+      grown[static_cast<size_t>(st_.base_window - new_base) + i] =
+          st_.ring[(st_.base_slot + i) & st_.ring_mask];
     }
-    ring_.swap(grown);
-    ring_mask_ = ring_.size() - 1;
-    base_slot_ = 0;
-    base_window_ = new_base;
-    window_count_ = span;
-  } else if (new_base < base_window_) {
+    st_.ring.swap(grown);
+    st_.ring_mask = st_.ring.size() - 1;
+    st_.base_slot = 0;
+    st_.base_window = new_base;
+    st_.window_count = span;
+  } else if (new_base < st_.base_window) {
     // Extend backward over the idle gap: every slot outside the tracked
     // span is already zero (the invariant), so this is pure arithmetic —
     // no fill walk, no per-window charge.
-    base_slot_ =
-        (base_slot_ - static_cast<size_t>(base_window_ - new_base)) &
-        ring_mask_;
-    base_window_ = new_base;
-    window_count_ = span;
+    st_.base_slot =
+        (st_.base_slot - static_cast<size_t>(st_.base_window - new_base)) &
+        st_.ring_mask;
+    st_.base_window = new_base;
+    st_.window_count = span;
   } else {
     // Extend forward over the idle gap: O(1) under the same invariant.
-    window_count_ = span;
+    st_.window_count = span;
   }
 }
 
 void BandwidthChannel::StoreUsed(int64_t w, uint64_t used) {
   EnsureWindow(w);
-  ring_[(base_slot_ + static_cast<size_t>(w - base_window_)) & ring_mask_] =
-      used;
+  st_.ring[(st_.base_slot + static_cast<size_t>(w - st_.base_window)) &
+           st_.ring_mask] = used;
   // Prune fully-consumed windows off the front. Only valid while the front
   // is contiguous with the pruned prefix (otherwise the gap in between
   // still holds unconsumed budget that an out-of-order post may claim).
-  while (window_count_ > 0 && base_window_ == pruned_end_ &&
-         ring_[base_slot_] == bytes_per_window_) {
+  while (st_.window_count > 0 && st_.base_window == st_.pruned_end &&
+         st_.ring[st_.base_slot] == bytes_per_window_) {
     window_advances_++;
-    ring_[base_slot_] = 0;
-    base_slot_ = (base_slot_ + 1) & ring_mask_;
-    base_window_++;
-    window_count_--;
-    pruned_end_ = base_window_;
+    st_.ring[st_.base_slot] = 0;
+    st_.base_slot = (st_.base_slot + 1) & st_.ring_mask;
+    st_.base_window++;
+    st_.window_count--;
+    st_.pruned_end = st_.base_window;
   }
 }
 
@@ -138,16 +133,16 @@ Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes) {
   // completion clamp below keeps time monotonic). Clamping the budget to
   // the elapsed sub-window position instead would re-introduce a FIFO
   // whenever out-of-order lanes land in one window.
-  if (w < pruned_end_) w = pruned_end_;  // everything earlier is consumed
+  if (w < st_.pruned_end) w = st_.pruned_end;  // everything earlier is consumed
   // A post below the retirement watermark would see forfeited budget as
   // free. In armed worlds concurrent posts sit within the executor's
   // reorder span (one step cost plus one epoch) of each other — orders
   // of magnitude inside the lag — so this firing means a real scheduling
-  // bug (worlds whose lanes can freeze for plan-length spans, i.e.
-  // fault-wired ones, never arm; see SimWorld). Abort loudly rather
-  // than bend a completion.
-  POLAR_CHECK(w >= retired_end_);
-  if (w - retire_lag_ > retired_end_) {
+  // bug (fault-wired worlds, where a fault can stretch one step past the
+  // lag, never arm; see SimWorld). Abort loudly rather than bend a
+  // completion.
+  POLAR_CHECK(w >= st_.retired_end);
+  if (w - retire_lag_ > st_.retired_end) {
     // Advance the watermark behind the posting frontier. Keyed on the
     // post's own `now` — never on the newest *tracked* window, which on a
     // saturated channel is backlog queued far ahead of virtual time.
@@ -159,13 +154,14 @@ Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes) {
   // later windows, and — because the window stays strictly below budget —
   // no prune can trigger, so the general ledger machinery is skipped. The
   // arithmetic is the general loop's first iteration verbatim.
-  if (window_count_ > 0 && w >= base_window_ &&
-      w < base_window_ + static_cast<int64_t>(window_count_)) {
+  if (st_.window_count > 0 && w >= st_.base_window &&
+      w < st_.base_window + static_cast<int64_t>(st_.window_count)) {
     const size_t slot =
-        (base_slot_ + static_cast<size_t>(w - base_window_)) & ring_mask_;
-    const uint64_t offset = ring_[slot] + bytes;
+        (st_.base_slot + static_cast<size_t>(w - st_.base_window)) &
+        st_.ring_mask;
+    const uint64_t offset = st_.ring[slot] + bytes;
     if (offset < bytes_per_window_) {
-      ring_[slot] = offset;
+      st_.ring[slot] = offset;
       return std::max(w * window_ns_ + NsForBytes(offset), now + 1);
     }
   }
@@ -184,14 +180,14 @@ Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes) {
     // w, the full windows must be materialized so a later out-of-order
     // post sees them consumed, so the per-window loop below runs (rare: a
     // saturated channel prunes its front as it fills, landing here).
-    if (remaining > bytes_per_window_ && window_count_ == 0 &&
-        w == pruned_end_) {
+    if (remaining > bytes_per_window_ && st_.window_count == 0 &&
+        w == st_.pruned_end) {
       const int64_t full =
           static_cast<int64_t>(fd_bpw_.Div(remaining - 1));
       const uint64_t t =
           remaining - static_cast<uint64_t>(full) * bytes_per_window_;
       window_advances_++;
-      pruned_end_ = w + full;
+      st_.pruned_end = w + full;
       completion = (w + full) * window_ns_ + NsForBytes(t);
       StoreUsed(w + full, t);  // prunes immediately if t fills it
       break;
@@ -214,7 +210,7 @@ Nanos BandwidthChannel::Place(Nanos now, uint64_t bytes) {
 }
 
 Nanos BandwidthChannel::Transfer(Nanos now, uint64_t bytes) {
-  total_bytes_ += bytes;
+  st_.total_bytes += bytes;
   return Place(now, bytes);
 }
 
@@ -227,8 +223,8 @@ Nanos BandwidthChannel::TransferDeferred(Nanos now, uint64_t bytes,
   // often cross-group contention inside one epoch would have changed it.
   if (bytes_per_sec_ == 0 || bytes == 0) return now;
   int64_t w = static_cast<int64_t>(fd_window_.Div(static_cast<uint64_t>(now)));
-  if (w < pruned_end_) w = pruned_end_;  // everything earlier is consumed
-  POLAR_CHECK(w >= retired_end_);  // see Place
+  if (w < st_.pruned_end) w = st_.pruned_end;  // everything earlier is consumed
+  POLAR_CHECK(w >= st_.retired_end);  // see Place
 
   uint64_t remaining = bytes;
   Nanos completion = now;

@@ -14,7 +14,7 @@
 //
 // The per-window ledger is a ring buffer over a contiguous span of window
 // indices. Windows at the front of the span whose budget is fully consumed
-// are pruned as soon as they fill (everything before `pruned_end_` is
+// are pruned as soon as they fill (everything before `pruned_end` is
 // implicitly "full"), so the footprint stays proportional to the channel's
 // reorder span instead of growing linearly over the run the way the old
 // std::map ledger did.
@@ -117,12 +117,12 @@ class BandwidthChannel {
   const std::string& name() const { return name_; }
   uint64_t bytes_per_sec() const { return bytes_per_sec_; }
   /// Bytes committed through Transfer since construction or ResetStats.
-  uint64_t total_bytes() const { return total_bytes_; }
-  void ResetStats() { total_bytes_ = 0; }
+  uint64_t total_bytes() const { return st_.total_bytes; }
+  void ResetStats() { st_.total_bytes = 0; }
 
   /// Number of window slots currently held in the ledger (tests assert this
   /// stays bounded under sustained traffic; the old map grew linearly).
-  size_t window_footprint() const { return window_count_; }
+  size_t window_footprint() const { return st_.window_count; }
 
   /// Ledger-maintenance work counter (diagnostics, monotone, committed
   /// paths only): window slots copied/pruned/retired while sliding or
@@ -137,7 +137,7 @@ class BandwidthChannel {
   uint64_t window_advances() const { return window_advances_; }
 
   /// Watermark below which windows have been retired (budget forfeited).
-  int64_t retired_end_window() const { return retired_end_; }
+  int64_t retired_end_window() const { return st_.retired_end; }
 
   /// Default retirement lag used when a world arms its channels after
   /// setup (see set_retire_lag).
@@ -148,52 +148,37 @@ class BandwidthChannel {
   /// world setup code posts with per-instance time cursors that are wildly
   /// out of order, so SimWorld arms retirement only once setup is done and
   /// every subsequent post is lane-driven (min-clock ordered). Fault-wired
-  /// worlds never arm: a node-crash outage freezes lanes for a
-  /// plan-defined span, so their resume-time posts can trail the frontier
-  /// by more than any fixed lag. Arm before any snapshot is captured; the
-  /// lag itself is configuration, not state.
+  /// worlds never arm: a fault can stretch one lane step so far that the
+  /// next lane's post trails the step's last post by more than any fixed
+  /// lag (a checkpoint's whole-pool flush inside a disk-stall window does,
+  /// see SimWorld). Arm before any snapshot is captured; the lag itself is
+  /// configuration, not state.
   void set_retire_lag(size_t windows) {
     retire_lag_ = static_cast<int64_t>(windows);
   }
 
   /// Whole mutable state of the channel (ledger ring + byte counter); the
   /// rate and window constants are excluded because they are fixed at
-  /// construction. Restore is only valid on a channel built with the same
-  /// constructor arguments as the one captured.
+  /// construction, and so are the retire lag (configuration), the shared
+  /// mark (topology) and window_advances (a monotone diagnostic). Restore
+  /// is only valid on a channel built with the same constructor arguments
+  /// as the one captured.
   struct State {
-    std::vector<uint64_t> ring;
+    std::vector<uint64_t> ring;  // power-of-two capacity
     size_t ring_mask = 0;
-    int64_t base_window = 0;
+    int64_t base_window = 0;     // window id of ring[base_slot]
     size_t base_slot = 0;
-    size_t window_count = 0;
+    size_t window_count = 0;     // valid span [base_window, +window_count)
+    // All windows < pruned_end are full. Virtual time starts at 0, so no
+    // transfer can land below window 0: claiming those windows consumed is
+    // vacuous and lets the prune loop advance from the very first window.
     int64_t pruned_end = 0;
-    int64_t retired_end = 0;
-    uint64_t total_bytes = 0;
+    int64_t retired_end = 0;   // all windows < this are forfeited
+    uint64_t total_bytes = 0;  // see total_bytes()
   };
 
-  State Capture() const {
-    State s;
-    s.ring = ring_;
-    s.ring_mask = ring_mask_;
-    s.base_window = base_window_;
-    s.base_slot = base_slot_;
-    s.window_count = window_count_;
-    s.pruned_end = pruned_end_;
-    s.retired_end = retired_end_;
-    s.total_bytes = total_bytes_;
-    return s;
-  }
-
-  void Restore(const State& s) {
-    ring_ = s.ring;
-    ring_mask_ = s.ring_mask;
-    base_window_ = s.base_window;
-    base_slot_ = s.base_slot;
-    window_count_ = s.window_count;
-    pruned_end_ = s.pruned_end;
-    retired_end_ = s.retired_end;
-    total_bytes_ = s.total_bytes;
-  }
+  State Capture() const { return st_; }
+  void Restore(const State& s) { st_ = s; }
 
  private:
   // Disarmed sentinel for retire_lag_: huge but far from overflowing the
@@ -240,17 +225,9 @@ class BandwidthChannel {
   FastDiv64 fd_window_;
   FastDiv64 fd_bpw_;
 
-  // Ring ledger state.
-  std::vector<uint64_t> ring_;   // power-of-two capacity
-  size_t ring_mask_ = 0;
-  int64_t base_window_ = 0;      // window id of ring_[base_slot_]
-  size_t base_slot_ = 0;
-  size_t window_count_ = 0;      // valid span [base_, base_+count_)
-  int64_t pruned_end_ = INT64_MIN;  // all windows < this are full
-  int64_t retired_end_ = 0;         // all windows < this are forfeited
+  State st_;  // the ledger; see State
   int64_t retire_lag_ = kNeverRetire;  // see set_retire_lag()
   uint64_t window_advances_ = 0;       // see window_advances()
-  uint64_t total_bytes_ = 0;           // see total_bytes()
 };
 
 }  // namespace polarcxl::sim

@@ -24,20 +24,20 @@ CpuCacheSim::CpuCacheSim(uint64_t capacity_bytes, uint32_t ways)
   full_set_mask_ =
       ways_ == 64 ? ~0ULL : ((1ULL << ways_) - 1);
   const size_t slots = static_cast<size_t>(num_sets_) * ways_;
-  tags_.resize(slots, 0);
-  ticks_.resize(slots, 0);
-  homes_.resize(slots, nullptr);
-  valid_.resize(num_sets_, 0);
-  dirty_.resize(num_sets_, 0);
+  st_.tags.resize(slots, 0);
+  st_.ticks.resize(slots, 0);
+  st_.homes.resize(slots, nullptr);
+  st_.valid.resize(num_sets_, 0);
+  st_.dirty.resize(num_sets_, 0);
 }
 
 bool CpuCacheSim::Contains(uint64_t addr) const {
-  if (live_lines_ == 0) return false;
+  if (st_.live_lines == 0) return false;
   const uint64_t line = addr / kCacheLineSize;
   const uint64_t tag = line + 1;
   const uint32_t set = SetIndex(line);
-  if (valid_[set] == 0) return false;
-  const uint64_t* tags = &tags_[static_cast<size_t>(set) * ways_];
+  if (st_.valid[set] == 0) return false;
+  const uint64_t* tags = &st_.tags[static_cast<size_t>(set) * ways_];
   for (uint32_t w = 0; w < ways_; w++) {
     if (tags[w] == tag) return true;
   }
@@ -48,7 +48,7 @@ void CpuCacheSim::FlushRange(uint64_t addr, uint64_t len, uint32_t* dirty_out,
                              uint32_t* clean_out) {
   uint32_t dirty = 0;
   uint32_t clean = 0;
-  if (len == 0 || live_lines_ == 0) {
+  if (len == 0 || st_.live_lines == 0) {
     if (dirty_out != nullptr) *dirty_out = 0;
     if (clean_out != nullptr) *clean_out = 0;
     return;
@@ -62,37 +62,37 @@ void CpuCacheSim::FlushRange(uint64_t addr, uint64_t len, uint32_t* dirty_out,
     // The range covers more lines than the cache can hold: sweeping the
     // occupied slots directly is cheaper than probing per range line.
     for (uint32_t set = 0; set < num_sets_; set++) {
-      uint64_t occupied = valid_[set];
+      uint64_t occupied = st_.valid[set];
       while (occupied != 0) {
         const uint32_t w = static_cast<uint32_t>(__builtin_ctzll(occupied));
         occupied &= occupied - 1;
         const size_t slot = static_cast<size_t>(set) * ways_ + w;
-        const uint64_t line = tags_[slot] - 1;
+        const uint64_t line = st_.tags[slot] - 1;
         if (line < first || line > last) continue;
-        if ((dirty_[set] >> w) & 1) dirty++;
+        if ((st_.dirty[set] >> w) & 1) dirty++;
         else clean++;
-        tags_[slot] = 0;
-        homes_[slot] = nullptr;
-        valid_[set] &= ~(1ULL << w);
-        dirty_[set] &= ~(1ULL << w);
-        live_lines_--;
+        st_.tags[slot] = 0;
+        st_.homes[slot] = nullptr;
+        st_.valid[set] &= ~(1ULL << w);
+        st_.dirty[set] &= ~(1ULL << w);
+        st_.live_lines--;
       }
     }
   } else {
     for (uint64_t line = first; line <= last; line++) {
       const uint64_t tag = line + 1;
       const uint32_t set = SetIndex(line);
-      if (valid_[set] == 0) continue;  // cheap skip of non-resident sets
+      if (st_.valid[set] == 0) continue;  // cheap skip of non-resident sets
       const size_t base = static_cast<size_t>(set) * ways_;
       for (uint32_t w = 0; w < ways_; w++) {
-        if (tags_[base + w] == tag) {
-          if ((dirty_[set] >> w) & 1) dirty++;
+        if (st_.tags[base + w] == tag) {
+          if ((st_.dirty[set] >> w) & 1) dirty++;
           else clean++;
-          tags_[base + w] = 0;
-          homes_[base + w] = nullptr;
-          valid_[set] &= ~(1ULL << w);
-          dirty_[set] &= ~(1ULL << w);
-          live_lines_--;
+          st_.tags[base + w] = 0;
+          st_.homes[base + w] = nullptr;
+          st_.valid[set] &= ~(1ULL << w);
+          st_.dirty[set] &= ~(1ULL << w);
+          st_.live_lines--;
           break;
         }
       }
@@ -103,12 +103,12 @@ void CpuCacheSim::FlushRange(uint64_t addr, uint64_t len, uint32_t* dirty_out,
 }
 
 void CpuCacheSim::InvalidateAll() {
-  if (live_lines_ == 0) return;
-  std::fill(tags_.begin(), tags_.end(), 0);
-  std::fill(homes_.begin(), homes_.end(), nullptr);
-  std::fill(valid_.begin(), valid_.end(), 0);
-  std::fill(dirty_.begin(), dirty_.end(), 0);
-  live_lines_ = 0;
+  if (st_.live_lines == 0) return;
+  std::fill(st_.tags.begin(), st_.tags.end(), 0);
+  std::fill(st_.homes.begin(), st_.homes.end(), nullptr);
+  std::fill(st_.valid.begin(), st_.valid.end(), 0);
+  std::fill(st_.dirty.begin(), st_.dirty.end(), 0);
+  st_.live_lines = 0;
 }
 
 }  // namespace polarcxl::sim

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -63,11 +64,11 @@ class CpuCacheSim {
     // self-invalidating if its slot was since evicted; state evolution is
     // identical to the probed hit path (same tick/dirty/counter updates),
     // so the memo never alters simulated time.
-    Memo& memo = memo_[static_cast<uint32_t>(line) & (kMemoSize - 1)];
-    if (tag == memo.tag && tags_[memo.slot] == tag) {
-      ticks_[memo.slot] = ++tick_;
-      if (write) dirty_[memo.set] |= memo.bit;
-      hits_++;
+    Memo& memo = st_.memo[static_cast<uint32_t>(line) & (kMemoSize - 1)];
+    if (tag == memo.tag && st_.tags[memo.slot] == tag) {
+      st_.ticks[memo.slot] = ++st_.tick;
+      if (write) st_.dirty[memo.set] |= memo.bit;
+      st_.hits++;
       return true;
     }
     return false;
@@ -98,51 +99,51 @@ class CpuCacheSim {
     const uint64_t tag = line + 1;
     const uint32_t set = SetIndex(line);
     const size_t base = static_cast<size_t>(set) * ways_;
-    const uint64_t* tags = &tags_[base];
-    tick_++;
+    const uint64_t* tags = &st_.tags[base];
+    st_.tick++;
 
     // Branchless probe (no early exit) so the compiler can vectorize the
     // tag compares; a set's tags are contiguous (at most two host lines).
     const uint32_t match = ProbeWays(tags, tag);
     if (match != ways_) {
-      ticks_[base + match] = tick_;
-      if (write) dirty_[set] |= 1ULL << match;
-      hits_++;
+      st_.ticks[base + match] = st_.tick;
+      if (write) st_.dirty[set] |= 1ULL << match;
+      st_.hits++;
       result.hit = true;
       SetMemo(tag, base + match, set, match);
       return result;
     }
 
-    misses_++;
-    const uint64_t valid = valid_[set];
+    st_.misses++;
+    const uint64_t valid = st_.valid[set];
     uint32_t victim;
     if (valid != full_set_mask_) {
       victim = static_cast<uint32_t>(
           __builtin_ctzll(~valid & full_set_mask_));
-      valid_[set] = valid | (1ULL << victim);
-      live_lines_++;
+      st_.valid[set] = valid | (1ULL << victim);
+      st_.live_lines++;
     } else {
       victim = 0;
-      uint32_t best = ticks_[base];
+      uint32_t best = st_.ticks[base];
       for (uint32_t w = 1; w < ways_; w++) {
-        if (ticks_[base + w] < best) {
-          best = ticks_[base + w];
+        if (st_.ticks[base + w] < best) {
+          best = st_.ticks[base + w];
           victim = w;
         }
       }
-      if ((dirty_[set] >> victim) & 1) {
+      if ((st_.dirty[set] >> victim) & 1) {
         result.evicted_dirty = true;
         result.evicted_addr = (tags[victim] - 1) * kCacheLineSize;
-        result.evicted_home = homes_[base + victim];
+        result.evicted_home = st_.homes[base + victim];
       }
     }
-    tags_[base + victim] = tag;
-    homes_[base + victim] = home;
-    ticks_[base + victim] = tick_;
+    st_.tags[base + victim] = tag;
+    st_.homes[base + victim] = home;
+    st_.ticks[base + victim] = st_.tick;
     if (write) {
-      dirty_[set] |= 1ULL << victim;
+      st_.dirty[set] |= 1ULL << victim;
     } else {
-      dirty_[set] &= ~(1ULL << victim);
+      st_.dirty[set] &= ~(1ULL << victim);
     }
     SetMemo(tag, base + victim, set, victim);
     return result;
@@ -168,20 +169,20 @@ class CpuCacheSim {
   /// Faster than per-line Access() for ranges: each line first consults
   /// the recent-line memo (distinct lines use distinct slots, so re-read
   /// rows hit per line), and whole-set misses are classified with one
-  /// `valid_` bitmask test instead of a 16-way tag probe. The memo never
+  /// `valid` bitmask test instead of a 16-way tag probe. The memo never
   /// influences simulated state — memo and probed hit paths apply the
   /// same tick/dirty updates — so all of this is exact.
   void TouchRange(uint64_t first_line, uint32_t count, bool write,
                   MemorySpace* home, RangeResult* out) {
     // Hash every line's set up front (pure arithmetic) and prefetch the
     // tag rows: the multiplicative hash scatters consecutive lines across
-    // a tags_ array much larger than host L2, so the serial loop in
+    // a tags array much larger than host L2, so the serial loop in
     // ProbeRange would otherwise stall on each row. ProbeRange reuses the
     // precomputed indices, so the hash is not paid twice.
     uint32_t sets[64];
     for (uint32_t i = 0; i < count; i++) {
       sets[i] = SetIndex(first_line + i);
-      __builtin_prefetch(&tags_[static_cast<size_t>(sets[i]) * ways_]);
+      __builtin_prefetch(&st_.tags[static_cast<size_t>(sets[i]) * ways_]);
     }
     ProbeRange(first_line, count, write, home, sets, out);
   }
@@ -209,64 +210,64 @@ class CpuCacheSim {
       }
       const uint32_t set = sets[i];
       const size_t base = static_cast<size_t>(set) * ways_;
-      tick_++;
-      const uint64_t valid = valid_[set];
+      st_.tick++;
+      const uint64_t valid = st_.valid[set];
       if (valid == 0) {
         // Empty set: installs into way 0 without probing any tags.
-        misses_++;
-        valid_[set] = 1;
-        live_lines_++;
-        tags_[base] = tag;
-        homes_[base] = home;
-        ticks_[base] = tick_;
+        st_.misses++;
+        st_.valid[set] = 1;
+        st_.live_lines++;
+        st_.tags[base] = tag;
+        st_.homes[base] = home;
+        st_.ticks[base] = st_.tick;
         if (write) {
-          dirty_[set] |= 1;
+          st_.dirty[set] |= 1;
         } else {
-          dirty_[set] &= ~1ULL;
+          st_.dirty[set] &= ~1ULL;
         }
         SetMemo(tag, base, set, 0);
         continue;
       }
-      const uint64_t* tags = &tags_[base];
+      const uint64_t* tags = &st_.tags[base];
       const uint32_t match = ProbeWays(tags, tag);
       if (match != ways_) {
-        ticks_[base + match] = tick_;
-        if (write) dirty_[set] |= 1ULL << match;
-        hits_++;
+        st_.ticks[base + match] = st_.tick;
+        if (write) st_.dirty[set] |= 1ULL << match;
+        st_.hits++;
         out->hit_mask |= 1ULL << i;
         SetMemo(tag, base + match, set, match);
         continue;
       }
-      misses_++;
+      st_.misses++;
       uint32_t victim;
       if (valid != full_set_mask_) {
         victim = static_cast<uint32_t>(
             __builtin_ctzll(~valid & full_set_mask_));
-        valid_[set] = valid | (1ULL << victim);
-        live_lines_++;
+        st_.valid[set] = valid | (1ULL << victim);
+        st_.live_lines++;
       } else {
         victim = 0;
-        uint32_t best = ticks_[base];
+        uint32_t best = st_.ticks[base];
         for (uint32_t w = 1; w < ways_; w++) {
-          if (ticks_[base + w] < best) {
-            best = ticks_[base + w];
+          if (st_.ticks[base + w] < best) {
+            best = st_.ticks[base + w];
             victim = w;
           }
         }
-        if ((dirty_[set] >> victim) & 1) {
+        if ((st_.dirty[set] >> victim) & 1) {
           RangeResult::Eviction& ev = out->evictions[out->num_evictions++];
           ev.index = i;
           ev.addr = (tags[victim] - 1) * kCacheLineSize;
-          ev.home = homes_[base + victim];
+          ev.home = st_.homes[base + victim];
         }
       }
-      tags_[base + victim] = tag;
-      homes_[base + victim] = home;
-      ticks_[base + victim] = tick_;
+      st_.tags[base + victim] = tag;
+      st_.homes[base + victim] = home;
+      st_.ticks[base + victim] = st_.tick;
       if (write) {
-        dirty_[set] |= 1ULL << victim;
+        st_.dirty[set] |= 1ULL << victim;
       } else {
-        dirty_[set] &= ~(1ULL << victim);
+        st_.dirty[set] &= ~(1ULL << victim);
       }
       SetMemo(tag, base + victim, set, victim);
     }
@@ -285,15 +286,15 @@ class CpuCacheSim {
   /// resets an instance; a crash powering off a host does this implicitly).
   void InvalidateAll();
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
+  uint64_t hits() const { return st_.hits; }
+  uint64_t misses() const { return st_.misses; }
   uint64_t capacity_bytes() const {
     return static_cast<uint64_t>(num_sets_) * ways_ * kCacheLineSize;
   }
   uint32_t ways() const { return ways_; }
   uint32_t num_sets() const { return num_sets_; }
   /// Currently resident lines (diagnostics / cheap emptiness checks).
-  uint64_t live_lines() const { return live_lines_; }
+  uint64_t live_lines() const { return st_.live_lines; }
 
   // Recent-hit memo (see Access), direct-mapped by line address. tag == 0
   // means empty; a stale entry is harmless because the slot's tag is
@@ -307,49 +308,30 @@ class CpuCacheSim {
     uint64_t bit = 0;
   };
 
-  /// Full mutable cache state, for world snapshot/restore. homes_ stores
+  /// Full mutable cache state, for world snapshot/restore. homes stores
   /// raw MemorySpace pointers, so a State is only valid for restoring the
   /// same world instance it was captured from (restore-in-place).
   struct State {
     uint32_t tick = 0;
     uint64_t live_lines = 0;
-    std::vector<Memo> memo;
-    std::vector<uint64_t> tags;
+    std::array<Memo, kMemoSize> memo{};
+    // Structure-of-arrays slot state, row-major by set: the probe loop
+    // only touches tags; ticks/homes are visited on hit-refresh/eviction.
+    std::vector<uint64_t> tags;  // (line_addr + 1); 0 == empty
     std::vector<uint32_t> ticks;
     std::vector<MemorySpace*> homes;
+    // Per-set way bitmasks (ways <= 64).
     std::vector<uint64_t> valid;
     std::vector<uint64_t> dirty;
     uint64_t hits = 0;
     uint64_t misses = 0;
   };
 
-  State Capture() const {
-    State s;
-    s.tick = tick_;
-    s.live_lines = live_lines_;
-    s.memo.assign(memo_, memo_ + kMemoSize);
-    s.tags = tags_;
-    s.ticks = ticks_;
-    s.homes = homes_;
-    s.valid = valid_;
-    s.dirty = dirty_;
-    s.hits = hits_;
-    s.misses = misses_;
-    return s;
-  }
+  State Capture() const { return st_; }
 
   void Restore(const State& s) {
-    POLAR_CHECK(s.tags.size() == tags_.size());
-    tick_ = s.tick;
-    live_lines_ = s.live_lines;
-    std::copy(s.memo.begin(), s.memo.end(), memo_);
-    tags_ = s.tags;
-    ticks_ = s.ticks;
-    homes_ = s.homes;
-    valid_ = s.valid;
-    dirty_ = s.dirty;
-    hits_ = s.hits;
-    misses_ = s.misses;
+    POLAR_CHECK(s.tags.size() == st_.tags.size());
+    st_ = s;
   }
 
  private:
@@ -405,7 +387,7 @@ class CpuCacheSim {
 
   void SetMemo(uint64_t tag, size_t slot, uint32_t set, uint32_t way) {
     // tag is line + 1, so (tag - 1) recovers the memo index key.
-    memo_[static_cast<uint32_t>(tag - 1) & (kMemoSize - 1)] =
+    st_.memo[static_cast<uint32_t>(tag - 1) & (kMemoSize - 1)] =
         Memo{tag, slot, set, 1ULL << way};
   }
 
@@ -421,19 +403,7 @@ class CpuCacheSim {
   uint32_t set_mask_;        // num_sets_ - 1
   uint32_t ways_;
   uint64_t full_set_mask_;   // low `ways_` bits set
-  uint32_t tick_ = 0;
-  uint64_t live_lines_ = 0;
-  Memo memo_[kMemoSize];
-  // Structure-of-arrays slot state, row-major by set: the probe loop only
-  // touches tags_; ticks_/homes_ are visited on hit-refresh/eviction.
-  std::vector<uint64_t> tags_;       // (line_addr + 1); 0 == empty
-  std::vector<uint32_t> ticks_;
-  std::vector<MemorySpace*> homes_;
-  // Per-set way bitmasks (ways_ <= 64).
-  std::vector<uint64_t> valid_;
-  std::vector<uint64_t> dirty_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  State st_;  // everything a snapshot captures; see State
 };
 
 }  // namespace polarcxl::sim

@@ -49,6 +49,13 @@ struct ExecContext {
   Nanos t_lock = 0;  // distributed lock service (RPCs + waits + sleeps)
   // CPU/base time is the remainder: now - (t_mem + t_io + t_net + t_lock).
 
+  /// Flaky-fault draws this lane has made (FaultInjector::Draw): its own
+  /// position in its counter-mode stream, so no shard ever writes another
+  /// lane's. Lane contexts are captured with the executor, and worlds arm
+  /// their fault plans only after the snapshot point, so every run's
+  /// streams start at 0.
+  uint64_t fault_draws = 0;
+
   void Advance(Nanos d) { now += d; }
 };
 

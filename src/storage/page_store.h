@@ -28,40 +28,30 @@ class PageStore {
 
   /// Direct (uncharged) access for checkpointer bookkeeping and tests.
   bool Contains(PageId page_id) const {
-    return page_id < pages_.size() && pages_[page_id] != nullptr;
+    return page_id < st_.pages.size() && st_.pages[page_id] != nullptr;
   }
   const uint8_t* RawPage(PageId page_id) const;
 
-  uint64_t num_pages() const { return num_pages_; }
+  uint64_t num_pages() const { return st_.num_pages; }
   SimDisk* disk() { return disk_; }
 
-  /// Copy-on-write snapshot of the durable page images. Capture shares the
-  /// page payloads (cheap: one refcounted pointer per page); WritePage
-  /// replaces a shared slot with a fresh allocation instead of mutating it,
-  /// so captured images stay frozen.
+  /// Copy-on-write snapshot of the durable page images, direct-indexed by
+  /// PageId: ids are bump-allocated, so the id space is dense and a flat
+  /// vector beats a hash table (a never-written id costs one null
+  /// pointer). Capture shares the page payloads (one refcounted pointer
+  /// per page). WritePage overwrites a payload in place only while this
+  /// store holds its sole reference; a slot a snapshot still references
+  /// gets a fresh image instead, so captured images stay frozen.
   struct State {
     std::vector<PageImageRef> pages;
-    uint64_t num_pages = 0;
+    uint64_t num_pages = 0;  // non-null entries
   };
-  State Capture() const { return State{pages_, num_pages_}; }
-  void Restore(const State& s) {
-    pages_ = s.pages;
-    num_pages_ = s.num_pages;
-  }
+  State Capture() const { return st_; }
+  void Restore(const State& s) { st_ = s; }
 
  private:
   SimDisk* disk_;
-  // Direct-indexed by PageId: ids are bump-allocated from the superblock
-  // counter, so the id space is dense and a flat vector beats a hash table
-  // on every checkpoint/recovery access (no hashing, no rehash growth).
-  // Holes (never-written ids) cost one null pointer each.
-  //
-  // Payloads are immutable handles so a world snapshot can alias them (see
-  // State). WritePage overwrites a payload in place (through a const_cast)
-  // only while this store holds its sole reference; a slot a snapshot
-  // still references gets a fresh image instead.
-  std::vector<PageImageRef> pages_;
-  uint64_t num_pages_ = 0;  // non-null entries
+  State st_;
 };
 
 }  // namespace polarcxl::storage

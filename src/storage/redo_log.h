@@ -181,11 +181,11 @@ class RedoLog {
   /// copied. Invalidates every pointer DurableRecordsFrom returned.
   void Checkpoint(Lsn lsn);
 
-  Lsn current_lsn() const { return next_lsn_; }
-  Lsn flushed_lsn() const { return flushed_lsn_; }
-  Lsn checkpoint_lsn() const { return checkpoint_lsn_; }
+  Lsn current_lsn() const { return st_.next_lsn; }
+  Lsn flushed_lsn() const { return st_.flushed_lsn; }
+  Lsn checkpoint_lsn() const { return st_.checkpoint_lsn; }
   uint64_t unflushed_bytes() const {
-    return next_lsn_ - flushed_lsn_;
+    return st_.next_lsn - st_.flushed_lsn;
   }
 
   /// Durable records that end after `from`, in LSN order. From
@@ -208,31 +208,22 @@ class RedoLog {
   /// segments released or sealed after the capture are reinstated or
   /// dropped exactly. Only the volatile buffer needs a deep copy.
   struct State {
+    // Durable records, stored as the sequence of retained flushed buffer
+    // segments. Segments (and records within each) are LSN-ordered, so
+    // readers binary search at segment granularity first. Compared to one
+    // flat vector this never re-moves a record after it lands: a flush
+    // retires the buffer by moving it in, instead of pushing ~240-byte
+    // records one at a time into a vector whose geometric regrowth
+    // re-copies the whole log, and a checkpoint frees whole segments.
     std::vector<Segment> durable_segs;
-    std::vector<RedoRecord> buffer;
+    std::vector<RedoRecord> buffer;  // volatile tail (local DRAM)
     Lsn next_lsn = 0;
     Lsn flushed_lsn = 0;
     Lsn checkpoint_lsn = 0;
     Nanos last_batch_completion = 0;
   };
-  State Capture() const {
-    State s;
-    s.durable_segs = durable_segs_;
-    s.buffer = buffer_;
-    s.next_lsn = next_lsn_;
-    s.flushed_lsn = flushed_lsn_;
-    s.checkpoint_lsn = checkpoint_lsn_;
-    s.last_batch_completion = last_batch_completion_;
-    return s;
-  }
-  void Restore(const State& s) {
-    durable_segs_ = s.durable_segs;
-    buffer_ = s.buffer;
-    next_lsn_ = s.next_lsn;
-    flushed_lsn_ = s.flushed_lsn;
-    checkpoint_lsn_ = s.checkpoint_lsn;
-    last_batch_completion_ = s.last_batch_completion;
-  }
+  State Capture() const { return st_; }
+  void Restore(const State& s) { st_ = s; }
 
  private:
   /// Moves the whole buffer into the durable portion as one sealed segment
@@ -241,19 +232,7 @@ class RedoLog {
   void SealBuffer();
 
   SimDisk* disk_;
-  // Durable records, stored as the sequence of retained flushed buffer
-  // segments. Segments (and records within each) are LSN-ordered, so
-  // readers binary search at segment granularity first. Compared to one
-  // flat vector this never re-moves a record after it lands: a flush
-  // retires the buffer by moving it in, instead of pushing ~240-byte
-  // records one at a time into a vector whose geometric regrowth re-copies
-  // the whole log, and a checkpoint frees whole segments.
-  std::vector<Segment> durable_segs_;
-  std::vector<RedoRecord> buffer_;  // volatile tail (local DRAM)
-  Lsn next_lsn_ = 0;
-  Lsn flushed_lsn_ = 0;
-  Lsn checkpoint_lsn_ = 0;
-  Nanos last_batch_completion_ = 0;
+  State st_;  // everything a snapshot captures; see State
   size_t last_fill_ = 0;  // records in the last sealed segment (sizing hint)
 };
 

@@ -392,6 +392,67 @@ TEST(CxlPoolTest, DegradedReadFrameIsUncharged) {
   mtr.Commit();
 }
 
+TEST(CxlPoolTest, SnapshotRestoresDegradedFrame) {
+  // A fork rewinds the pool's DRAM-side state, degraded-mode frames
+  // included: capture while a scratch frame holds a clean read, reuse the
+  // frame for another page, then restore. A frame's fix count is what a
+  // restored pool shows of it: the next degraded read skips a fixed frame.
+  PoolEnv env;
+  faults::FaultInjector injector;
+  env.fabric_.set_fault_injector(&injector);
+  auto pool = env.MakePool("cxl");
+  ExecContext ctx;
+  std::array<uint8_t, kPageSize> img;
+  img.fill(0x3C);
+  env.store_.WritePage(ctx, 5, img.data());
+  img.fill(0x6D);
+  env.store_.WritePage(ctx, 6, img.data());
+  ReadPageFirstByte(pool.get(), ctx, 3);  // one page in the page table
+
+  const Nanos outage = ctx.now;
+  faults::FaultPlan plan;
+  plan.Add({faults::FaultKind::kCxlDown, outage, outage + Millis(10)});
+  plan.Add({faults::FaultKind::kCxlDown, outage + Millis(20),
+            outage + Millis(30)});
+  ASSERT_TRUE(injector.Arm(plan).ok());
+  const uint32_t frame0 = static_cast<uint32_t>(pool->capacity_pages());
+  auto held = pool->Fetch(ctx, 5, /*for_write=*/false);
+  ASSERT_TRUE(held.ok());
+  ASSERT_EQ(held->block, frame0);
+  EXPECT_EQ(held->data[0], 0x3C);
+  const std::unique_ptr<PoolSnapshot> snap = pool->CaptureState();
+  const BufferPoolStats captured = pool->stats();
+
+  pool->Unfix(ctx, *held, 5, /*dirty=*/false, 0);
+  auto other = pool->Fetch(ctx, 6, /*for_write=*/false);
+  ASSERT_TRUE(other.ok());
+  ASSERT_EQ(other->block, frame0);  // the freed frame serves page 6
+  EXPECT_EQ(other->data[0], 0x6D);
+  pool->Unfix(ctx, *other, 6, /*dirty=*/false, 0);
+  ctx.now = outage + Millis(10);
+  ReadPageFirstByte(pool.get(), ctx, 7);  // a healthy miss between outages
+  ASSERT_TRUE(pool->Cached(7));
+  ASSERT_NE(pool->stats(), captured);
+
+  pool->RestoreState(*snap);
+  EXPECT_EQ(pool->stats(), captured);
+  EXPECT_TRUE(pool->Cached(3));
+  EXPECT_FALSE(pool->Cached(7));
+  // Frame 0 holds the captured fix again, so a degraded read takes frame 1
+  // until that fix is released.
+  ctx.now = outage + Millis(20);
+  auto next = pool->Fetch(ctx, 6, /*for_write=*/false);
+  ASSERT_TRUE(next.ok());
+  ASSERT_EQ(next->block, frame0 + 1);
+  EXPECT_EQ(next->data[0], 0x6D);
+  pool->Unfix(ctx, *next, 6, /*dirty=*/false, 0);
+  pool->Unfix(ctx, *held, 5, /*dirty=*/false, 0);  // the captured fix
+  auto freed = pool->Fetch(ctx, 6, /*for_write=*/false);
+  ASSERT_TRUE(freed.ok());
+  EXPECT_EQ(freed->block, frame0);
+  pool->Unfix(ctx, *freed, 6, /*dirty=*/false, 0);
+}
+
 /// Stores a page image filled with `fill` in the remote tier under the
 /// tiered pool's tenant, so the pool's next miss on `id` is a remote hit.
 void SeedRemote(PoolEnv& env, ExecContext& ctx, PageId id, uint8_t fill) {

@@ -444,22 +444,30 @@ harness::PoolingResult ExpectForkMatchesCold(
   return cold;
 }
 
+/// Spread placement puts every region behind the other switch, so each
+/// miss also crosses the uplink, and 50 MB/s uplinks and device ports
+/// saturate: a channel ledger a snapshot missed would move queries and
+/// lane_steps. At full link width no window of those channels fills.
+harness::PoolingConfig NarrowLinks(harness::PoolingConfig c) {
+  c.fabric.placement = PlacementMode::kSpread;
+  c.fabric.uplink_bps = 50'000'000;
+  c.fabric.device_port_bps = 50'000'000;
+  return c;
+}
+
 TEST(FabricWorldTest, MultiSwitchSnapshotForksBitIdentically) {
   ExpectForkMatchesCold(MultiSwitchPooling(0));
+  const harness::PoolingResult narrow =
+      ExpectForkMatchesCold(NarrowLinks(MultiSwitchPooling(0)));
+  EXPECT_GT(narrow.uplink_gbps, 0.0);
 }
 
 TEST(FabricWorldTest, MultiSwitchSnapshotForksBitIdenticallyInEpochMode) {
   // Under epoch execution the shared host ports, device ports, uplinks and
   // entered switch fabrics defer their charges to the barrier, and the
-  // snapshot must capture them all. Spread placement puts every region
-  // behind the other switch, so each miss also crosses the uplink, and
-  // 50 MB/s uplinks and device ports saturate: a ledger the snapshot
-  // missed would move queries and lane_steps, not only the divergence.
-  harness::PoolingConfig c = MultiSwitchPooling(2);
-  c.fabric.placement = PlacementMode::kSpread;
-  c.fabric.uplink_bps = 50'000'000;
-  c.fabric.device_port_bps = 50'000'000;
-  const harness::PoolingResult cold = ExpectForkMatchesCold(c);
+  // snapshot must capture them all.
+  const harness::PoolingResult cold =
+      ExpectForkMatchesCold(NarrowLinks(MultiSwitchPooling(2)));
   EXPECT_GT(cold.epochs, 0u);
   EXPECT_GT(cold.drain_divergence, 0u);
   EXPECT_GT(cold.uplink_gbps, 0.0);

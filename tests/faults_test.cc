@@ -224,8 +224,6 @@ TEST(FaultInjectorTest, HooksPassThroughWhenDisarmed) {
   inj.OnCxlTransfer(ctx, 0, 1 << 20);
   inj.OnVerbsTransfer(ctx, 0, 1, 1 << 20);
   inj.OnDiskOp(ctx);
-  EXPECT_FALSE(inj.CxlDown(ctx.now, 0));
-  EXPECT_FALSE(inj.NicDown(ctx.now, 0));
   EXPECT_EQ(ctx.now, 12345);  // nothing charged
   EXPECT_EQ(inj.stats().cxl_failures, 0u);
   EXPECT_TRUE(inj.EventsOfKind(FaultKind::kNodeCrash).empty());
@@ -244,10 +242,8 @@ TEST(FaultInjectorTest, DownWindowRejectsThenRecovers) {
   Status s = inj.OnCxlAccess(ctx, 0);
   EXPECT_TRUE(s.IsIOError());
   EXPECT_EQ(ctx.now, 1500);  // rejection is instantaneous
-  EXPECT_TRUE(inj.CxlDown(1500, 0));
   ctx.now = 2000;  // half-open window: until is already healthy
   EXPECT_TRUE(inj.OnCxlAccess(ctx, 0).ok());
-  EXPECT_FALSE(inj.CxlDown(2000, 0));
   EXPECT_EQ(inj.stats().cxl_failures, 1u);
 
   inj.Disarm();
@@ -316,15 +312,11 @@ TEST(FaultInjectorTest, TargetFiltering) {
   ctx.now = 500;
   EXPECT_TRUE(inj.OnCxlAccess(ctx, 3).ok());
   EXPECT_TRUE(inj.OnCxlAccess(ctx, 2).IsIOError());
-  EXPECT_TRUE(inj.CxlDown(500, 2));
-  EXPECT_FALSE(inj.CxlDown(500, 3));
 
   // Verbs ops fail when either endpoint is browned out.
   EXPECT_TRUE(inj.OnVerbsOp(ctx, 0, 4).ok());
   EXPECT_TRUE(inj.OnVerbsOp(ctx, 0, 5).IsIOError());
   EXPECT_TRUE(inj.OnVerbsOp(ctx, 5, 0).IsIOError());
-  EXPECT_TRUE(inj.NicDown(500, 5));
-  EXPECT_FALSE(inj.NicDown(500, 0));
 }
 
 TEST(FaultInjectorTest, FlakyDrawsDeterministicPerLane) {
@@ -338,13 +330,17 @@ TEST(FaultInjectorTest, FlakyDrawsDeterministicPerLane) {
 
   // The decision for (lane, draw index) must not depend on how draws from
   // different lanes interleave — that is what makes multi-lane runs
-  // schedule-independent.
-  const auto draws = [](FaultInjector& inj, uint32_t lane, int n) {
+  // schedule-independent. Each lane keeps its draw index in its own
+  // context, so a lane is one ExecContext for the whole sequence.
+  const auto lane = [](uint32_t id) {
+    ExecContext ctx;
+    ctx.now = 500;
+    ctx.lane_id = id;
+    return ctx;
+  };
+  const auto draws = [](FaultInjector& inj, ExecContext& ctx, int n) {
     std::vector<bool> out;
     for (int i = 0; i < n; i++) {
-      ExecContext ctx;
-      ctx.now = 500;
-      ctx.lane_id = lane;
       out.push_back(inj.OnCxlAccess(ctx, 0).IsIOError());
     }
     return out;
@@ -352,15 +348,17 @@ TEST(FaultInjectorTest, FlakyDrawsDeterministicPerLane) {
 
   FaultInjector sequential;
   ASSERT_TRUE(sequential.Arm(plan).ok());
-  const std::vector<bool> lane0 = draws(sequential, 0, 32);
-  const std::vector<bool> lane1 = draws(sequential, 1, 32);
+  ExecContext s0 = lane(0), s1 = lane(1);
+  const std::vector<bool> lane0 = draws(sequential, s0, 32);
+  const std::vector<bool> lane1 = draws(sequential, s1, 32);
 
   FaultInjector interleaved;
   ASSERT_TRUE(interleaved.Arm(plan).ok());
+  ExecContext i0 = lane(0), i1 = lane(1);
   std::vector<bool> lane0_i, lane1_i;
   for (int i = 0; i < 32; i++) {
-    lane1_i.push_back(draws(interleaved, 1, 1)[0]);  // opposite order
-    lane0_i.push_back(draws(interleaved, 0, 1)[0]);
+    lane1_i.push_back(draws(interleaved, i1, 1)[0]);  // opposite order
+    lane0_i.push_back(draws(interleaved, i0, 1)[0]);
   }
   EXPECT_EQ(lane0, lane0_i);
   EXPECT_EQ(lane1, lane1_i);
@@ -371,11 +369,13 @@ TEST(FaultInjectorTest, FlakyDrawsDeterministicPerLane) {
   reseeded.seed = 99;
   FaultInjector other;
   ASSERT_TRUE(other.Arm(reseeded).ok());
-  EXPECT_NE(draws(other, 0, 32), lane0);
+  ExecContext o0 = lane(0);
+  EXPECT_NE(draws(other, o0, 32), lane0);
 
-  // Re-arming the same plan resets the draw counters: full replay.
+  // Re-arming the same plan replays it in full for a fresh run's lanes.
   ASSERT_TRUE(sequential.Arm(plan).ok());
-  EXPECT_EQ(draws(sequential, 0, 32), lane0);
+  ExecContext r0 = lane(0);
+  EXPECT_EQ(draws(sequential, r0, 32), lane0);
 }
 
 TEST(FaultInjectorTest, DiskStallWindow) {
@@ -553,6 +553,34 @@ TEST(ChaosDriverTest, NodeCrashFreezesLanesThenRecovers) {
 
   // Crash handling is part of the deterministic contract too.
   ExpectIdentical(crashed, RunOpenLoop(config));
+}
+
+// Two instances are two shard groups, so at world threads 2 and 4 the
+// canonical schedule's flaky window draws on several threads at once. Each
+// lane's draw index lives in its own context and the injected-fault counts
+// are atomics, so every thread count must agree exactly.
+TEST(ChaosDriverTest, TwoInstanceChaosIsThreadCountInvariant) {
+  OpenLoopConfig config = QuickChaos(engine::BufferPoolKind::kCxl);
+  config.instances = 2;
+  std::vector<OpenLoopResult> runs;
+  for (int threads : {1, 2, 4}) {
+    config.world_threads = threads;
+    runs.push_back(RunOpenLoop(config));
+  }
+  EXPECT_GT(runs[0].epochs, 0u);
+  EXPECT_GT(runs[0].injected.cxl_failures, 0u);
+  for (size_t i = 1; i < runs.size(); i++) {
+    SCOPED_TRACE(i);
+    ExpectIdentical(runs[0], runs[i]);
+    EXPECT_EQ(runs[0].epochs, runs[i].epochs);
+    const FaultInjector::Stats& a = runs[0].injected;
+    const FaultInjector::Stats& b = runs[i].injected;
+    EXPECT_EQ(a.cxl_failures, b.cxl_failures);
+    EXPECT_EQ(a.cxl_degraded, b.cxl_degraded);
+    EXPECT_EQ(a.nic_failures, b.nic_failures);
+    EXPECT_EQ(a.nic_degraded, b.nic_degraded);
+    EXPECT_EQ(a.disk_stalls, b.disk_stalls);
+  }
 }
 
 // The crash freeze parks and resumes lanes between RunUntil calls; on an

@@ -14,15 +14,21 @@
 #   tools/check.sh --bench    # tier-1 + fig7 pins, also on a POLAR_NO_SIMD
 #                             #   build and on a POLAR_PROF build (which adds
 #                             #   the hot-share ceiling)
-#   tools/check.sh --faults   # tier-1 + sanitized fault suite + chaos pins
+#   tools/check.sh --faults   # tier-1 + sanitized fault suite (its
+#                             #   two-instance chaos case is the only epoch
+#                             #   run whose lanes draw flaky faults in more
+#                             #   than one shard group) + chaos pins
 #   tools/check.sh --snapshot # tier-1 + sanitized snapshot suite +
 #                             #   cold-vs-fork bit-identity on the fig7 point
 #   tools/check.sh --parallel # tier-1 + fig7 epoch pins at
 #                             #   POLAR_WORLD_THREADS 1/2/4 + TSan leg over
-#                             #   the executor/snapshot/faults suites, the
-#                             #   open-loop suite (client lanes, admission
-#                             #   queues, tenant accounting) and the fabric
-#                             #   suite (multi-switch epoch worlds)
+#                             #   the executor/snapshot/faults suites (the
+#                             #   faults suite's two-instance chaos case
+#                             #   draws flaky faults in two shard groups),
+#                             #   the open-loop suite (client lanes,
+#                             #   admission queues, tenant accounting) and
+#                             #   the fabric suite (multi-switch epoch
+#                             #   worlds)
 #   tools/check.sh --slo      # tier-1 + sanitized open-loop suite, the
 #                             #   suites whose buffer-pool frames alias
 #                             #   page images and the storage suite (redo
@@ -120,6 +126,8 @@ fi
 
 if [[ "${1:-}" == "--faults" ]]; then
   echo "==> faults: ASan+UBSan build of the fault suite"
+  # faults_test's two-instance chaos case is the only epoch run whose
+  # lanes draw flaky faults in more than one shard group.
   sanitized faults_test failure_injection_test
   echo "==> faults: quick-scale chaos bit-identity gate (threads 1 vs many)"
   # Same canonical schedule, serial and parallel sweeps: lane_steps must
@@ -165,11 +173,13 @@ if [[ "${1:-}" == "--parallel" ]]; then
     build/bench/bench_fig14_fault_resilience
   echo "==> parallel: TSan build of executor/snapshot/faults/open-loop/fabric suites"
   # The faults, snapshot and parallel-world suites drive closed-loop worlds
-  # with no tenants. open_loop_test is the one suite whose worlds run client
-  # lanes, admission queues and tenant accounting, swept four at a time and
-  # at world threads 4. fabric_test's multi-switch worlds at world threads
-  # 2 and 4 are the only epoch runs whose uplink and device-port charges
-  # go through the epoch frames.
+  # with no tenants; faults_test's two-instance chaos case, at world
+  # threads 2 and 4, is the only epoch run whose lanes draw flaky faults in
+  # more than one shard group. open_loop_test is the one suite whose worlds
+  # run client lanes, admission queues and tenant accounting, swept four at
+  # a time and at world threads 4. fabric_test's multi-switch worlds at
+  # world threads 2 and 4 are the only epoch runs whose uplink and
+  # device-port charges go through the epoch frames.
   sanitized --thread sim_test snapshot_test faults_test parallel_world_test \
     open_loop_test fabric_test
   echo "==> OK (parallel mode)"
